@@ -17,7 +17,7 @@ across threads and to evaluate in parallel sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi
+from math import inf, isfinite, pi
 
 import numpy as np
 
@@ -71,6 +71,9 @@ class ArrayConfig:
     path_count: int = 4
 
     def __post_init__(self):
+        if not all(isfinite(x) for x in (self.element_spacing, self.carrier_freq,
+                                         self.pulse_freq, self.if_freq or 0.0)):
+            raise ValueError("spacing and frequencies must be finite")
         if self.n_elements < 1:
             raise ValueError("n_elements must be a positive integer")
         if self.element_spacing <= 0:
@@ -85,8 +88,8 @@ class ArrayConfig:
             object.__setattr__(self, "excitations", tuple(float(x) for x in self.excitations))
             if len(self.excitations) != self.n_elements:
                 raise ValueError("excitations length must match n_elements")
-            if any(x <= 0 for x in self.excitations):
-                raise ValueError("excitations must be positive")
+            if not all(0 < x < inf for x in self.excitations):
+                raise ValueError("excitations must be positive and finite")
 
     @property
     def wavelength(self) -> float:
@@ -132,6 +135,9 @@ class PulseTrain:
     onset_neg_norm: float
 
     def __post_init__(self):
+        if not all(isfinite(x) for x in (self.period, self.width_norm,
+                                         self.onset_pos_norm, self.onset_neg_norm)):
+            raise ValueError("pulse train timings must be finite")
         if self.period <= 0:
             raise ValueError("period must be positive")
         if self.width_norm <= 0:

@@ -40,6 +40,9 @@ class CircuitParams:
     pulse_freq: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if math.isnan(value) or (math.isinf(value) and name != "switch_resistance"):
+                raise ValueError(f"{name} must be finite")
         for name in ("supply_voltage", "bias_current", "peak_voltage",
                      "load_resistance", "switch_resistance", "pulse_freq"):
             if getattr(self, name) <= 0:

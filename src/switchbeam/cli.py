@@ -28,7 +28,8 @@ from .formats import (
     write_csv,
 )
 from .harmonic_analysis import (
-    coefficient_vector,
+    MAX_STEERING_ENTRIES,
+    coefficient_matrix,
     envelope_dft_coefficients,
     oracle_tolerance,
     radiation_pattern,
@@ -152,6 +153,11 @@ def cmd_pattern(args) -> int:
     if args.theta_step <= 0:
         raise InputError("--theta-step must be positive")
     n_steps = int(math.floor((args.theta_max - args.theta_min) / args.theta_step + 1e-9))
+    if (n_steps + 1) * schedule.config.n_elements > MAX_STEERING_ENTRIES:
+        raise InputError(
+            f"theta grid of {n_steps + 1} points x {schedule.config.n_elements} elements "
+            f"exceeds {MAX_STEERING_ENTRIES} entries; raise --theta-step"
+        )
     theta_deg = args.theta_min + args.theta_step * np.arange(n_steps + 1)
     theta = np.deg2rad(theta_deg)
 
@@ -284,6 +290,11 @@ def cmd_qam(args) -> int:
 
 # --------------------------------------------------------------------- verify
 
+def _nan_high(x: float) -> float:
+    """Sort key ranking NaN above every number, so a NaN result is never hidden."""
+    return math.inf if math.isnan(x) else x
+
+
 def cmd_verify(args) -> int:
     schedule = _schedule_from_args(args)
     if args.m_max < 1:
@@ -302,20 +313,16 @@ def cmd_verify(args) -> int:
         "detail": "no violations" if not problems else "; ".join(problems),
     })
 
-    vectors = {m: coefficient_vector(schedule, m)
-               for m in range(-args.m_max, args.m_max + 1)}
+    ms = range(-args.m_max, args.m_max + 1)
+    vectors = dict(zip(ms, coefficient_matrix(schedule, ms)))
     reference = np.abs(vectors[1])
     suppressed = suppressed_harmonics(schedule.config.path_count, args.m_max)
-    worst_m, worst_ratio = None, 0.0
-    for m in suppressed:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.abs(vectors[m]) / reference
-        ratio = float(np.max(ratios))
-        if ratio > worst_ratio:
-            worst_m, worst_ratio = m, ratio
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = [(m, float(np.max(np.abs(vectors[m]) / reference))) for m in suppressed]
+    worst_m, worst_ratio = max([(None, 0.0), *ratios], key=lambda r: _nan_high(r[1]))
     checks.append({
         "name": "harmonic suppression",
-        "passed": worst_ratio < SUPPRESSION_TOL,
+        "passed": bool(suppressed) and worst_ratio < SUPPRESSION_TOL,
         "detail": (
             f"max |A_m|/|A_1| = {worst_ratio:.3e} at m={worst_m} "
             f"over {len(suppressed)} suppressed harmonics (tolerance {SUPPRESSION_TOL:g})"
@@ -323,13 +330,16 @@ def cmd_verify(args) -> int:
     })
 
     tol = oracle_tolerance(args.samples)
-    worst_err = 0.0
+    errors = []
     for i, element in enumerate(schedule.elements):
         exact = {m: vectors[m][i] for m in vectors}
         scale = max(abs(v) for v in exact.values())
+        if not scale > 0:  # all-zero coefficients: a relative error is undefined
+            errors.append(math.nan)
+            continue
         estimate = envelope_dft_coefficients(element, args.samples, args.m_max)
-        err = max(abs(estimate[m] - exact[m]) for m in exact) / scale
-        worst_err = max(worst_err, err)
+        errors.append(max(abs(estimate[m] - exact[m]) for m in exact) / scale)
+    worst_err = max(errors, key=_nan_high, default=math.nan)
     checks.append({
         "name": "analytic vs DFT oracle",
         "passed": worst_err < tol,
@@ -410,14 +420,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_finite(args) -> None:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(dump_json({"error": str(exc)}) + "\n")
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InputError included
         sys.stderr.write(dump_json({"error": str(exc)}) + "\n")
         return 2
 

@@ -3,10 +3,20 @@
 The analytic path integrates each rectangular pulse exactly, giving the
 Fourier coefficient of every path train in closed form; per-element combined
 coefficients are the path sum with each path rotated by its carrier phase.
+``coefficient_matrix`` evaluates that closed form for every harmonic,
+element and path in one broadcast: the schedule is flattened once into a
+pulse table (per element and path: onsets, width and carrier rotation,
+ragged path counts padded with zero-weight paths), and the paths are then
+added in order.  Its complex products are spelled out in real arithmetic as
+the scalar ``path_coefficient`` / ``combined_coefficient`` code rounds them,
+so both give identical bits; numpy's vectorized complex multiply does not.
+
 Radiated harmonic powers follow from the spatial power integral with an
 unnormalized sinc kernel, and the total radiated power is computed in the
 time domain by exact piecewise-constant integration, so Parseval holds
-without sampling error.
+without sampling error.  Patterns and the sideband level share one steering
+matrix (theta points x elements) across all harmonics; its size is capped by
+``MAX_STEERING_ENTRIES``.
 
 A DFT-based estimator over the synthesized envelope provides an independent
 numerical oracle for the analytic coefficients.
@@ -36,6 +46,14 @@ DB_FLOOR = -150.0
 
 #: Default truncation when tabulating a spectrum; totals never rely on it.
 DEFAULT_M_MAX = 101
+
+#: Largest pulse-table block (harmonics x elements x paths) that
+#: ``coefficient_matrix`` evaluates in one broadcast.
+COEFFICIENT_BLOCK = 1 << 15
+
+#: Largest steering matrix (theta points x elements) built at once: 2**22
+#: complex entries are 64 MiB.
+MAX_STEERING_ENTRIES = 1 << 22
 
 
 def _sinc(x) -> np.ndarray:
@@ -69,9 +87,63 @@ def combined_coefficient(element: ElementSchedule, m: int) -> complex:
     return sum((path_coefficient(t, p, m) for p, t in element.paths), start=0j)
 
 
+def _pulse_table(schedule: ArraySchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten a schedule into elements x paths arrays.
+
+    Returns the real and imaginary parts of each path's carrier rotation and
+    its timings ``(width, onset_pos, onset_neg)`` along a last axis of 3.
+    Elements with fewer paths than the longest are padded with zero-weight
+    paths; there is always at least one path column.
+    """
+    elements = schedule.elements
+    counts = [len(e.paths) for e in elements]
+    present = np.arange(max([1] + counts)) < np.array(counts, dtype=int).reshape(-1, 1)
+    table = np.zeros(present.shape + (4,))
+    table[present] = np.array(
+        [(p, t.width_norm, t.onset_pos_norm, t.onset_neg_norm)
+         for e in elements for p, t in e.paths], dtype=float,
+    ).reshape(-1, 4)
+    rotation = np.exp(1j * table[..., 0]) * present
+    return rotation.real, rotation.imag, table[..., 1:]
+
+
+def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
+    """Combined coefficients of all elements at every harmonic in ``ms``.
+
+    Returns a ``(len(ms), n_elements)`` complex array equal, bit for bit, to
+    ``combined_coefficient`` at each entry.  Harmonics are evaluated in
+    blocks of at most ``COEFFICIENT_BLOCK`` pulse-table entries.
+    """
+    rot_r, rot_i, timing = _pulse_table(schedule)
+    n, k = rot_r.shape
+    m = np.asarray(ms, dtype=float)
+    out = np.empty((m.size, n), dtype=complex)
+    rows = max(1, COEFFICIENT_BLOCK // max(1, n * k))
+    for start in range(0, m.size, rows):
+        w = 2 * pi * m[start:start + rows, None, None, None]
+        # 1/(jw) is (0, -1/w); m = 0 gets 0, its coefficient being exactly 0
+        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0)
+        # exp(-jw t) for t = width, onset_pos, onset_neg: shape (m, n, k, 3)
+        e = np.exp(-1j * w * timing)
+        f_r, f_i = 1.0 - e.real[..., :1], -e.imag[..., :1]
+        e_r, e_i = e.real[..., 1:], e.imag[..., 1:]
+        # pulse = exp(-jw onset) (1 - exp(-jw width)) / (jw), with every
+        # complex product written out as the scalar code rounds it
+        p_r = e_r * f_r - e_i * f_i
+        p_i = e_r * f_i + e_i * f_r
+        pulse_r, pulse_i = p_i * inv_w, -p_r * inv_w
+        d_r = pulse_r[..., 0] - pulse_r[..., 1]
+        d_i = pulse_i[..., 0] - pulse_i[..., 1]
+        # rotate by the carrier phase and add the paths in order (cumsum,
+        # unlike sum, never regroups the additions)
+        out.real[start:start + rows] = np.cumsum(rot_r * d_r - rot_i * d_i, axis=2)[..., -1]
+        out.imag[start:start + rows] = np.cumsum(rot_r * d_i + rot_i * d_r, axis=2)[..., -1]
+    return out
+
+
 def coefficient_vector(schedule: ArraySchedule, m: int) -> np.ndarray:
     """Combined coefficients of all elements at harmonic m."""
-    return np.array([combined_coefficient(e, m) for e in schedule.elements])
+    return coefficient_matrix(schedule, [m])[0]
 
 
 @dataclass(frozen=True)
@@ -103,23 +175,31 @@ def _coupling_kernel(schedule: ArraySchedule) -> np.ndarray:
     return np.outer(excitations, excitations) * _sinc(beta_d * (n[:, None] - n[None, :]))
 
 
+def _harmonic_powers(schedule: ArraySchedule, matrix: np.ndarray, ms) -> np.ndarray:
+    """Radiated powers of the harmonics ``ms``, one per row of ``matrix``.
+
+    The kernel is real symmetric, so each quadratic form is real up to
+    rounding; a residual imaginary part above 1e-9 of the diagonal indicates
+    a symmetry bug and raises.
+    """
+    kernel = _coupling_kernel(schedule)
+    values = np.einsum("mn,ns,ms->m", matrix, kernel, matrix.conj())
+    scales = np.einsum("mn,nn->m", np.abs(matrix) ** 2, kernel).real
+    for m, value, scale in zip(ms, values, scales):
+        if scale > 0 and abs(value.imag) > 1e-9 * scale:
+            raise RuntimeError(
+                f"harmonic_power(m={m}): imaginary residue {value.imag:.3e} exceeds tolerance"
+            )
+    return values.real
+
+
 def harmonic_power(schedule: ArraySchedule, m: int) -> float:
     """Total radiated power of the m-th harmonic.
 
     Evaluates the spatial power integral over element pairs with the
-    unnormalized sinc coupling kernel.  The kernel is real symmetric, so the
-    quadratic form is real up to rounding; a residual imaginary part above
-    1e-9 of the diagonal indicates a symmetry bug and raises.
+    unnormalized sinc coupling kernel.
     """
-    a = coefficient_vector(schedule, m)
-    kernel = _coupling_kernel(schedule)
-    value = np.einsum("n,ns,s->", a, kernel, a.conj())
-    scale = float(np.einsum("n,nn->", np.abs(a) ** 2, kernel).real)
-    if scale > 0 and abs(value.imag) > 1e-9 * scale:
-        raise RuntimeError(
-            f"harmonic_power(m={m}): imaginary residue {value.imag:.3e} exceeds tolerance"
-        )
-    return float(value.real)
+    return float(_harmonic_powers(schedule, coefficient_matrix(schedule, [m]), [m])[0])
 
 
 def total_power(schedule: ArraySchedule) -> float:
@@ -170,14 +250,34 @@ def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> Har
     Powers below ``POWER_CLAMP_REL`` of the total are clamped to zero.
     """
     total = total_power(schedule)
-    coefficients = {}
-    powers = {}
-    for m in range(-m_max, m_max + 1):
-        coefficients[m] = HarmonicCoefficient(m, coefficient_vector(schedule, m))
-        p = harmonic_power(schedule, m)
-        powers[m] = 0.0 if p < POWER_CLAMP_REL * total else p
+    ms = range(-m_max, m_max + 1)
+    matrix = coefficient_matrix(schedule, ms)
+    coefficients = {m: HarmonicCoefficient(m, a) for m, a in zip(ms, matrix)}
+    powers = {
+        m: 0.0 if p < POWER_CLAMP_REL * total else float(p)
+        for m, p in zip(ms, _harmonic_powers(schedule, matrix, ms))
+    }
     efficiency = powers[1] / total if total > 0 else 0.0
     return HarmonicSpectrum(coefficients, powers, total, efficiency)
+
+
+def _steering(schedule: ArraySchedule, theta: np.ndarray) -> np.ndarray:
+    """Geometric phase of every element toward every angle: theta x elements."""
+    cfg = schedule.config
+    if theta.size * cfg.n_elements > MAX_STEERING_ENTRIES:
+        raise ValueError(
+            f"{theta.size} angles x {cfg.n_elements} elements exceed the steering-matrix "
+            f"cap of {MAX_STEERING_ENTRIES} entries"
+        )
+    n = np.arange(cfg.n_elements)
+    beta_d = cfg.wavenumber * cfg.element_spacing
+    phase = 1j * beta_d * np.outer(np.sin(theta), n)
+    return np.exp(phase, out=phase)
+
+
+def _excited(schedule: ArraySchedule, ms) -> np.ndarray:
+    """Coefficient matrix weighted by the element excitations."""
+    return coefficient_matrix(schedule, ms) * np.asarray(schedule.config.excitations)
 
 
 def array_factor(schedule: ArraySchedule, m: int, theta) -> complex | np.ndarray:
@@ -187,13 +287,8 @@ def array_factor(schedule: ArraySchedule, m: int, theta) -> complex | np.ndarray
     (0-based element index), dropping the common time factor.  ``theta`` may
     be a scalar or an array of radians.
     """
-    cfg = schedule.config
-    a = coefficient_vector(schedule, m) * np.asarray(cfg.excitations)
-    n = np.arange(cfg.n_elements)
-    beta_d = cfg.wavenumber * cfg.element_spacing
     theta_arr = np.asarray(theta, dtype=float)
-    phase = np.exp(1j * beta_d * np.outer(np.sin(theta_arr), n))
-    out = phase @ a
+    out = _steering(schedule, theta_arr) @ _excited(schedule, [m])[0]
     return complex(out[0]) if theta_arr.ndim == 0 else out
 
 
@@ -222,13 +317,16 @@ def radiation_pattern(
     theta = np.asarray(theta_grid, dtype=float)
     if theta.size == 0:
         raise ValueError("theta grid is empty")
+    harmonics = list(harmonics)
+    phase = _steering(schedule, theta)
+    excited = _excited(schedule, [1] + harmonics)
     if reference is None:
-        reference = float(np.max(np.abs(array_factor(schedule, 1, theta))))
+        reference = float(np.max(np.abs(phase @ excited[0])))
     if reference <= 0:
         raise ValueError("pattern reference must be positive")
     levels = {}
-    for m in harmonics:
-        ratio = np.abs(array_factor(schedule, m, theta)) / reference
+    for m, a in zip(harmonics, excited[1:]):
+        ratio = np.abs(phase @ a) / reference
         with np.errstate(divide="ignore"):
             db = 20.0 * np.log10(ratio)
         db[ratio * ratio < POWER_CLAMP_REL] = DB_FLOOR
@@ -240,17 +338,20 @@ def sideband_level(schedule: ArraySchedule, m_max: int, theta_step_deg: float = 
     """Strongest undesired harmonic's pattern peak relative to m = 1, in dB.
 
     Scans all harmonics m != 1 with |m| <= m_max over a dense theta grid and
-    compares each one's peak against the m = 1 peak.
+    compares each one's peak against the m = 1 peak.  The grid is processed
+    in blocks, so no steering matrix exceeds ``MAX_STEERING_ENTRIES``.
     """
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
     theta = np.deg2rad(np.arange(-90.0, 90.0 + theta_step_deg / 2, theta_step_deg))
-    ref = float(np.max(np.abs(array_factor(schedule, 1, theta))))
-    worst = 0.0
-    for m in range(-m_max, m_max + 1):
-        if m in (0, 1):
-            continue
-        worst = max(worst, float(np.max(np.abs(array_factor(schedule, m, theta)))))
+    ms = [1] + [m for m in range(-m_max, m_max + 1) if m not in (0, 1)]
+    excited_t = _excited(schedule, ms).T
+    block = max(1, MAX_STEERING_ENTRIES // schedule.config.n_elements)
+    peaks = np.zeros(len(ms))
+    for start in range(0, theta.size, block):
+        fields = np.abs(_steering(schedule, theta[start:start + block]) @ excited_t)
+        np.maximum(peaks, fields.max(axis=0), out=peaks)
+    ref, worst = float(peaks[0]), float(np.max(peaks[1:]))
     if worst == 0.0:
         return DB_FLOOR
     return float(20.0 * np.log10(max(worst / ref, 10 ** (DB_FLOOR / 20.0))))

@@ -1,6 +1,7 @@
 """Domain types, schedule validation, and envelope synthesis."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,14 @@ class TestPulseTrain:
         with pytest.raises(ValueError):
             PulseTrain(1.0, -0.1, 0.0, 0.5)
 
+    @pytest.mark.parametrize("timings", [
+        (math.inf, 0.1, 0.0, 0.5), (1.0, math.nan, 0.0, 0.5),
+        (1.0, 0.1, math.nan, 0.5), (1.0, 0.1, 0.0, -math.inf),
+    ])
+    def test_rejects_nonfinite_timings(self, timings):
+        with pytest.raises(ValueError, match="finite"):
+            PulseTrain(*timings)
+
 
 class TestArrayConfig:
     def test_defaults_to_uniform_excitation(self):
@@ -63,6 +72,11 @@ class TestArrayConfig:
         dict(path_count=3),
         dict(excitations=(1.0, 1.0)),
         dict(excitations=(1.0, -1.0, 1.0, 1.0, 1.0)),
+        dict(element_spacing=math.nan),
+        dict(carrier_freq=math.inf),
+        dict(pulse_freq=math.nan),
+        dict(if_freq=math.inf),
+        dict(excitations=(1.0, math.inf, 1.0, 1.0, 1.0)),
     ])
     def test_rejects_nonsense(self, kwargs):
         base = dict(n_elements=5, element_spacing=2e-3, carrier_freq=77e9, pulse_freq=1e9)

@@ -77,6 +77,15 @@ class TestCircuitParams:
         params = lossfree_params(switch_resistance=1e4, switch_capacitance=1e-13)
         assert CircuitParams.from_dict(params.to_dict()) == params
 
+    @pytest.mark.parametrize("field, value", [
+        ("supply_voltage", math.nan), ("bias_current", math.inf),
+        ("switch_resistance", math.nan), ("switch_capacitance", math.inf),
+        ("pulse_freq", math.inf),
+    ])
+    def test_rejects_nonfinite_values(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            lossfree_params(**{field: value})
+
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             CircuitParams.from_dict({"supply_voltage": 1.2})

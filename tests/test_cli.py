@@ -3,8 +3,10 @@
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
+from switchbeam import cli
 from switchbeam.cli import main
 
 DESIGN_20 = ["--elements", "5", "--spacing-wl", "0.5", "--f0", "77e9",
@@ -105,6 +107,35 @@ class TestPattern:
     def test_bad_harmonic_list_exits_two(self, capsys):
         code, _, _ = run(capsys, "pattern", "--harmonics", "1,x,5")
         assert code == 2
+
+    def test_oversized_grid_exits_two_before_allocating(self, capsys, monkeypatch):
+        class NoArange:
+            def __getattr__(self, name):
+                if name == "arange":
+                    raise AssertionError("theta grid allocated")
+                return getattr(np, name)
+
+        monkeypatch.setattr(cli, "np", NoArange())
+        # 16 elements x 262145 points is one above 2**22 entries
+        code, _, err = run(capsys, "pattern", "--elements", "16", "--theta-min", "0",
+                           "--theta-max", "262144", "--theta-step", "1")
+        assert code == 2 and "exceeds" in json.loads(err)["error"]
+        code, _, err = run(capsys, "pattern", "--theta-step", "1e-300")
+        assert code == 2 and "exceeds" in json.loads(err)["error"]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv", [
+        ["design", "--f0", "nan"],
+        ["design", "--spacing-wl", "inf"],
+        ["pattern", "--theta-max", "inf"],
+        ["efficiency", "--alpha-db-min=-inf"],
+        ["verify", "--theta-deg", "nan"],
+    ])
+    def test_exits_two_with_json_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "finite" in json.loads(err)["error"]
 
 
 class TestEfficiency:
@@ -229,6 +260,33 @@ class TestVerify:
         oracle = next(c for c in json.loads(out)["checks"]
                       if c["name"] == "analytic vs DFT oracle")
         assert oracle["passed"] is True
+
+    def test_element_without_paths_fails_every_check(self, capsys, tmp_path):
+        # |A_1| = 0 at the empty element: the suppression ratios are 0/0 and
+        # the oracle has no scale; both must report FAIL, not a vacuous PASS
+        sched = tmp_path / "s.json"
+        assert main(["design", "--out", str(sched)]) == 0
+        doc = json.loads(sched.read_text())
+        doc["elements"][2]["paths"] = []
+        sched.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", "--schedule", str(sched), "--json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["harmonic suppression"]["passed"] is False
+        assert "nan" in checks["harmonic suppression"]["detail"]
+        assert checks["analytic vs DFT oracle"]["passed"] is False
+        assert "nan" in checks["analytic vs DFT oracle"]["detail"]
+
+    def test_schedule_without_any_path_fails_in_text_mode(self, capsys, tmp_path):
+        sched = tmp_path / "s.json"
+        assert main(["design", "--out", str(sched)]) == 0
+        doc = json.loads(sched.read_text())
+        for element in doc["elements"]:
+            element["paths"] = []
+        sched.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", "--schedule", str(sched))
+        assert code == 1
+        assert [line.split()[0] for line in out.splitlines()] == ["FAIL"] * 3 + ["verification"]
 
     def test_m_max_must_clear_nyquist(self, capsys):
         code, _, _ = run(capsys, "verify", "--samples", "64", "--m-max", "40")

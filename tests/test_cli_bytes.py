@@ -1,0 +1,71 @@
+"""CLI byte gate: the README example commands print exactly the recorded bytes.
+
+Each digest is the SHA-256 of one command's stdout, recorded before the
+vectorized harmonic core replaced the per-harmonic loops.  A digest only
+changes with an intended change of output; a faster implementation of the
+same analysis must leave every byte alone.
+"""
+
+import hashlib
+from importlib import resources
+
+import pytest
+
+from switchbeam.cli import main
+
+
+def reference_path(name: str) -> str:
+    return str(resources.files("switchbeam.reference").joinpath(name))
+
+
+#: The README examples (output files replaced by stdout) plus 8-path and
+#: larger-array variants of the analysis steps.
+CASES = {
+    "design": ["design", "--theta-deg", "20", "--alpha-db", "-6"],
+    "pattern_peakmode": ["pattern", "--alpha-db", "-6", "--normalize", "peakmode",
+                         "--harmonics", "1,-3,5,-7"],
+    "pattern_inline": ["pattern", "--theta-deg", "20", "--alpha-db", "-6"],
+    "pattern_8path": ["pattern", "--elements", "16", "--paths", "8", "--theta-deg", "-35",
+                      "--alpha-db", "-3", "--harmonics", "1,-7,9,-15,17",
+                      "--theta-step", "0.1"],
+    "efficiency_circuit": ["efficiency", "--alpha-db-min", "-10", "--alpha-db-max", "0",
+                           "--alpha-db-step", "1",
+                           "--circuit", reference_path("circuit_params_200mhz.json")],
+    "efficiency_compare": ["efficiency", "--compare", reference_path("harmonic_efficiency.csv"),
+                           "--series", "ideal_4path"],
+    "qam": ["qam", "--constellation", reference_path("qam16.csv"), "--predistort", "on"],
+    "verify": ["verify", "--alpha-db", "-6", "--m-max", "25", "--samples", "16384"],
+    "verify_8path_json": ["verify", "--elements", "16", "--paths", "8", "--theta-deg", "-35",
+                          "--alpha-db", "-3", "--m-max", "25", "--samples", "4096", "--json"],
+}
+
+DIGESTS = {
+    "design": "6ed8bf6d36902f2ea9ca8864fd08a3504351768b75544e545ebdded6f00659c2",
+    "efficiency_circuit": "90131f746c4ad9b899446bfddc1dacc4881c98cde1ad248aead57bd1ae404409",
+    "efficiency_compare": "bdd87888ae88f0c72e41eabe06d545e3de6e89cd258dd800d8699c4b8c5f6f90",
+    "pattern_8path": "267c7d758ea093767bfe0bb0ad5d30160a3226242a0bbda2a592d0fbb5e533b3",
+    "pattern_inline": "00d170e3240cc871f1707400c72f49fd4ea77a03fdbf34759caec053caef87cb",
+    "pattern_peakmode": "adedd016dd06111a2559cbc5975570f4ed622af6053ae723c9b703e8ca14d6e8",
+    "qam": "ec384905459d290efe91cb79c99c362a8fa8fc09bfd23b24fd10d86c3478938d",
+    "verify": "6d3b1d254362591c89f52dc200abbe295d4e54c486ca77b033147810cafc9021",
+    "verify_8path_json": "a16a2e32a3d18b764331f8e14483149bc191949f10e08e21c9124e3fd9c22c39",
+}
+
+
+def stdout_digest(capsys, argv) -> str:
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0, out
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_bytes_unchanged(capsys, name):
+    assert stdout_digest(capsys, CASES[name]) == DIGESTS[name]
+
+
+def test_pattern_from_schedule_file_matches_inline_run(capsys, tmp_path):
+    schedule = tmp_path / "schedule.json"
+    assert main(["design", "--theta-deg", "20", "--alpha-db", "-6", "--out", str(schedule)]) == 0
+    digest = stdout_digest(capsys, ["pattern", "--schedule", str(schedule)])
+    assert digest == DIGESTS["pattern_inline"]

@@ -5,12 +5,18 @@ from math import pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALPHA_GRID, THETA_20, reference_config
 from switchbeam.array_model import ArraySchedule, ElementSchedule, PulseTrain
+from switchbeam import harmonic_analysis
 from switchbeam.harmonic_analysis import (
     DB_FLOOR,
+    POWER_CLAMP_REL,
     array_factor,
+    coefficient_matrix,
+    coefficient_vector,
     combined_coefficient,
     compute_spectrum,
     envelope_dft_coefficients,
@@ -302,3 +308,108 @@ class TestDftOracle:
     def test_rejects_m_max_at_nyquist(self, peak_schedule):
         with pytest.raises(ValueError):
             envelope_dft_coefficients(peak_schedule.elements[0], 128, 64)
+
+
+# ------------------------------------------------ vectorized core vs. loops
+
+def loop_coefficients(schedule, ms):
+    """Reference: the scalar per-element, per-path code at every harmonic."""
+    return np.array(
+        [[combined_coefficient(e, m) for e in schedule.elements] for m in ms], dtype=complex
+    ).reshape(len(ms), len(schedule.elements))
+
+
+def loop_array_factor(schedule, m, theta):
+    """Reference: one steering exponential per harmonic, as a plain loop builds it."""
+    cfg = schedule.config
+    n = np.arange(cfg.n_elements)
+    beta_d = cfg.wavenumber * cfg.element_spacing
+    phase = np.exp(1j * beta_d * np.outer(np.sin(theta), n))
+    return phase @ (coefficient_vector(schedule, m) * np.asarray(cfg.excitations))
+
+
+train_timings = st.tuples(
+    st.floats(-2 * pi, 2 * pi, allow_nan=False),   # path phase
+    st.floats(1e-3, 0.5, allow_nan=False),         # width
+    st.floats(-1.5, 1.5, allow_nan=False),         # positive onset
+    st.floats(-1.5, 1.5, allow_nan=False),         # negative onset
+)
+
+
+@st.composite
+def loaded_schedules(draw):
+    """Arbitrary schedules as a document can hold them: ragged path counts,
+    elements without paths, unequal widths, overlapping pulses."""
+    element_paths = draw(st.lists(st.lists(train_timings, max_size=9), min_size=1, max_size=6))
+    cfg = reference_config(n_elements=len(element_paths))
+    elements = tuple(
+        ElementSchedule(i, tuple((ph, PulseTrain(cfg.period, w, on, off)) for ph, w, on, off in paths))
+        for i, paths in enumerate(element_paths)
+    )
+    return ArraySchedule(cfg, 1.0, 0.0, elements)
+
+
+class TestCoefficientMatrix:
+    @pytest.mark.parametrize("path_count", [4, 8])
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_equals_scalar_code_exactly_on_designed_schedules(self, path_count, alpha):
+        cfg = reference_config(n_elements=9, path_count=path_count)
+        schedule = design_schedule(cfg, np.deg2rad(-37.5), alpha)
+        ms = range(-101, 102)
+        assert np.array_equal(coefficient_matrix(schedule, ms), loop_coefficients(schedule, ms))
+
+    @settings(max_examples=60, deadline=None)
+    @given(loaded_schedules(), st.lists(st.integers(-60, 60), min_size=1, max_size=12))
+    def test_equals_scalar_code_exactly_on_loaded_schedules(self, schedule, ms):
+        assert np.array_equal(coefficient_matrix(schedule, ms), loop_coefficients(schedule, ms))
+
+    def test_shape_and_zero_harmonic(self, peak_schedule_8path):
+        matrix = coefficient_matrix(peak_schedule_8path, [0, 1, 0])
+        assert matrix.shape == (3, 5)
+        assert np.all(matrix[[0, 2]] == 0)
+
+
+class TestSharedSteering:
+    @pytest.mark.parametrize("n_elements, path_count", [(5, 4), (16, 8), (64, 4), (256, 8)])
+    def test_radiation_pattern_is_bit_identical_to_per_harmonic_loop(
+        self, n_elements, path_count
+    ):
+        cfg = reference_config(n_elements=n_elements, path_count=path_count)
+        schedule = design_schedule(cfg, np.deg2rad(23.0), 10 ** -0.4)
+        theta = np.deg2rad(np.arange(-90.0, 90.125, 0.25))
+        harmonics = [1, -3, 5, -7, 9, -15]
+        table = radiation_pattern(schedule, harmonics, theta)
+        reference = float(np.max(np.abs(loop_array_factor(schedule, 1, theta))))
+        assert table.reference == reference
+        for m in harmonics:
+            ratio = np.abs(loop_array_factor(schedule, m, theta)) / reference
+            with np.errstate(divide="ignore"):
+                db = 20.0 * np.log10(ratio)
+            db[ratio * ratio < POWER_CLAMP_REL] = DB_FLOOR
+            assert np.array_equal(table.levels_db[m], np.maximum(db, DB_FLOOR))
+
+    @pytest.mark.parametrize("n_elements, path_count, alpha", [
+        (5, 4, 1.0), (5, 8, 10 ** -0.6), (32, 8, 1.0), (32, 4, 10 ** -0.9),
+    ])
+    def test_sideband_level_agrees_with_per_harmonic_loop(self, n_elements, path_count, alpha):
+        cfg = reference_config(n_elements=n_elements, path_count=path_count)
+        schedule = design_schedule(cfg, np.deg2rad(-41.0), alpha)
+        step, m_max = 0.1, 25
+        theta = np.deg2rad(np.arange(-90.0, 90.0 + step / 2, step))
+        ref = np.max(np.abs(loop_array_factor(schedule, 1, theta)))
+        worst = max(np.max(np.abs(loop_array_factor(schedule, m, theta)))
+                    for m in range(-m_max, m_max + 1) if m not in (0, 1))
+        expected = 20.0 * np.log10(worst / ref)
+        assert sideband_level(schedule, m_max, step) == pytest.approx(expected, rel=1e-12)
+
+    def test_sideband_level_blocks_the_grid_under_the_cap(self, peak_schedule, monkeypatch):
+        whole = sideband_level(peak_schedule, 25)
+        monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", 997)
+        assert sideband_level(peak_schedule, 25) == pytest.approx(whole, rel=1e-12)
+
+    def test_pattern_above_the_cap_is_rejected(self, peak_schedule, monkeypatch):
+        monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", 5 * 100)
+        theta = np.linspace(-1.0, 1.0, 100)
+        radiation_pattern(peak_schedule, [1], theta)
+        with pytest.raises(ValueError, match="cap"):
+            radiation_pattern(peak_schedule, [1], np.linspace(-1.0, 1.0, 101))
