@@ -52,7 +52,6 @@ from .modulation import (
 )
 from .schedule_design import (
     design_schedule,
-    elimination_offset,
     steering_onset,
     suppressed_harmonics,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "combined_coefficient",
     "compute_spectrum",
     "design_schedule",
-    "elimination_offset",
     "envelope_dft_coefficients",
     "harmonic_efficiency",
     "harmonic_power",

@@ -8,10 +8,10 @@ validation, and time-domain synthesis of the combined complex baseband
 envelope.  The synthesized envelope is the numerical reference that the
 analytic spectrum code is cross-checked against.
 
-All onset times are stored normalized by the modulation period (dimensionless
-in [0, 1)); second-valued accessors convert at the interface.  Every type is
-immutable and every function is pure, so everything here is safe to share
-across threads and to evaluate in parallel sweeps.
+Pulse widths and onsets are fractions of the modulation period (onsets in
+[0, 1)); a schedule holds no seconds.  Every type is immutable and every
+function is pure, so everything here is safe to share across threads and to
+evaluate in parallel sweeps.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ MIN_FREQ_RATIO = 10.0
 #: Designed schedules never widen a pulse beyond a third of the period.
 MAX_WIDTH_NORM = 1.0 / 3.0
 
-FOUR_PATH_PHASES = (0.0, -pi / 2, -pi, -3 * pi / 2)
-EIGHT_PATH_PHASES = FOUR_PATH_PHASES + tuple(p - pi / 4 for p in FOUR_PATH_PHASES)
+#: Largest array: its N x N pair matrices (coupling kernel, power Gram matrix)
+#: then hold at most 2**22 entries, the bound on a pattern's steering matrix.
+MAX_ELEMENTS = 1 << 11
 
 
 def wrap_unit(x: float) -> float:
@@ -74,8 +75,8 @@ class ArrayConfig:
         if not all(isfinite(x) for x in (self.element_spacing, self.carrier_freq,
                                          self.pulse_freq, self.if_freq or 0.0)):
             raise ValueError("spacing and frequencies must be finite")
-        if self.n_elements < 1:
-            raise ValueError("n_elements must be a positive integer")
+        if not 1 <= self.n_elements <= MAX_ELEMENTS:
+            raise ValueError(f"n_elements must lie in [1, {MAX_ELEMENTS}]")
         if self.element_spacing <= 0:
             raise ValueError("element_spacing must be positive")
         if self.carrier_freq <= 0 or self.pulse_freq <= 0:
@@ -99,14 +100,6 @@ class ArrayConfig:
     def wavenumber(self) -> float:
         return 2 * pi / self.wavelength
 
-    @property
-    def period(self) -> float:
-        return 1.0 / self.pulse_freq
-
-    @property
-    def path_phases(self) -> tuple[float, ...]:
-        return FOUR_PATH_PHASES if self.path_count == 4 else EIGHT_PATH_PHASES
-
     def violations(self) -> list[str]:
         """Soft invariants, reported as data rather than raised."""
         out = []
@@ -120,46 +113,43 @@ class ArrayConfig:
         return out
 
 
+def config_from_wavelengths(
+    n_elements: int, spacing_wl: float, carrier_freq: float, pulse_freq: float, path_count: int
+) -> ArrayConfig:
+    """ArrayConfig with the element spacing given in wavelengths, as schedule
+    documents and CLI flags give it."""
+    if not 0 < carrier_freq < inf:
+        raise ValueError(f"carrier frequency must be finite and positive, got {carrier_freq!r}")
+    return ArrayConfig(
+        n_elements=n_elements,
+        element_spacing=spacing_wl * (C_VACUUM / carrier_freq),
+        carrier_freq=carrier_freq,
+        pulse_freq=pulse_freq,
+        path_count=path_count,
+    )
+
+
 @dataclass(frozen=True)
 class PulseTrain:
     """One path's gating train: a positive and a negative pulse per period.
 
     The train's value is +1 inside the positive pulse, -1 inside the negative
     pulse and 0 elsewhere.  Pulses may wrap across the period boundary.
-    Canonical storage is normalized by the period.
+    Width and onsets are fractions of the period.
     """
 
-    period: float
     width_norm: float
     onset_pos_norm: float
     onset_neg_norm: float
 
     def __post_init__(self):
-        if not all(isfinite(x) for x in (self.period, self.width_norm,
-                                         self.onset_pos_norm, self.onset_neg_norm)):
+        if not all(isfinite(x) for x in (self.width_norm, self.onset_pos_norm,
+                                         self.onset_neg_norm)):
             raise ValueError("pulse train timings must be finite")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
         if self.width_norm <= 0:
             raise ValueError("width must be positive")
         object.__setattr__(self, "onset_pos_norm", wrap_unit(self.onset_pos_norm))
         object.__setattr__(self, "onset_neg_norm", wrap_unit(self.onset_neg_norm))
-
-    @classmethod
-    def from_seconds(cls, period: float, width: float, onset_pos: float, onset_neg: float) -> "PulseTrain":
-        return cls(period, width / period, onset_pos / period, onset_neg / period)
-
-    @property
-    def width(self) -> float:
-        return self.width_norm * self.period
-
-    @property
-    def onset_pos(self) -> float:
-        return self.onset_pos_norm * self.period
-
-    @property
-    def onset_neg(self) -> float:
-        return self.onset_neg_norm * self.period
 
     def pulses_disjoint(self) -> bool:
         """True when the two pulses do not overlap on the circle."""
@@ -180,7 +170,10 @@ class ElementSchedule:
     paths: tuple[tuple[float, PulseTrain], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "paths", tuple((float(p), t) for p, t in self.paths))
+        paths = tuple((float(p), t) for p, t in self.paths)
+        if not all(isfinite(p) for p, _ in paths):
+            raise ValueError(f"element {self.element_index}: path phases must be finite")
+        object.__setattr__(self, "paths", paths)
 
 
 @dataclass(frozen=True)
@@ -222,11 +215,8 @@ def validate(schedule: ArraySchedule) -> list[str]:
         if len(set(phases)) != len(phases):
             out.append(f"{tag}: phases not distinct")
         widths = {t.width_norm for _, t in element.paths}
-        periods = {t.period for _, t in element.paths}
         if len(widths) > 1:
             out.append(f"{tag}: trains do not share a common width")
-        if len(periods) > 1:
-            out.append(f"{tag}: trains do not share a common period")
         for i, (_, train) in enumerate(element.paths):
             ptag = f"{tag} path {i}"
             if train.width_norm > MAX_WIDTH_NORM + 1e-12:
@@ -236,8 +226,6 @@ def validate(schedule: ArraySchedule) -> list[str]:
                     f"{ptag}: width {train.width_norm:.6g} does not equal "
                     f"duty_ratio*T_p/3 = {expected_width:.6g}"
                 )
-            if abs(train.period * cfg.pulse_freq - 1.0) > 1e-9:
-                out.append(f"{ptag}: train period does not match config pulse_freq")
             if not train.pulses_disjoint():
                 out.append(f"{ptag}: positive and negative pulses overlap")
     return out

@@ -11,7 +11,7 @@ harmonic efficiency gives the transmitter's overall drain efficiency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .array_model import ArrayConfig
 from .harmonic_analysis import harmonic_efficiency
@@ -53,25 +53,15 @@ class CircuitParams:
             raise ValueError("peak_voltage cannot exceed supply_voltage")
 
     def to_dict(self) -> dict:
-        return {
-            "supply_voltage": self.supply_voltage,
-            "bias_current": self.bias_current,
-            "peak_voltage": self.peak_voltage,
-            "load_resistance": self.load_resistance,
-            "switch_resistance": self.switch_resistance,
-            "switch_capacitance": self.switch_capacitance,
-            "pulse_freq": self.pulse_freq,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CircuitParams":
-        fields = ("supply_voltage", "bias_current", "peak_voltage",
-                  "load_resistance", "switch_resistance", "switch_capacitance",
-                  "pulse_freq")
-        missing = [f for f in fields if f not in data]
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in data]
         if missing:
             raise ValueError(f"circuit params missing fields: {', '.join(missing)}")
-        return cls(**{f: float(data[f]) for f in fields})
+        return cls(**{name: float(data[name]) for name in names})
 
 
 @dataclass(frozen=True)

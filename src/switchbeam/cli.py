@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .array_model import ArrayConfig, ArraySchedule, validate
+from .array_model import ArrayConfig, ArraySchedule, config_from_wavelengths, validate
 from .circuit_model import CircuitParams, pbo_sweep
 from .formats import (
     canonical_schedule,
@@ -39,6 +39,14 @@ from .schedule_design import design_schedule, suppressed_harmonics
 
 SUPPRESSION_TOL = 1e-12
 
+#: Largest ``verify --samples``: each DFT-oracle envelope is a few arrays of
+#: this length (2**20 complex samples are 16 MiB).
+MAX_SAMPLES = 1 << 20
+
+#: Largest ``efficiency`` alpha grid; every point designs and integrates a
+#: whole schedule.
+MAX_ALPHA_POINTS = 100_000
+
 
 class InputError(ValueError):
     """User-facing input problem; reported on stderr and exits 2."""
@@ -59,15 +67,9 @@ def _add_design_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ArrayConfig:
-    wavelength = ArrayConfig(1, 1.0, args.f0, args.fp).wavelength
     try:
-        return ArrayConfig(
-            n_elements=args.elements,
-            element_spacing=args.spacing_wl * wavelength,
-            carrier_freq=args.f0,
-            pulse_freq=args.fp,
-            path_count=args.paths,
-        )
+        return config_from_wavelengths(args.elements, args.spacing_wl, args.f0, args.fp,
+                                       args.paths)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -119,8 +121,11 @@ def _load_circuit(path: str) -> CircuitParams:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -135,6 +140,22 @@ def cmd_design(args) -> int:
 
 # -------------------------------------------------------------------- pattern
 
+def _grid_steps(flag: str, lo: float, hi: float, step: float, max_points: int) -> int:
+    """Steps of the grid lo, lo + step, ... up to hi set by ``--<flag>-*``.
+
+    The point count is checked in floating point before any grid exists, so a
+    span that overflows to inf is rejected too.
+    """
+    if hi < lo:
+        raise InputError(f"empty {flag} grid: --{flag}-max below --{flag}-min")
+    if step <= 0:
+        raise InputError(f"--{flag}-step must be positive")
+    steps = (hi - lo) / step + 1e-9
+    if not steps < max_points:
+        raise InputError(f"{flag} grid exceeds {max_points} points; raise --{flag}-step")
+    return int(steps)
+
+
 def _parse_harmonics(text: str) -> list[int]:
     try:
         harmonics = [int(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -148,16 +169,8 @@ def _parse_harmonics(text: str) -> list[int]:
 def cmd_pattern(args) -> int:
     schedule = _schedule_from_args(args)
     harmonics = _parse_harmonics(args.harmonics)
-    if args.theta_max < args.theta_min:
-        raise InputError("empty theta grid: --theta-max below --theta-min")
-    if args.theta_step <= 0:
-        raise InputError("--theta-step must be positive")
-    n_steps = int(math.floor((args.theta_max - args.theta_min) / args.theta_step + 1e-9))
-    if (n_steps + 1) * schedule.config.n_elements > MAX_STEERING_ENTRIES:
-        raise InputError(
-            f"theta grid of {n_steps + 1} points x {schedule.config.n_elements} elements "
-            f"exceeds {MAX_STEERING_ENTRIES} entries; raise --theta-step"
-        )
+    n_steps = _grid_steps("theta", args.theta_min, args.theta_max, args.theta_step,
+                          MAX_STEERING_ENTRIES // schedule.config.n_elements)
     theta_deg = args.theta_min + args.theta_step * np.arange(n_steps + 1)
     theta = np.deg2rad(theta_deg)
 
@@ -185,11 +198,8 @@ def cmd_pattern(args) -> int:
 def cmd_efficiency(args) -> int:
     if args.alpha_db_max > 0:
         raise InputError("--alpha-db-max must be at most 0")
-    if args.alpha_db_max < args.alpha_db_min:
-        raise InputError("empty alpha grid: --alpha-db-max below --alpha-db-min")
-    if args.alpha_db_step <= 0:
-        raise InputError("--alpha-db-step must be positive")
-    n_steps = int(math.floor((args.alpha_db_max - args.alpha_db_min) / args.alpha_db_step + 1e-9))
+    n_steps = _grid_steps("alpha-db", args.alpha_db_min, args.alpha_db_max,
+                          args.alpha_db_step, MAX_ALPHA_POINTS)
     dbs = [args.alpha_db_min + k * args.alpha_db_step for k in range(n_steps + 1)]
 
     params = _load_circuit(args.circuit) if args.circuit else None
@@ -299,10 +309,14 @@ def cmd_verify(args) -> int:
     schedule = _schedule_from_args(args)
     if args.m_max < 1:
         raise InputError("--m-max must be at least 1")
-    if args.samples < 64:
-        raise InputError("--samples must be at least 64")
+    if not 64 <= args.samples <= MAX_SAMPLES:
+        raise InputError(f"--samples must lie in [64, {MAX_SAMPLES}]")
     if args.m_max >= args.samples // 2:
         raise InputError("--m-max must be below half the sample count")
+    if (2 * args.m_max + 1) * schedule.config.n_elements > MAX_STEERING_ENTRIES:
+        raise InputError(
+            f"harmonics x elements exceeds {MAX_STEERING_ENTRIES} coefficients; lower --m-max"
+        )
 
     checks = []
 

@@ -13,7 +13,9 @@ import math
 
 import numpy as np
 
-from .array_model import ArrayConfig, ArraySchedule, ElementSchedule, PulseTrain
+from .array_model import (
+    ArraySchedule, ElementSchedule, PulseTrain, config_from_wavelengths, wrap_unit,
+)
 
 
 def format_float(x: float) -> str:
@@ -78,15 +80,15 @@ def schedule_to_doc(schedule: ArraySchedule, theta_deg: float | None = None) -> 
             "paths": cfg.path_count,
         },
         "alpha": schedule.duty_ratio,
-        "theta_deg": theta_deg,
+        "theta_deg": _doc_degrees(theta_deg),
         "elements": [
             {
                 "index": element.element_index,
                 "paths": [
                     {
-                        "phase_deg": math.degrees(phase),
-                        "onset_pos_norm": train.onset_pos_norm,
-                        "onset_neg_norm": train.onset_neg_norm,
+                        "phase_deg": _doc_degrees(math.degrees(phase)),
+                        "onset_pos_norm": _doc_onset(train.onset_pos_norm),
+                        "onset_neg_norm": _doc_onset(train.onset_neg_norm),
                         "width_norm": train.width_norm,
                     }
                     for phase, train in element.paths
@@ -97,25 +99,36 @@ def schedule_to_doc(schedule: ArraySchedule, theta_deg: float | None = None) -> 
     }
 
 
+def _doc_onset(onset: float) -> float:
+    """An onset at the document's 15 digits, kept in [0, 1): onsets within
+    5e-16 of 1 would print as ``1``, load back as 0 and dump differently."""
+    return wrap_unit(float(format_float(onset)))
+
+
+def _doc_degrees(angle_deg: float) -> float:
+    """An angle of magnitude below 1e-300 degrees is written as 0, so it
+    loads back as written: JSON reads ``-0`` as the integer 0, and the
+    radians of a tinier angle are subnormal and lose digits."""
+    return angle_deg if abs(angle_deg) >= 1e-300 else 0.0
+
+
 def schedule_from_doc(doc: dict) -> ArraySchedule:
     """Rebuild an ArraySchedule from its document form."""
     try:
         c = doc["config"]
-        config = ArrayConfig(
-            n_elements=int(c["elements"]),
-            element_spacing=float(c["spacing_wavelengths"]) * _wavelength(float(c["f0_hz"])),
-            carrier_freq=float(c["f0_hz"]),
-            pulse_freq=float(c["fp_hz"]),
-            path_count=int(c["paths"]),
+        config = config_from_wavelengths(
+            int(c["elements"]),
+            float(c["spacing_wavelengths"]),
+            float(c["f0_hz"]),
+            float(c["fp_hz"]),
+            int(c["paths"]),
         )
-        period = config.period
         elements = []
         for e in doc["elements"]:
             paths = tuple(
                 (
                     math.radians(float(p["phase_deg"])),
                     PulseTrain(
-                        period,
                         float(p["width_norm"]),
                         float(p["onset_pos_norm"]),
                         float(p["onset_neg_norm"]),
@@ -130,7 +143,7 @@ def schedule_from_doc(doc: dict) -> ArraySchedule:
             steer_angle=math.radians(float(doc["theta_deg"])),
             elements=tuple(elements),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed schedule document: {exc}") from exc
 
 
@@ -141,12 +154,6 @@ def canonical_schedule(schedule: ArraySchedule, theta_deg: float | None = None) 
     inline run and a ``--schedule`` run produce identical output bytes.
     """
     return schedule_from_doc(json.loads(dump_json(schedule_to_doc(schedule, theta_deg))))
-
-
-def _wavelength(f0: float) -> float:
-    from .array_model import C_VACUUM
-
-    return C_VACUUM / f0
 
 
 def read_constellation_csv(text: str) -> list[complex]:

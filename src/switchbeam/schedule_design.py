@@ -13,6 +13,13 @@ The design stacks four timing rules on top of a per-element steering onset:
 
 In 8-path mode a second quartet, rotated 45 degrees and shifted by 3/40 of a
 period, additionally cancels the m = 5 harmonic.
+
+``PBO_SHIFT`` is the third rule's offset.  Two equal-width trains on
+phase-opposed paths cancel their m-th harmonic when their onsets differ by
+k/|m| periods for an integer k (k = 0 is degenerate: identical trains cancel
+nothing).  The design takes m = -3, k = -1, i.e. -1/3 of a period, which
+removes the strongest harmonic that survives in power back-off.  All timing
+here is in periods; a schedule carries no seconds.
 """
 
 from __future__ import annotations
@@ -23,11 +30,13 @@ from .array_model import (
     ArrayConfig,
     ArraySchedule,
     ElementSchedule,
-    FOUR_PATH_PHASES,
     PulseTrain,
     validate,
     wrap_unit,
 )
+
+#: Carrier phases of the in-phase, quadrature and opposed paths, in radians.
+FOUR_PATH_PHASES = (0.0, -pi / 2, -pi, -3 * pi / 2)
 
 #: Offset of the quadrature paths, in periods.
 QUADRATURE_SHIFT = -0.25
@@ -48,22 +57,8 @@ def steering_onset(n: int, steer_angle: float, config: ArrayConfig) -> float:
     return wrap_unit(0.5 * (n * beta_d * sin(steer_angle) / pi - 0.5))
 
 
-def elimination_offset(m: int, k: int) -> float:
-    """Onset offset (in periods) cancelling harmonic m between opposed paths.
-
-    Two equal-width trains on phase-opposed paths cancel their m-th harmonic
-    when their onsets differ by ``k/|m|`` periods for some integer k.  ``k=0``
-    is admitted by the equation but degenerate (identical trains, nothing
-    cancels); callers treat a zero offset as "no cancellation".
-    """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    return k / abs(m)
-
-
-#: Offset of the opposed-phase pair, in periods: the k=-1 branch for m=-3,
-#: which removes the strongest harmonic surviving in power back-off.
-PBO_SHIFT = elimination_offset(-3, -1)
+#: Offset of the opposed-phase pair, in periods: k/|m| with m = -3, k = -1.
+PBO_SHIFT = -1.0 / 3.0
 
 
 def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) -> ArraySchedule:
@@ -90,7 +85,6 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
         raise ValueError("invalid config: " + "; ".join(config_problems))
 
     width_norm = duty_ratio / 3.0
-    period = config.period
     elements = []
     for n in range(config.n_elements):
         t1 = steering_onset(n, steer_angle, config)
@@ -101,7 +95,7 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
             phases += [p - pi / 4 for p in FOUR_PATH_PHASES]
             onsets += [on + EIGHT_PATH_SHIFT for on in base_onsets]
         paths = tuple(
-            (phase, PulseTrain(period, width_norm, onset, onset + 0.5))
+            (phase, PulseTrain(width_norm, onset, onset + 0.5))
             for phase, onset in zip(phases, onsets)
         )
         elements.append(ElementSchedule(n, paths))

@@ -22,14 +22,8 @@ from switchbeam.schedule_design import design_schedule
 
 
 class TestPulseTrain:
-    def test_seconds_interface_round_trips(self):
-        train = PulseTrain.from_seconds(1e-9, 0.25e-9, 0.75e-9, 0.25e-9)
-        assert train.width == pytest.approx(0.25e-9, rel=1e-15)
-        assert train.onset_pos == pytest.approx(0.75e-9, rel=1e-15)
-        assert train.onset_neg == pytest.approx(0.25e-9, rel=1e-15)
-
     def test_onsets_normalized_into_unit_interval(self):
-        train = PulseTrain(1.0, 0.1, 1.75, -0.25)
+        train = PulseTrain(0.1, 1.75, -0.25)
         assert train.onset_pos_norm == 0.75
         assert train.onset_neg_norm == 0.75
 
@@ -39,24 +33,27 @@ class TestPulseTrain:
         assert 0.0 <= wrap_unit(0.999999999999999999) < 1.0
 
     def test_disjoint_pulse_detection(self):
-        assert PulseTrain(1.0, 0.2, 0.0, 0.5).pulses_disjoint()
-        assert not PulseTrain(1.0, 0.3, 0.0, 0.2).pulses_disjoint()
+        assert PulseTrain(0.2, 0.0, 0.5).pulses_disjoint()
+        assert not PulseTrain(0.3, 0.0, 0.2).pulses_disjoint()
         # wrap-around overlap: positive pulse [0.9, 0.2) hits negative at 0.1
-        assert not PulseTrain(1.0, 0.3, 0.9, 0.1).pulses_disjoint()
+        assert not PulseTrain(0.3, 0.9, 0.1).pulses_disjoint()
 
     def test_rejects_nonpositive_inputs(self):
         with pytest.raises(ValueError):
-            PulseTrain(0.0, 0.1, 0.0, 0.5)
+            PulseTrain(0.0, 0.0, 0.5)
         with pytest.raises(ValueError):
-            PulseTrain(1.0, -0.1, 0.0, 0.5)
+            PulseTrain(-0.1, 0.0, 0.5)
 
+    # (path phase, width, positive onset, negative onset)
     @pytest.mark.parametrize("timings", [
-        (math.inf, 0.1, 0.0, 0.5), (1.0, math.nan, 0.0, 0.5),
-        (1.0, 0.1, math.nan, 0.5), (1.0, 0.1, 0.0, -math.inf),
+        (0.0, math.inf, 0.0, 0.5), (0.0, math.nan, 0.0, 0.5),
+        (0.0, 0.1, math.nan, 0.5), (0.0, 0.1, 0.0, -math.inf),
+        (math.nan, 0.1, 0.0, 0.5), (-math.inf, 0.1, 0.0, 0.5),
     ])
     def test_rejects_nonfinite_timings(self, timings):
+        phase, *train = timings
         with pytest.raises(ValueError, match="finite"):
-            PulseTrain(*timings)
+            ElementSchedule(0, ((phase, PulseTrain(*train)),))
 
 
 class TestArrayConfig:
@@ -133,7 +130,7 @@ class TestValidate:
 
 class TestSynthesizeEnvelope:
     def test_single_path_sample_inside_positive_pulse_is_one(self):
-        element = ElementSchedule(0, ((0.0, PulseTrain(1.0, 0.25, 0.0, 0.5)),))
+        element = ElementSchedule(0, ((0.0, PulseTrain(0.25, 0.0, 0.5)),))
         env = synthesize_envelope(element, 64)
         assert env[4] == 1 + 0j          # t = 4.5/64 lies inside [0, 0.25)
         assert env[36] == -1 + 0j        # t = 36.5/64 lies inside [0.5, 0.75)
@@ -153,13 +150,13 @@ class TestSynthesizeEnvelope:
             synthesize_envelope(peak_schedule.elements[0], 63)
 
     def test_rejects_overlapping_pulses_within_a_train(self):
-        element = ElementSchedule(0, ((0.0, PulseTrain(1.0, 0.3, 0.0, 0.2)),))
+        element = ElementSchedule(0, ((0.0, PulseTrain(0.3, 0.0, 0.2)),))
         with pytest.raises(ValueError, match="overlap"):
             synthesize_envelope(element, 128)
 
     def test_period_shift_is_bit_identical_for_exact_onsets(self):
-        base = ElementSchedule(0, ((0.0, PulseTrain(1.0, 0.25, 0.75, 0.25)),))
-        shifted = ElementSchedule(0, ((0.0, PulseTrain(1.0, 0.25, 1.75, 1.25)),))
+        base = ElementSchedule(0, ((0.0, PulseTrain(0.25, 0.75, 0.25)),))
+        shifted = ElementSchedule(0, ((0.0, PulseTrain(0.25, 1.75, 1.25)),))
         assert np.array_equal(synthesize_envelope(base, 256), synthesize_envelope(shifted, 256))
 
     def test_period_shift_on_designed_schedule(self, peak_schedule):
@@ -210,7 +207,7 @@ class TestEnvelopeSegments:
         np.testing.assert_allclose(env, values[idx], atol=1e-15)
 
     def test_single_pulse_energy(self):
-        element = ElementSchedule(0, ((0.0, PulseTrain(1.0, 0.2, 0.1, 0.6)),))
+        element = ElementSchedule(0, ((0.0, PulseTrain(0.2, 0.1, 0.6)),))
         breaks, values = envelope_segments(element)
         upper = np.append(breaks[1:], breaks[0] + 1.0)
         energy = np.sum(np.abs(values) ** 2 * (upper - breaks))

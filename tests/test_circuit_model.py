@@ -76,6 +76,10 @@ class TestCircuitParams:
     def test_dict_round_trip(self):
         params = lossfree_params(switch_resistance=1e4, switch_capacitance=1e-13)
         assert CircuitParams.from_dict(params.to_dict()) == params
+        assert list(params.to_dict()) == [
+            "supply_voltage", "bias_current", "peak_voltage", "load_resistance",
+            "switch_resistance", "switch_capacitance", "pulse_freq",
+        ]
 
     @pytest.mark.parametrize("field, value", [
         ("supply_voltage", math.nan), ("bias_current", math.inf),
@@ -87,7 +91,10 @@ class TestCircuitParams:
             lossfree_params(**{field: value})
 
     def test_missing_field_rejected(self):
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(ValueError, match=(
+            "^circuit params missing fields: bias_current, peak_voltage, load_resistance, "
+            "switch_resistance, switch_capacitance, pulse_freq$"
+        )):
             CircuitParams.from_dict({"supply_voltage": 1.2})
 
 

@@ -1,12 +1,14 @@
 """Command-line interface: formats, round trips, exit codes, determinism."""
 
 import json
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from switchbeam import cli
+from switchbeam.array_model import MAX_ELEMENTS
 from switchbeam.cli import main
 
 DESIGN_20 = ["--elements", "5", "--spacing-wl", "0.5", "--f0", "77e9",
@@ -121,6 +123,69 @@ class TestPattern:
                            "--theta-max", "262144", "--theta-step", "1")
         assert code == 2 and "exceeds" in json.loads(err)["error"]
         code, _, err = run(capsys, "pattern", "--theta-step", "1e-300")
+        assert code == 2 and "exceeds" in json.loads(err)["error"]
+        # a span that overflows to inf
+        code, _, err = run(capsys, "pattern", "--theta-min=-1e308", "--theta-max", "1e308")
+        assert code == 2 and "exceeds" in json.loads(err)["error"]
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["design", "--out"],
+        ["qam", "--constellation", reference_path("qam16.csv"), "--plans-out"],
+        ["qam", "--constellation", reference_path("qam16.csv"), "--received-out"],
+    ])
+    def test_missing_directory_exits_two(self, capsys, tmp_path, argv):
+        target = str(tmp_path / "missing" / "out.txt")
+        code, out, err = run(capsys, *argv, target)
+        assert code == 2 and out == ""
+        assert target in json.loads(err)["error"]
+
+
+class TestMalformedScheduleDocument:
+    @pytest.mark.parametrize("command", ["verify", "pattern"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["config"].update(f0_hz=0), "carrier frequency"),
+        (lambda doc: doc["elements"][1]["paths"][2].update(phase_deg=math.nan), "finite"),
+        (lambda doc: doc["config"].update(elements=math.inf), "malformed"),
+        (lambda doc: doc["config"].update(elements=MAX_ELEMENTS + 1), "n_elements"),
+    ])
+    def test_exits_two_with_json_error(self, capsys, tmp_path, command, edit, message):
+        sched = tmp_path / "s.json"
+        assert main(["design", "--out", str(sched)]) == 0
+        doc = json.loads(sched.read_text())
+        edit(doc)
+        sched.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--schedule", str(sched))
+        assert code == 2 and out == ""
+        assert message in json.loads(err)["error"]
+
+
+class TestAllocationCaps:
+    def test_element_count(self, capsys):
+        code, _, err = run(capsys, "design", "--elements", str(MAX_ELEMENTS + 1))
+        assert code == 2 and "n_elements" in json.loads(err)["error"]
+
+    def test_sample_count(self, capsys):
+        code, _, err = run(capsys, "verify", "--samples", str(cli.MAX_SAMPLES + 1))
+        assert code == 2 and "--samples" in json.loads(err)["error"]
+
+    def test_harmonics_times_elements(self, capsys, monkeypatch):
+        # 51 harmonics x 5 elements is one above the lowered cap
+        monkeypatch.setattr(cli, "MAX_STEERING_ENTRIES", 51 * 5 - 1)
+        code, _, err = run(capsys, "verify", "--m-max", "25")
+        assert code == 2 and "--m-max" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("grid", [
+        ["--alpha-db-min", "-10", "--alpha-db-step", "1e-4"],  # 100001 points
+        ["--alpha-db-min=-1e308", "--alpha-db-step", "1e-300"],  # overflows to inf
+    ])
+    def test_alpha_grid_is_rejected_before_the_sweep(self, capsys, monkeypatch, grid):
+        def no_sweep(*args):
+            raise AssertionError("alpha grid swept")
+
+        monkeypatch.setattr(cli, "pbo_sweep", no_sweep)
+        code, _, err = run(capsys, "efficiency", *grid)
         assert code == 2 and "exceeds" in json.loads(err)["error"]
 
 

@@ -1,11 +1,12 @@
 """Analytic coefficients, powers, Parseval consistency, and patterns."""
 
 import dataclasses
+import json
 from math import pi
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALPHA_GRID, THETA_20, reference_config
@@ -28,6 +29,7 @@ from switchbeam.harmonic_analysis import (
     sideband_level,
     total_power,
 )
+from switchbeam.formats import dump_json, schedule_from_doc, schedule_to_doc
 from switchbeam.schedule_design import design_schedule, steering_onset
 
 ZETA_PEAK_4PATH = 9.0 / pi**2
@@ -67,18 +69,18 @@ class TestPathCoefficient:
             assert path_coefficient(train, phase, 0) == 0j
 
     def test_even_harmonics_vanish_for_half_period_spacing(self):
-        train = PulseTrain(1.0, 0.21, 0.13, 0.63)
+        train = PulseTrain(0.21, 0.13, 0.63)
         for m in (2, -2, 4, 10):
             assert abs(path_coefficient(train, 0.7, m)) < 1e-15
 
     def test_first_harmonic_magnitude_of_peak_train(self):
-        train = PulseTrain(1.0, 1.0 / 3.0, 0.0, 0.5)
+        train = PulseTrain(1.0 / 3.0, 0.0, 0.5)
         value = path_coefficient(train, 0.0, 1)
         assert abs(value) == pytest.approx((2 / pi) * np.sin(pi / 3), abs=1e-14)
 
     @pytest.mark.parametrize("m", [1, -3, 5, 12])
     def test_matches_riemann_oracle_for_general_trains(self, m):
-        train = PulseTrain(1.0, 0.17, 0.31, 0.66)  # no special structure
+        train = PulseTrain(0.17, 0.31, 0.66)  # no special structure
         exact = path_coefficient(train, -2.1, m)
         assert abs(exact - riemann_coefficient(train, -2.1, m)) < 5e-5
 
@@ -159,7 +161,7 @@ class TestPowers:
         # a lone path radiating +-1 pulses of width tau is on for 2*tau per period
         cfg = reference_config(n_elements=1)
         width = 0.09
-        element = ElementSchedule(0, ((0.0, PulseTrain(cfg.period, width, 0.0, 0.5)),))
+        element = ElementSchedule(0, ((0.0, PulseTrain(width, 0.0, 0.5)),))
         schedule = ArraySchedule(cfg, 3 * width, 0.0, (element,))
         assert total_power(schedule) == pytest.approx(2 * width, abs=1e-15)
 
@@ -278,7 +280,7 @@ class TestSidebandLevel:
 
     def test_single_path_schedule_has_weak_suppression(self):
         cfg = reference_config(n_elements=1)
-        element = ElementSchedule(0, ((0.0, PulseTrain(cfg.period, 1 / 3, 0.0, 0.5)),))
+        element = ElementSchedule(0, ((0.0, PulseTrain(1 / 3, 0.0, 0.5)),))
         schedule = ArraySchedule(cfg, 1.0, 0.0, (element,))
         assert sideband_level(schedule, 7) >= -10.0
 
@@ -336,14 +338,25 @@ train_timings = st.tuples(
 )
 
 
+#: Trains whose two pulses never overlap: the negative pulse starts somewhere
+#: in the gap the positive pulse leaves free, at least 1% away from its ends.
+disjoint_timings = st.tuples(
+    st.floats(-2 * pi, 2 * pi, allow_nan=False),   # path phase
+    st.floats(1e-3, 1 / 3, allow_nan=False),       # width
+    st.floats(-1.5, 1.5, allow_nan=False),         # positive onset
+    st.floats(0.01, 0.99, allow_nan=False),        # place in the free gap
+).map(lambda t: (t[0], t[1], t[2], t[2] + t[1] + t[3] * (1 - 2 * t[1])))
+
+
 @st.composite
-def loaded_schedules(draw):
+def loaded_schedules(draw, timings=train_timings):
     """Arbitrary schedules as a document can hold them: ragged path counts,
-    elements without paths, unequal widths, overlapping pulses."""
-    element_paths = draw(st.lists(st.lists(train_timings, max_size=9), min_size=1, max_size=6))
+    elements without paths, unequal widths and, unless ``timings`` rules
+    them out, overlapping pulses."""
+    element_paths = draw(st.lists(st.lists(timings, max_size=9), min_size=1, max_size=6))
     cfg = reference_config(n_elements=len(element_paths))
     elements = tuple(
-        ElementSchedule(i, tuple((ph, PulseTrain(cfg.period, w, on, off)) for ph, w, on, off in paths))
+        ElementSchedule(i, tuple((ph, PulseTrain(w, on, off)) for ph, w, on, off in paths))
         for i, paths in enumerate(element_paths)
     )
     return ArraySchedule(cfg, 1.0, 0.0, elements)
@@ -367,6 +380,38 @@ class TestCoefficientMatrix:
         matrix = coefficient_matrix(peak_schedule_8path, [0, 1, 0])
         assert matrix.shape == (3, 5)
         assert np.all(matrix[[0, 2]] == 0)
+
+
+#: Values a document cannot hold as they are: negative zeros, an angle whose
+#: radians are subnormal and onsets that print as 1.
+EDGE_SCHEDULE = ArraySchedule(reference_config(n_elements=1), 1.0, 0.0, (
+    ElementSchedule(0, ((-0.0, PulseTrain(0.25, 1 - 2**-53, 0.5 - 2**-53)),
+                        (1e-310, PulseTrain(0.25, 0.5 - 2**-53, 1 - 2**-53)))),
+))
+
+
+class TestLoadedSchedules:
+    @settings(max_examples=60, deadline=None)
+    @given(loaded_schedules(disjoint_timings), st.floats(0.05, 4.0), st.floats(1e9, 3e11),
+           st.floats(1e-3, 1.0), st.floats(-80.0, 80.0))
+    @example(EDGE_SCHEDULE, 0.5, 77e9, 1.0, -0.0)
+    def test_document_round_trip_is_byte_identical(
+        self, schedule, spacing_wl, f0, alpha, theta_deg
+    ):
+        schedule = dataclasses.replace(
+            schedule,
+            config=reference_config(schedule.config.n_elements, spacing_wl=spacing_wl, f0=f0),
+            duty_ratio=alpha,
+            steer_angle=np.deg2rad(theta_deg),
+        )
+        first = dump_json(schedule_to_doc(schedule))
+        assert dump_json(schedule_to_doc(schedule_from_doc(json.loads(first)))) == first
+
+    @settings(max_examples=60, deadline=None)
+    @given(loaded_schedules(disjoint_timings))
+    def test_tabulated_powers_never_exceed_total(self, schedule):
+        spectrum = compute_spectrum(schedule)
+        assert sum(spectrum.powers.values()) <= spectrum.total_power * (1 + 1e-12)
 
 
 class TestSharedSteering:

@@ -14,7 +14,6 @@ from switchbeam.schedule_design import (
     EIGHT_PATH_SHIFT,
     PBO_SHIFT,
     design_schedule,
-    elimination_offset,
     steering_onset,
     suppressed_harmonics,
 )
@@ -69,19 +68,8 @@ class TestSteeringOnset:
 
 class TestEliminationOffset:
     def test_pbo_branch(self):
-        assert elimination_offset(-3, -1) == pytest.approx(-1.0 / 3.0, abs=1e-15)
-        assert PBO_SHIFT == elimination_offset(-3, -1)
-
-    def test_k_zero_is_degenerate(self):
-        assert elimination_offset(5, 0) == 0.0
-
-    def test_rejects_m_zero(self):
-        with pytest.raises(ValueError):
-            elimination_offset(0, 1)
-
-    def test_sign_uses_magnitude_of_m(self):
-        assert elimination_offset(-5, 2) == pytest.approx(0.4)
-        assert elimination_offset(5, 2) == pytest.approx(0.4)
+        # k/|m| periods with m = -3, k = -1
+        assert PBO_SHIFT == -1 / abs(-3) == -1.0 / 3.0
 
 
 class TestDesignSchedule:
