@@ -231,18 +231,38 @@ def validate(schedule: ArraySchedule) -> list[str]:
     return out
 
 
-def _pulse_list(element: ElementSchedule) -> list[tuple[float, float, complex]]:
-    """Flatten an element schedule into (onset_norm, width_norm, weight) pulses."""
-    pulses = []
-    for phase, train in element.paths:
-        if not train.pulses_disjoint():
-            raise ValueError(
-                f"element {element.element_index}: pulses within one train overlap"
-            )
-        w = complex(np.exp(1j * phase))
-        pulses.append((train.onset_pos_norm, train.width_norm, w))
-        pulses.append((train.onset_neg_norm, train.width_norm, -w))
-    return pulses
+def pulse_table(elements, disjoint: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten element schedules into elements x 2K arrays of pulse onsets,
+    widths and weights, K being the largest path count (at least 1).
+
+    Path k owns columns 2k and 2k + 1: its positive pulse, weighted by the
+    carrier rotation ``exp(1j * phase)``, and its negative pulse, weighted by
+    the negated rotation.  Shorter elements are padded with zero-weight,
+    zero-width paths.  With ``disjoint``, overlapping pulses of one train
+    raise ``ValueError``.
+    """
+    if disjoint:
+        for e in elements:
+            if not all(t.pulses_disjoint() for _, t in e.paths):
+                raise ValueError(f"element {e.element_index}: pulses within one train overlap")
+    counts = [len(e.paths) for e in elements]
+    n, k = len(counts), max([1] + counts)
+    rows = np.array([(t.onset_pos_norm, t.onset_neg_norm, t.width_norm, p)
+                     for e in elements for p, t in e.paths], dtype=float).reshape(-1, 4)
+    if all(c == k for c in counts):
+        table, present = rows.reshape(n, k, 4), True
+    else:
+        present = np.arange(k) < np.array(counts).reshape(-1, 1)
+        table = np.zeros((n, k, 4))
+        table[present] = rows
+    rotation = np.exp(1j * table[..., 3]) * present
+    weights = np.stack([rotation, -rotation], axis=-1).reshape(n, 2 * k)
+    return table[..., :2].reshape(n, 2 * k), np.repeat(table[..., 2], 2, axis=1), weights
+
+
+def _pulses(element: ElementSchedule) -> list[np.ndarray]:
+    """One element's pulse onsets, widths and weights; overlaps are rejected."""
+    return [column[0] for column in pulse_table((element,), disjoint=True)]
 
 
 def synthesize_envelope(element: ElementSchedule, samples_per_period: int) -> np.ndarray:
@@ -267,7 +287,7 @@ def synthesize_envelope(element: ElementSchedule, samples_per_period: int) -> np
         raise ValueError("samples_per_period must be at least 64")
     t = (np.arange(samples_per_period) + 0.5) / samples_per_period
     env = np.zeros(samples_per_period, dtype=complex)
-    for onset, width, weight in _pulse_list(element):
+    for onset, width, weight in zip(*_pulses(element)):
         env += weight * (((t - onset) % 1.0) < width)
     return env
 
@@ -294,7 +314,7 @@ def envelope_filtered_samples(element: ElementSchedule, samples_per_period: int)
         return np.where(x <= 0.0, lower, upper)
 
     out = np.zeros(s, dtype=complex)
-    for onset, width, weight in _pulse_list(element):
+    for onset, width, weight in zip(*_pulses(element)):
         for shift in (-1.0, 0.0, 1.0):  # wrapped copies cover the kernel support
             a = onset + shift
             out += weight * (kernel_cdf(centers - a) - kernel_cdf(centers - (a + width)))
@@ -311,17 +331,10 @@ def envelope_segments(element: ElementSchedule) -> tuple[np.ndarray, np.ndarray]
         not necessarily 0); segment ``i`` spans ``[breaks[i], breaks[i+1])``
         (wrapping at 1) and the envelope equals ``values[i]`` throughout.
     """
-    pulses = _pulse_list(element)
-    if not pulses:
-        return np.array([0.0]), np.zeros(1, dtype=complex)
-    edges = set()
-    for onset, width, _ in pulses:
-        edges.add(wrap_unit(onset))
-        edges.add(wrap_unit(onset + width))
-    breaks = np.array(sorted(edges))
+    onsets, widths, weights = _pulses(element)
+    breaks = np.unique(np.concatenate([onsets, onsets + widths]) % 1.0)
     upper = np.append(breaks[1:], breaks[0] + 1.0)
     mids = 0.5 * (breaks + upper)
-    values = np.zeros(len(breaks), dtype=complex)
-    for onset, width, weight in pulses:
-        values += weight * (((mids - onset) % 1.0) < width)
-    return breaks, values
+    # add the pulses in order onto zero, as a loop of += would
+    terms = weights[:, None] * (((mids - onsets[:, None]) % 1.0) < widths[:, None])
+    return breaks, np.cumsum(np.concatenate([np.zeros((1, len(mids))), terms]), axis=0)[-1]

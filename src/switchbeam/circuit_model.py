@@ -57,11 +57,19 @@ class CircuitParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CircuitParams":
+        if not isinstance(data, dict):
+            raise ValueError(f"circuit params must be an object, got {data!r}")
         names = [f.name for f in fields(cls)]
         missing = [name for name in names if name not in data]
         if missing:
             raise ValueError(f"circuit params missing fields: {', '.join(missing)}")
-        return cls(**{name: float(data[name]) for name in names})
+        values = {}
+        for name in names:
+            try:
+                values[name] = float(data[name])
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"circuit params field {name}: {exc}") from exc
+        return cls(**values)
 
 
 @dataclass(frozen=True)

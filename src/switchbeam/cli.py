@@ -48,10 +48,6 @@ MAX_SAMPLES = 1 << 20
 MAX_ALPHA_POINTS = 100_000
 
 
-class InputError(ValueError):
-    """User-facing input problem; reported on stderr and exits 2."""
-
-
 def _add_design_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--elements", type=int, default=5, help="number of array elements")
     p.add_argument("--spacing-wl", type=float, default=0.5,
@@ -67,56 +63,50 @@ def _add_design_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ArrayConfig:
-    try:
-        return config_from_wavelengths(args.elements, args.spacing_wl, args.f0, args.fp,
-                                       args.paths)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return config_from_wavelengths(args.elements, args.spacing_wl, args.f0, args.fp, args.paths)
 
 
 def _alpha_from_db(alpha_db: float) -> float:
     if alpha_db > 0:
-        raise InputError("--alpha-db must be at most 0 (alpha cannot exceed 1)")
+        raise ValueError("--alpha-db must be at most 0 (alpha cannot exceed 1)")
     return 10.0 ** (alpha_db / 10.0)
 
 
 def _designed_schedule(args) -> ArraySchedule:
-    config = _config_from_args(args)
-    try:
-        schedule = design_schedule(
-            config, math.radians(args.theta_deg), _alpha_from_db(args.alpha_db)
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    schedule = design_schedule(
+        _config_from_args(args), math.radians(args.theta_deg), _alpha_from_db(args.alpha_db)
+    )
     return canonical_schedule(schedule, args.theta_deg)
 
 
-def _load_schedule(path: str) -> ArraySchedule:
+def _read_input(path: str, what: str, parse):
+    """``parse`` of the input file at ``path``, opened; ``what`` names it if unreadable."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return parse(fh)
     except OSError as exc:
-        raise InputError(f"cannot read schedule file: {exc}") from exc
+        raise ValueError(f"cannot read {what}: {exc}") from exc
+
+
+def _schedule_doc(fh) -> ArraySchedule:
+    try:
+        doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise InputError(f"schedule file is not valid JSON: {exc}") from exc
+        raise ValueError(f"schedule file is not valid JSON: {exc}") from exc
     return schedule_from_doc(doc)
+
+
+def _circuit_doc(fh) -> CircuitParams:
+    try:
+        return CircuitParams.from_dict(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"malformed circuit params file: {exc}") from exc
 
 
 def _schedule_from_args(args) -> ArraySchedule:
     if getattr(args, "schedule", None):
-        return _load_schedule(args.schedule)
+        return _read_input(args.schedule, "schedule file", _schedule_doc)
     return _designed_schedule(args)
-
-
-def _load_circuit(path: str) -> CircuitParams:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return CircuitParams.from_dict(doc)
-    except OSError as exc:
-        raise InputError(f"cannot read circuit params: {exc}") from exc
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise InputError(f"malformed circuit params file: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -125,7 +115,7 @@ def _emit(text: str, out_path: str | None) -> None:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise InputError(f"cannot write {out_path}: {exc}") from exc
+            raise ValueError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -147,12 +137,12 @@ def _grid_steps(flag: str, lo: float, hi: float, step: float, max_points: int) -
     span that overflows to inf is rejected too.
     """
     if hi < lo:
-        raise InputError(f"empty {flag} grid: --{flag}-max below --{flag}-min")
+        raise ValueError(f"empty {flag} grid: --{flag}-max below --{flag}-min")
     if step <= 0:
-        raise InputError(f"--{flag}-step must be positive")
+        raise ValueError(f"--{flag}-step must be positive")
     steps = (hi - lo) / step + 1e-9
     if not steps < max_points:
-        raise InputError(f"{flag} grid exceeds {max_points} points; raise --{flag}-step")
+        raise ValueError(f"{flag} grid exceeds {max_points} points; raise --{flag}-step")
     return int(steps)
 
 
@@ -160,9 +150,11 @@ def _parse_harmonics(text: str) -> list[int]:
     try:
         harmonics = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise InputError(f"bad harmonic list {text!r}: {exc}") from exc
+        raise ValueError(f"bad harmonic list {text!r}: {exc}") from exc
     if not harmonics:
-        raise InputError("harmonic list is empty")
+        raise ValueError("harmonic list is empty")
+    if any(abs(m) > 2**53 for m in harmonics):  # floats skip integers above 2**53
+        raise ValueError("harmonic indices must lie in [-2**53, 2**53]")
     return harmonics
 
 
@@ -171,6 +163,9 @@ def cmd_pattern(args) -> int:
     harmonics = _parse_harmonics(args.harmonics)
     n_steps = _grid_steps("theta", args.theta_min, args.theta_max, args.theta_step,
                           MAX_STEERING_ENTRIES // schedule.config.n_elements)
+    if len(harmonics) * max(n_steps + 1, schedule.config.n_elements) > MAX_STEERING_ENTRIES:
+        raise ValueError(f"harmonics x theta points exceed {MAX_STEERING_ENTRIES} entries; "
+                         "request fewer harmonics")
     theta_deg = args.theta_min + args.theta_step * np.arange(n_steps + 1)
     theta = np.deg2rad(theta_deg)
 
@@ -197,12 +192,12 @@ def cmd_pattern(args) -> int:
 
 def cmd_efficiency(args) -> int:
     if args.alpha_db_max > 0:
-        raise InputError("--alpha-db-max must be at most 0")
+        raise ValueError("--alpha-db-max must be at most 0")
     n_steps = _grid_steps("alpha-db", args.alpha_db_min, args.alpha_db_max,
                           args.alpha_db_step, MAX_ALPHA_POINTS)
     dbs = [args.alpha_db_min + k * args.alpha_db_step for k in range(n_steps + 1)]
 
-    params = _load_circuit(args.circuit) if args.circuit else None
+    params = _read_input(args.circuit, "circuit params", _circuit_doc) if args.circuit else None
     config = _config_from_args(args)
     rows_data = pbo_sweep(config, params, math.radians(args.theta_deg),
                           [10.0 ** (db / 10.0) for db in dbs])
@@ -212,16 +207,10 @@ def cmd_efficiency(args) -> int:
             for db, r in zip(dbs, rows_data)]
 
     if args.compare:
-        try:
-            with open(args.compare, "r", encoding="utf-8") as fh:
-                fixture = read_fixture_csv(fh.read())
-        except OSError as exc:
-            raise InputError(f"cannot read fixture: {exc}") from exc
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        fixture = _read_input(args.compare, "fixture", lambda fh: read_fixture_csv(fh.read()))
         labels = [args.series] if args.series else sorted(fixture)
         if args.series and args.series not in fixture:
-            raise InputError(f"fixture has no series {args.series!r}")
+            raise ValueError(f"fixture has no series {args.series!r}")
         column = {"zeta_harm": 1, "zeta_circ": 2, "eta": 3}[args.compare_column]
         for label in labels:
             lookup = {round(x, 9): y for x, y in fixture[label]}
@@ -241,26 +230,17 @@ def cmd_efficiency(args) -> int:
 # ------------------------------------------------------------------------ qam
 
 def cmd_qam(args) -> int:
-    try:
-        with open(args.constellation, "r", encoding="utf-8") as fh:
-            points = read_constellation_csv(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read constellation: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    points = _read_input(args.constellation, "constellation",
+                         lambda fh: read_constellation_csv(fh.read()))
 
     circuit = None
     if args.predistort == "circuit":
         if not args.circuit:
-            raise InputError("--predistort circuit requires --circuit <params.json>")
-        circuit = _load_circuit(args.circuit)
+            raise ValueError("--predistort circuit requires --circuit <params.json>")
+        circuit = _read_input(args.circuit, "circuit params", _circuit_doc)
 
-    try:
-        plans = plan_constellation(points, args.predistort != "off", circuit)
-        result = simulate_constellation(plans, _config_from_args(args),
-                                        math.radians(args.theta_deg))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    plans = plan_constellation(points, args.predistort != "off", circuit)
+    result = simulate_constellation(plans, _config_from_args(args), math.radians(args.theta_deg))
 
     plans_doc = {
         "predistort": args.predistort,
@@ -308,13 +288,13 @@ def _nan_high(x: float) -> float:
 def cmd_verify(args) -> int:
     schedule = _schedule_from_args(args)
     if args.m_max < 1:
-        raise InputError("--m-max must be at least 1")
+        raise ValueError("--m-max must be at least 1")
     if not 64 <= args.samples <= MAX_SAMPLES:
-        raise InputError(f"--samples must lie in [64, {MAX_SAMPLES}]")
+        raise ValueError(f"--samples must lie in [64, {MAX_SAMPLES}]")
     if args.m_max >= args.samples // 2:
-        raise InputError("--m-max must be below half the sample count")
+        raise ValueError("--m-max must be below half the sample count")
     if (2 * args.m_max + 1) * schedule.config.n_elements > MAX_STEERING_ENTRIES:
-        raise InputError(
+        raise ValueError(
             f"harmonics x elements exceeds {MAX_STEERING_ENTRIES} coefficients; lower --m-max"
         )
 
@@ -437,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_finite(args) -> None:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
-            raise InputError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
 
 
 def main(argv=None) -> int:
@@ -445,7 +425,7 @@ def main(argv=None) -> int:
     try:
         _check_finite(args)
         return args.func(args)
-    except ValueError as exc:  # InputError included
+    except ValueError as exc:
         sys.stderr.write(dump_json({"error": str(exc)}) + "\n")
         return 2
 

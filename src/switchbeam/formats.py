@@ -117,11 +117,11 @@ def schedule_from_doc(doc: dict) -> ArraySchedule:
     try:
         c = doc["config"]
         config = config_from_wavelengths(
-            int(c["elements"]),
+            _doc_int(c, "elements"),
             float(c["spacing_wavelengths"]),
             float(c["f0_hz"]),
             float(c["fp_hz"]),
-            int(c["paths"]),
+            _doc_int(c, "paths"),
         )
         elements = []
         for e in doc["elements"]:
@@ -136,7 +136,7 @@ def schedule_from_doc(doc: dict) -> ArraySchedule:
                 )
                 for p in e["paths"]
             )
-            elements.append(ElementSchedule(int(e["index"]), paths))
+            elements.append(ElementSchedule(_doc_int(e, "index"), paths))
         return ArraySchedule(
             config=config,
             duty_ratio=float(doc["alpha"]),
@@ -145,6 +145,14 @@ def schedule_from_doc(doc: dict) -> ArraySchedule:
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed schedule document: {exc}") from exc
+
+
+def _doc_int(obj: dict, key: str) -> int:
+    """A document count or index: a JSON integer, which int() would not check."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def canonical_schedule(schedule: ArraySchedule, theta_deg: float | None = None) -> ArraySchedule:

@@ -4,12 +4,12 @@ The analytic path integrates each rectangular pulse exactly, giving the
 Fourier coefficient of every path train in closed form; per-element combined
 coefficients are the path sum with each path rotated by its carrier phase.
 ``coefficient_matrix`` evaluates that closed form for every harmonic,
-element and path in one broadcast: the schedule is flattened once into a
-pulse table (per element and path: onsets, width and carrier rotation,
-ragged path counts padded with zero-weight paths), and the paths are then
-added in order.  Its complex products are spelled out in real arithmetic as
-the scalar ``path_coefficient`` / ``combined_coefficient`` code rounds them,
-so both give identical bits; numpy's vectorized complex multiply does not.
+element and path in one broadcast over the schedule's pulse table
+(``array_model.pulse_table``: onsets, widths and weights, ragged path counts
+padded with zero-weight paths), and the paths are then added in order.  Its
+complex products are spelled out in real arithmetic as the scalar
+``path_coefficient`` / ``combined_coefficient`` code rounds them, so both
+give identical bits; numpy's vectorized complex multiply does not.
 
 Radiated harmonic powers follow from the spatial power integral with an
 unnormalized sinc kernel, and the total radiated power is computed in the
@@ -35,6 +35,7 @@ from .array_model import (
     PulseTrain,
     envelope_filtered_samples,
     envelope_segments,
+    pulse_table,
 )
 
 #: Power ratios below this (relative to the total) are clamped to zero in
@@ -87,26 +88,6 @@ def combined_coefficient(element: ElementSchedule, m: int) -> complex:
     return sum((path_coefficient(t, p, m) for p, t in element.paths), start=0j)
 
 
-def _pulse_table(schedule: ArraySchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten a schedule into elements x paths arrays.
-
-    Returns the real and imaginary parts of each path's carrier rotation and
-    its timings ``(width, onset_pos, onset_neg)`` along a last axis of 3.
-    Elements with fewer paths than the longest are padded with zero-weight
-    paths; there is always at least one path column.
-    """
-    elements = schedule.elements
-    counts = [len(e.paths) for e in elements]
-    present = np.arange(max([1] + counts)) < np.array(counts, dtype=int).reshape(-1, 1)
-    table = np.zeros(present.shape + (4,))
-    table[present] = np.array(
-        [(p, t.width_norm, t.onset_pos_norm, t.onset_neg_norm)
-         for e in elements for p, t in e.paths], dtype=float,
-    ).reshape(-1, 4)
-    rotation = np.exp(1j * table[..., 0]) * present
-    return rotation.real, rotation.imag, table[..., 1:]
-
-
 def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
     """Combined coefficients of all elements at every harmonic in ``ms``.
 
@@ -114,8 +95,12 @@ def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
     ``combined_coefficient`` at each entry.  Harmonics are evaluated in
     blocks of at most ``COEFFICIENT_BLOCK`` pulse-table entries.
     """
-    rot_r, rot_i, timing = _pulse_table(schedule)
-    n, k = rot_r.shape
+    onsets, widths, weights = pulse_table(schedule.elements)
+    n, k = onsets.shape[0], onsets.shape[1] // 2
+    # per path: onsets (positive, negative), width and carrier rotation, the
+    # weight of its positive pulse
+    onsets, width = onsets.reshape(n, k, 2), widths[:, ::2, None]
+    rot_r, rot_i = weights.real[:, ::2], weights.imag[:, ::2]
     m = np.asarray(ms, dtype=float)
     out = np.empty((m.size, n), dtype=complex)
     rows = max(1, COEFFICIENT_BLOCK // max(1, n * k))
@@ -123,10 +108,11 @@ def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
         w = 2 * pi * m[start:start + rows, None, None, None]
         # 1/(jw) is (0, -1/w); m = 0 gets 0, its coefficient being exactly 0
         inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0)
-        # exp(-jw t) for t = width, onset_pos, onset_neg: shape (m, n, k, 3)
-        e = np.exp(-1j * w * timing)
-        f_r, f_i = 1.0 - e.real[..., :1], -e.imag[..., :1]
-        e_r, e_i = e.real[..., 1:], e.imag[..., 1:]
+        # exp(-jw t) for the width and for both onsets: shapes (m, n, k, 1|2)
+        f = np.exp(-1j * w * width)
+        e = np.exp(-1j * w * onsets)
+        f_r, f_i = 1.0 - f.real, -f.imag
+        e_r, e_i = e.real, e.imag
         # pulse = exp(-jw onset) (1 - exp(-jw width)) / (jw), with every
         # complex product written out as the scalar code rounds it
         p_r = e_r * f_r - e_i * f_i

@@ -111,8 +111,10 @@ def suppressed_harmonics(path_count: int, m_max: int) -> list[int]:
     """Harmonic indices the designed schedule suppresses, for |m| <= m_max.
 
     The 4-path design removes every even harmonic, every multiple of 3, and
-    every m congruent to 3 mod 4, at any duty ratio.  The 8-path design
-    additionally removes m congruent to 5 mod 40 (in particular m = 5).
+    every m congruent to 3 mod 4.  The 8-path design additionally removes m
+    congruent to 5 mod 40 (in particular m = 5).  The rule set does not
+    depend on the duty ratio: at a given alpha the pulse shape also nulls
+    the harmonics with m*alpha/3 an integer, which are not listed here.
     """
     if path_count not in (4, 8):
         raise ValueError("path_count must be 4 or 8")

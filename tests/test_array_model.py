@@ -13,6 +13,7 @@ from switchbeam.array_model import (
     ElementSchedule,
     PulseTrain,
     envelope_segments,
+    pulse_table,
     synthesize_envelope,
     validate,
     wrap_unit,
@@ -126,6 +127,27 @@ class TestValidate:
     def test_bad_duty_ratio_is_flagged(self, peak_schedule):
         schedule = dataclasses.replace(peak_schedule, duty_ratio=1.4)
         assert any("duty_ratio" in v for v in validate(schedule))
+
+
+class TestPulseTable:
+    def test_layout_and_padding(self):
+        wide = ElementSchedule(0, ((0.5, PulseTrain(0.25, 0.0, 0.5)),
+                                   (-1.0, PulseTrain(0.125, 0.75, 0.25))))
+        narrow = ElementSchedule(1, ((2.0, PulseTrain(0.2, 0.1, 0.6)),))
+        onsets, widths, weights = pulse_table((wide, ElementSchedule(2, ()), narrow))
+        # path k owns columns 2k (positive pulse) and 2k + 1 (negative pulse)
+        assert onsets.tolist() == [[0.0, 0.5, 0.75, 0.25], [0.0] * 4, [0.1, 0.6, 0.0, 0.0]]
+        assert widths.tolist() == [[0.25, 0.25, 0.125, 0.125], [0.0] * 4, [0.2, 0.2, 0.0, 0.0]]
+        rotations = [np.exp(0.5j), np.exp(-1.0j)]
+        assert weights[0].tolist() == [rotations[0], -rotations[0], rotations[1], -rotations[1]]
+        assert weights[2].tolist() == [np.exp(2.0j), -np.exp(2.0j), 0, 0]
+        assert not np.any(weights[1])
+
+    def test_overlap_is_rejected_only_on_request(self):
+        element = ElementSchedule(7, ((0.0, PulseTrain(0.3, 0.0, 0.2)),))
+        assert pulse_table((element,))[0].shape == (1, 2)
+        with pytest.raises(ValueError, match="element 7: pulses within one train overlap"):
+            pulse_table((element,), disjoint=True)
 
 
 class TestSynthesizeEnvelope:

@@ -25,6 +25,15 @@ def reference_path(name: str) -> str:
     return str(resources.files("switchbeam.reference").joinpath(name))
 
 
+class NoArange:
+    """Stands in for numpy in ``cli``: allocating the theta grid fails the test."""
+
+    def __getattr__(self, name):
+        if name == "arange":
+            raise AssertionError("theta grid allocated")
+        return getattr(np, name)
+
+
 def csv_rows(text: str) -> list[dict]:
     lines = [ln for ln in text.splitlines() if ln]
     header = lines[0].split(",")
@@ -110,13 +119,17 @@ class TestPattern:
         code, _, _ = run(capsys, "pattern", "--harmonics", "1,x,5")
         assert code == 2
 
-    def test_oversized_grid_exits_two_before_allocating(self, capsys, monkeypatch):
-        class NoArange:
-            def __getattr__(self, name):
-                if name == "arange":
-                    raise AssertionError("theta grid allocated")
-                return getattr(np, name)
+    @pytest.mark.parametrize("index", ["9" * 400, str(2**53 + 1), str(-2**53 - 1)])
+    def test_out_of_range_harmonic_exits_two(self, capsys, index):
+        code, out, err = run(capsys, "pattern", "--theta-step", "10", "--harmonics", f"1,{index}")
+        assert code == 2 and out == ""
+        assert "2**53" in json.loads(err)["error"]
 
+    def test_largest_harmonic_is_accepted(self, capsys):
+        code, _, _ = run(capsys, "pattern", "--theta-step", "10", "--harmonics", f"1,{-2**53}")
+        assert code == 0
+
+    def test_oversized_grid_exits_two_before_allocating(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "np", NoArange())
         # 16 elements x 262145 points is one above 2**22 entries
         code, _, err = run(capsys, "pattern", "--elements", "16", "--theta-min", "0",
@@ -127,6 +140,16 @@ class TestPattern:
         # a span that overflows to inf
         code, _, err = run(capsys, "pattern", "--theta-min=-1e308", "--theta-max", "1e308")
         assert code == 2 and "exceeds" in json.loads(err)["error"]
+
+    def test_harmonics_times_grid_exits_two_before_allocating(self, capsys, monkeypatch):
+        # 19 theta points x 5 elements fit under the lowered cap, but 6
+        # harmonics x 19 points are one above it
+        monkeypatch.setattr(cli, "MAX_STEERING_ENTRIES", 6 * 19 - 1)
+        monkeypatch.setattr(cli, "np", NoArange())
+        code, out, err = run(capsys, "pattern", "--theta-step", "10",
+                             "--harmonics", "1,-3,5,-7,9,-11")
+        assert code == 2 and out == ""
+        assert "harmonics" in json.loads(err)["error"]
 
 
 class TestUnwritableOutput:
@@ -149,6 +172,11 @@ class TestMalformedScheduleDocument:
         (lambda doc: doc["elements"][1]["paths"][2].update(phase_deg=math.nan), "finite"),
         (lambda doc: doc["config"].update(elements=math.inf), "malformed"),
         (lambda doc: doc["config"].update(elements=MAX_ELEMENTS + 1), "n_elements"),
+        # int() would truncate these to 5 elements and 4 paths and verify them
+        (lambda doc: doc["config"].update(elements=5.9, paths=4.7), "integer"),
+        (lambda doc: doc["config"].update(paths=4.0), "integer"),
+        (lambda doc: doc["config"].update(elements=True), "integer"),
+        (lambda doc: doc["elements"][3].update(index=3.5), "integer"),
     ])
     def test_exits_two_with_json_error(self, capsys, tmp_path, command, edit, message):
         sched = tmp_path / "s.json"
@@ -241,6 +269,20 @@ class TestEfficiency:
         bad.write_text("{\"supply_voltage\": 1.2}")
         code, _, err = run(capsys, "efficiency", "--circuit", str(bad))
         assert code == 2 and "missing" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: 5,
+        lambda doc: {**doc, "bias_current": None},
+        lambda doc: {**doc, "pulse_freq": 10**400},
+    ])
+    def test_circuit_file_of_non_numbers_exits_two(self, capsys, tmp_path, edit):
+        with open(reference_path("circuit_params_200mhz.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(doc)))
+        code, out, err = run(capsys, "efficiency", "--circuit", str(bad))
+        assert code == 2 and out == ""
+        assert "malformed circuit params" in json.loads(err)["error"]
 
 
 class TestQam:

@@ -7,6 +7,7 @@ same analysis must leave every byte alone.
 """
 
 import hashlib
+import json
 from importlib import resources
 
 import pytest
@@ -69,3 +70,21 @@ def test_pattern_from_schedule_file_matches_inline_run(capsys, tmp_path):
     assert main(["design", "--theta-deg", "20", "--alpha-db", "-6", "--out", str(schedule)]) == 0
     digest = stdout_digest(capsys, ["pattern", "--schedule", str(schedule)])
     assert digest == DIGESTS["pattern_inline"]
+
+
+#: ``pattern --schedule`` of a designed 8-path document with paths removed
+#: from two elements, so the pulse table pads ragged path counts.
+RAGGED_DIGEST = "9d9d1f3d34fbea6688de4942f4b4399b3684e64d7e1199747d4719b24809b7cf"
+
+
+def test_pattern_from_ragged_schedule_file(capsys, tmp_path):
+    schedule = tmp_path / "schedule.json"
+    assert main(["design", "--elements", "6", "--paths", "8", "--theta-deg", "25",
+                 "--alpha-db", "-4", "--out", str(schedule)]) == 0
+    doc = json.loads(schedule.read_text())
+    doc["elements"][1]["paths"] = doc["elements"][1]["paths"][:5]
+    doc["elements"][4]["paths"] = doc["elements"][4]["paths"][2:]
+    schedule.write_text(json.dumps(doc))
+    digest = stdout_digest(capsys, ["pattern", "--schedule", str(schedule),
+                                    "--harmonics", "1,-3,5,-7,9"])
+    assert digest == RAGGED_DIGEST

@@ -10,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALPHA_GRID, THETA_20, reference_config
-from switchbeam.array_model import ArraySchedule, ElementSchedule, PulseTrain
+from switchbeam.array_model import (
+    ArraySchedule,
+    ElementSchedule,
+    PulseTrain,
+    envelope_segments,
+    synthesize_envelope,
+)
 from switchbeam import harmonic_analysis
 from switchbeam.harmonic_analysis import (
     DB_FLOOR,
@@ -412,6 +418,35 @@ class TestLoadedSchedules:
     def test_tabulated_powers_never_exceed_total(self, schedule):
         spectrum = compute_spectrum(schedule)
         assert sum(spectrum.powers.values()) <= spectrum.total_power * (1 + 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(loaded_schedules(disjoint_timings))
+    def test_coefficients_agree_with_dft_oracle(self, schedule):
+        samples, ms = 4096, range(-25, 26)
+        matrix = coefficient_matrix(schedule, ms)
+        for element, exact in zip(schedule.elements, matrix.T):
+            scale = np.max(np.abs(exact))
+            if scale == 0:  # no paths: a relative error is undefined
+                continue
+            estimate = envelope_dft_coefficients(element, samples, 25)
+            worst = max(abs(estimate[m] - a) for m, a in zip(ms, exact)) / scale
+            assert worst < oracle_tolerance(samples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(loaded_schedules(disjoint_timings))
+    def test_envelope_segments_match_synthesized_samples(self, schedule):
+        # both add the same pulse weights in the same order, so away from the
+        # breaks (where the value is a convention) they agree bit for bit
+        samples = 2048
+        t = (np.arange(samples) + 0.5) / samples
+        for element in schedule.elements:
+            breaks, values = envelope_segments(element)
+            assert 0.0 <= breaks[0] and np.all(np.diff(breaks) > 0) and breaks[-1] < 1.0
+            gap = np.abs(t[:, None] - np.concatenate([breaks - 1, breaks, breaks + 1]))
+            clear = gap.min(axis=1) > 1e-9
+            looked_up = values[np.searchsorted(breaks, t, side="right") - 1]
+            env = synthesize_envelope(element, samples)
+            assert np.array_equal(env[clear], looked_up[clear])
 
 
 class TestSharedSteering:

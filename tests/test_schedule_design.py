@@ -5,11 +5,11 @@ from math import pi
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALPHA_GRID, THETA_20, reference_config
-from switchbeam.harmonic_analysis import array_factor, combined_coefficient
+from switchbeam.harmonic_analysis import array_factor, coefficient_matrix, combined_coefficient
 from switchbeam.schedule_design import (
     EIGHT_PATH_SHIFT,
     PBO_SHIFT,
@@ -144,6 +144,25 @@ class TestSuppression:
         scale = abs(combined_coefficient(element, 1))
         for m in suppressed_harmonics(path_count, 13):
             assert abs(combined_coefficient(element, m)) < 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.01, 1.0), theta=st.floats(-1.2, 1.2),
+           path_count=st.sampled_from([4, 8]))
+    @example(alpha=0.6, theta=0.3, path_count=4)   # pulse-shape nulls at m = +-5, 10, ...
+    @example(alpha=1.0, theta=0.3, path_count=8)   # ... and at every multiple of 3
+    def test_suppressed_set_is_exactly_the_vanishing_set(self, alpha, theta, path_count):
+        # besides the rule set, a harmonic vanishes only where the pulse
+        # shape sin(pi*m*alpha/3) does; those alpha-dependent nulls are left out
+        m_max = 60
+        schedule = design_schedule(
+            reference_config(n_elements=3, path_count=path_count), theta, alpha
+        )
+        ms = np.arange(-m_max, m_max + 1)
+        peaks = np.max(np.abs(coefficient_matrix(schedule, ms)), axis=1)
+        vanishing = set(ms[peaks < 1e-12 * peaks[ms == 1]].tolist())
+        pulse_nulls = set(ms[np.abs(np.sin(pi * ms * alpha / 3)) < 1e-9].tolist())
+        suppressed = set(suppressed_harmonics(path_count, m_max))
+        assert vanishing - pulse_nulls == suppressed - pulse_nulls
 
     def test_width_factor_and_offset_agree_on_multiples_of_three(self):
         # at alpha = 1 the width alone nulls every multiple of 3; the opposed
