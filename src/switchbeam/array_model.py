@@ -231,38 +231,29 @@ def validate(schedule: ArraySchedule) -> list[str]:
     return out
 
 
-def pulse_table(elements, disjoint: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten element schedules into elements x 2K arrays of pulse onsets,
-    widths and weights, K being the largest path count (at least 1).
+def pulse_table(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten element schedules into an elements x K table of paths, K being
+    the largest path count (at least 1): pulse onsets (elements x K x 2, the
+    positive pulse first), widths and carrier rotations ``exp(1j * phase)``.
 
-    Path k owns columns 2k and 2k + 1: its positive pulse, weighted by the
-    carrier rotation ``exp(1j * phase)``, and its negative pulse, weighted by
-    the negated rotation.  Shorter elements are padded with zero-weight,
-    zero-width paths.  With ``disjoint``, overlapping pulses of one train
-    raise ``ValueError``.
+    A path's positive pulse is weighted by its rotation and its negative
+    pulse by the negated rotation.  Shorter elements are padded with
+    zero-width paths of zero rotation.
     """
-    if disjoint:
-        for e in elements:
-            if not all(t.pulses_disjoint() for _, t in e.paths):
-                raise ValueError(f"element {e.element_index}: pulses within one train overlap")
-    counts = [len(e.paths) for e in elements]
-    n, k = len(counts), max([1] + counts)
-    rows = np.array([(t.onset_pos_norm, t.onset_neg_norm, t.width_norm, p)
-                     for e in elements for p, t in e.paths], dtype=float).reshape(-1, 4)
-    if all(c == k for c in counts):
-        table, present = rows.reshape(n, k, 4), True
-    else:
-        present = np.arange(k) < np.array(counts).reshape(-1, 1)
-        table = np.zeros((n, k, 4))
-        table[present] = rows
-    rotation = np.exp(1j * table[..., 3]) * present
-    weights = np.stack([rotation, -rotation], axis=-1).reshape(n, 2 * k)
-    return table[..., :2].reshape(n, 2 * k), np.repeat(table[..., 2], 2, axis=1), weights
+    k = max([1] + [len(e.paths) for e in elements])
+    table = np.array([[(t.onset_pos_norm, t.onset_neg_norm, t.width_norm, p, 1.0)
+                       for p, t in e.paths] + [(0.0,) * 5] * (k - len(e.paths))
+                      for e in elements], dtype=float).reshape(len(elements), k, 5)
+    return table[..., :2], table[..., 2], np.exp(1j * table[..., 3]) * table[..., 4]
 
 
-def _pulses(element: ElementSchedule) -> list[np.ndarray]:
-    """One element's pulse onsets, widths and weights; overlaps are rejected."""
-    return [column[0] for column in pulse_table((element,), disjoint=True)]
+def _pulses(element: ElementSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One element's pulse onsets, widths and weights, path by path with the
+    positive pulse first; overlapping pulses of one train raise ValueError."""
+    if not all(t.pulses_disjoint() for _, t in element.paths):
+        raise ValueError(f"element {element.element_index}: pulses within one train overlap")
+    onsets, widths, rotation = (column[0] for column in pulse_table((element,)))
+    return onsets.reshape(-1), np.repeat(widths, 2), np.ravel((rotation, -rotation), order="F")
 
 
 def synthesize_envelope(element: ElementSchedule, samples_per_period: int) -> np.ndarray:

@@ -5,11 +5,12 @@ Fourier coefficient of every path train in closed form; per-element combined
 coefficients are the path sum with each path rotated by its carrier phase.
 ``coefficient_matrix`` evaluates that closed form for every harmonic,
 element and path in one broadcast over the schedule's pulse table
-(``array_model.pulse_table``: onsets, widths and weights, ragged path counts
-padded with zero-weight paths), and the paths are then added in order.  Its
-complex products are spelled out in real arithmetic as the scalar
-``path_coefficient`` / ``combined_coefficient`` code rounds them, so both
-give identical bits; numpy's vectorized complex multiply does not.
+(``array_model.pulse_table``: per path, its two onsets, width and carrier
+rotation, ragged path counts padded with zero-rotation paths), and the paths
+are then added in order.  Its complex products are spelled out in real
+arithmetic as the scalar ``path_coefficient`` / ``combined_coefficient``
+code rounds them, so both give identical bits; numpy's vectorized complex
+multiply does not.
 
 Radiated harmonic powers follow from the spatial power integral with an
 unnormalized sinc kernel, and the total radiated power is computed in the
@@ -95,12 +96,10 @@ def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
     ``combined_coefficient`` at each entry.  Harmonics are evaluated in
     blocks of at most ``COEFFICIENT_BLOCK`` pulse-table entries.
     """
-    onsets, widths, weights = pulse_table(schedule.elements)
-    n, k = onsets.shape[0], onsets.shape[1] // 2
-    # per path: onsets (positive, negative), width and carrier rotation, the
-    # weight of its positive pulse
-    onsets, width = onsets.reshape(n, k, 2), widths[:, ::2, None]
-    rot_r, rot_i = weights.real[:, ::2], weights.imag[:, ::2]
+    # per path: onsets (positive, negative), width and carrier rotation
+    onsets, width, rotation = pulse_table(schedule.elements)
+    n, k = width.shape
+    width, rot_r, rot_i = width[..., None], rotation.real, rotation.imag
     m = np.asarray(ms, dtype=float)
     out = np.empty((m.size, n), dtype=complex)
     rows = max(1, COEFFICIENT_BLOCK // max(1, n * k))

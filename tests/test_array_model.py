@@ -12,6 +12,7 @@ from switchbeam.array_model import (
     ArraySchedule,
     ElementSchedule,
     PulseTrain,
+    envelope_filtered_samples,
     envelope_segments,
     pulse_table,
     synthesize_envelope,
@@ -134,20 +135,22 @@ class TestPulseTable:
         wide = ElementSchedule(0, ((0.5, PulseTrain(0.25, 0.0, 0.5)),
                                    (-1.0, PulseTrain(0.125, 0.75, 0.25))))
         narrow = ElementSchedule(1, ((2.0, PulseTrain(0.2, 0.1, 0.6)),))
-        onsets, widths, weights = pulse_table((wide, ElementSchedule(2, ()), narrow))
-        # path k owns columns 2k (positive pulse) and 2k + 1 (negative pulse)
-        assert onsets.tolist() == [[0.0, 0.5, 0.75, 0.25], [0.0] * 4, [0.1, 0.6, 0.0, 0.0]]
-        assert widths.tolist() == [[0.25, 0.25, 0.125, 0.125], [0.0] * 4, [0.2, 0.2, 0.0, 0.0]]
-        rotations = [np.exp(0.5j), np.exp(-1.0j)]
-        assert weights[0].tolist() == [rotations[0], -rotations[0], rotations[1], -rotations[1]]
-        assert weights[2].tolist() == [np.exp(2.0j), -np.exp(2.0j), 0, 0]
-        assert not np.any(weights[1])
+        onsets, widths, rotations = pulse_table((wide, ElementSchedule(2, ()), narrow))
+        # one row per element, one column per path; shorter rows are padded
+        assert onsets.tolist() == [[[0.0, 0.5], [0.75, 0.25]], [[0.0, 0.0]] * 2,
+                                   [[0.1, 0.6], [0.0, 0.0]]]
+        assert widths.tolist() == [[0.25, 0.125], [0.0] * 2, [0.2, 0.0]]
+        assert rotations[0].tolist() == [np.exp(0.5j), np.exp(-1.0j)]
+        assert rotations[2].tolist() == [np.exp(2.0j), 0]
+        assert not np.any(rotations[1])
 
-    def test_overlap_is_rejected_only_on_request(self):
+    def test_envelopes_reject_overlapping_pulses(self):
         element = ElementSchedule(7, ((0.0, PulseTrain(0.3, 0.0, 0.2)),))
-        assert pulse_table((element,))[0].shape == (1, 2)
-        with pytest.raises(ValueError, match="element 7: pulses within one train overlap"):
-            pulse_table((element,), disjoint=True)
+        assert pulse_table((element,))[0].shape == (1, 1, 2)
+        for envelope in (lambda e: synthesize_envelope(e, 64),
+                         lambda e: envelope_filtered_samples(e, 64), envelope_segments):
+            with pytest.raises(ValueError, match="element 7: pulses within one train overlap"):
+                envelope(element)
 
 
 class TestSynthesizeEnvelope:
