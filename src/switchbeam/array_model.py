@@ -247,13 +247,17 @@ def pulse_table(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table[..., :2], table[..., 2], np.exp(1j * table[..., 3]) * table[..., 4]
 
 
-def _pulses(element: ElementSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One element's pulse onsets, widths and weights, path by path with the
-    positive pulse first; overlapping pulses of one train raise ValueError."""
-    if not all(t.pulses_disjoint() for _, t in element.paths):
-        raise ValueError(f"element {element.element_index}: pulses within one train overlap")
-    onsets, widths, rotation = (column[0] for column in pulse_table((element,)))
-    return onsets.reshape(-1), np.repeat(widths, 2), np.ravel((rotation, -rotation), order="F")
+def _pulses(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pulse onsets, widths and weights of every element (elements x 2K),
+    path by path with the positive pulse first; overlapping pulses of one
+    train raise ValueError."""
+    for element in elements:
+        if not all(t.pulses_disjoint() for _, t in element.paths):
+            raise ValueError(f"element {element.element_index}: pulses within one train overlap")
+    onsets, widths, rotation = pulse_table(elements)
+    n, k = widths.shape
+    return (onsets.reshape(n, 2 * k), np.repeat(widths, 2, axis=1),
+            np.stack((rotation, -rotation), axis=2).reshape(n, 2 * k))
 
 
 def synthesize_envelope(element: ElementSchedule, samples_per_period: int) -> np.ndarray:
@@ -278,7 +282,7 @@ def synthesize_envelope(element: ElementSchedule, samples_per_period: int) -> np
         raise ValueError("samples_per_period must be at least 64")
     t = (np.arange(samples_per_period) + 0.5) / samples_per_period
     env = np.zeros(samples_per_period, dtype=complex)
-    for onset, width, weight in zip(*_pulses(element)):
+    for onset, width, weight in zip(*(column[0] for column in _pulses((element,)))):
         env += weight * (((t - onset) % 1.0) < width)
     return env
 
@@ -305,7 +309,7 @@ def envelope_filtered_samples(element: ElementSchedule, samples_per_period: int)
         return np.where(x <= 0.0, lower, upper)
 
     out = np.zeros(s, dtype=complex)
-    for onset, width, weight in zip(*_pulses(element)):
+    for onset, width, weight in zip(*(column[0] for column in _pulses((element,)))):
         for shift in (-1.0, 0.0, 1.0):  # wrapped copies cover the kernel support
             a = onset + shift
             out += weight * (kernel_cdf(centers - a) - kernel_cdf(centers - (a + width)))
@@ -322,10 +326,37 @@ def envelope_segments(element: ElementSchedule) -> tuple[np.ndarray, np.ndarray]
         not necessarily 0); segment ``i`` spans ``[breaks[i], breaks[i+1])``
         (wrapping at 1) and the envelope equals ``values[i]`` throughout.
     """
-    onsets, widths, weights = _pulses(element)
-    breaks = np.unique(np.concatenate([onsets, onsets + widths]) % 1.0)
-    upper = np.append(breaks[1:], breaks[0] + 1.0)
-    mids = 0.5 * (breaks + upper)
-    # add the pulses in order onto zero, as a loop of += would
-    terms = weights[:, None] * (((mids - onsets[:, None]) % 1.0) < widths[:, None])
-    return breaks, np.cumsum(np.concatenate([np.zeros((1, len(mids))), terms]), axis=0)[-1]
+    breaks, values, _ = _segments((element,))
+    return breaks, values
+
+
+def _segments(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``envelope_segments`` of many elements in one broadcast: the breaks and
+    values of every element in turn, and how many segments each one has.
+
+    Each element's breaks are the distinct wrapped edges of its own pulses;
+    the zero-width paths that pad ragged path counts add none, except that
+    an element without paths keeps its lone padding break at 0 (one segment
+    of value 0).  Values add the pulse terms onto zero in pulse order, as a
+    loop of ``+=`` would; the padding terms, added last, are zeros and leave
+    every value unchanged.
+    """
+    onsets, widths, weights = _pulses(elements)
+    edges = np.concatenate([onsets, onsets + widths], axis=1) % 1.0
+    # padding paths come last, so path 0 is real unless the element has none
+    real = widths > 0
+    real[:, :2] = True
+    edges[~np.concatenate([real, real], axis=1)] = np.inf
+    edges.sort(axis=1)
+    # each row keeps the last of every run of equal edges; the next edge is
+    # then the segment's upper end, and the row's last wraps to its first + 1
+    upper = np.append(edges[:, 1:], np.full((len(edges), 1), np.inf), axis=1)
+    keep = np.isfinite(edges) & (edges != upper)
+    upper = np.where(np.isfinite(upper), upper, edges[:, :1] + 1.0)
+    mids = np.where(keep, 0.5 * (edges + upper), 0.0)
+    values = np.zeros(edges.shape, dtype=complex)
+    for p in range(onsets.shape[1]):
+        inside = ((mids - onsets[:, p:p + 1]) % 1.0) < widths[:, p:p + 1]
+        values = values + weights[:, p:p + 1] * inside
+    breaks, values, counts = edges[keep], values[keep], keep.sum(axis=1)
+    return breaks, values, counts

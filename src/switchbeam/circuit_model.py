@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 from .array_model import ArrayConfig
-from .harmonic_analysis import harmonic_efficiency
+from .harmonic_analysis import _harmonic_efficiencies
 from .schedule_design import design_schedule
 
 #: Two pulses per period, each at most a third of the period wide.
@@ -65,9 +66,13 @@ class CircuitParams:
             raise ValueError(f"circuit params missing fields: {', '.join(missing)}")
         values = {}
         for name in names:
+            value = data[name]
+            # a JSON number: bool is an int subclass, and float() would read strings
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"circuit params field {name}: expected a number, got {value!r}")
             try:
-                values[name] = float(data[name])
-            except (TypeError, OverflowError) as exc:
+                values[name] = float(value)
+            except OverflowError as exc:
                 raise ValueError(f"circuit params field {name}: {exc}") from exc
         return cls(**values)
 
@@ -194,16 +199,22 @@ def pbo_sweep(
 
     Circuit columns are ``None`` when no circuit parameters are supplied.
     The cell duty corresponding to a duty-cycle ratio alpha is ``2*alpha/3``.
+    Every zeta_harm equals ``harmonic_efficiency`` of that alpha's designed
+    schedule, bit for bit; the grid is designed and evaluated in one batched
+    pass, block by block, so memory does not grow with the grid.
     """
     alphas = [float(a) for a in alpha_grid]
     if any(not 0 < a <= 1 for a in alphas):
         raise ValueError("alpha grid values must lie in (0, 1]")
 
-    zeta_peak = harmonic_efficiency(design_schedule(config, steer_angle, 1.0))
+    # one pass over the whole grid; the peak schedule also serves alpha = 1
+    peak = design_schedule(config, steer_angle, 1.0)
+    zetas = iter(_harmonic_efficiencies(chain(
+        [peak], (design_schedule(config, steer_angle, a) for a in alphas if a != 1.0))))
+    zeta_peak = next(zetas)
     rows = []
     for alpha in alphas:
-        schedule = design_schedule(config, steer_angle, alpha)
-        zeta_harm = harmonic_efficiency(schedule)
+        zeta_harm = zeta_peak if alpha == 1.0 else next(zetas)
         pbo_db = 10.0 * math.log10(alpha * zeta_harm / zeta_peak)
         zeta_circ = eta = None
         if params is not None:

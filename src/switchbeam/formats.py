@@ -137,6 +137,11 @@ def schedule_from_doc(doc: dict) -> ArraySchedule:
                 for p in e["paths"]
             )
             elements.append(ElementSchedule(_doc_int(e, "index"), paths))
+        if len(elements) != config.n_elements:
+            raise ValueError(
+                f"malformed schedule document: {len(elements)} element schedules for "
+                f"{config.n_elements} configured elements"
+            )
         return ArraySchedule(
             config=config,
             duty_ratio=float(doc["alpha"]),

@@ -13,9 +13,14 @@ code rounds them, so both give identical bits; numpy's vectorized complex
 multiply does not.
 
 Radiated harmonic powers follow from the spatial power integral with an
-unnormalized sinc kernel, and the total radiated power is computed in the
-time domain by exact piecewise-constant integration, so Parseval holds
-without sampling error.  Patterns and the sideband level share one steering
+unnormalized sinc kernel.  The total radiated power is computed in the time
+domain by exact piecewise-constant integration, so Parseval holds without
+sampling error: each element pair's envelope product is integrated over the
+merged segments of both envelopes.  ``_total_powers`` does this for every
+pair of many schedules at once (a whole back-off sweep is one pass), in
+blocks of at most ``GRAM_BLOCK`` entries, and gives the same bits as a loop
+over pairs; its docstring lists the traps that would silently lose them.
+Patterns and the sideband level share one steering
 matrix (theta points x elements) across all harmonics; its size is capped by
 ``MAX_STEERING_ENTRIES``.
 
@@ -25,7 +30,7 @@ numerical oracle for the analytic coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import pi
 
 import numpy as np
@@ -34,8 +39,8 @@ from .array_model import (
     ArraySchedule,
     ElementSchedule,
     PulseTrain,
+    _segments,
     envelope_filtered_samples,
-    envelope_segments,
     pulse_table,
 )
 
@@ -52,6 +57,13 @@ DEFAULT_M_MAX = 101
 #: Largest pulse-table block (harmonics x elements x paths) that
 #: ``coefficient_matrix`` evaluates in one broadcast.
 COEFFICIENT_BLOCK = 1 << 15
+
+#: Largest block of the power Gram pass: schedules are taken with at most
+#: this many envelope breaks at a time, and their element pairs with at most
+#: this many merged breaks, so each working array holds about this many
+#: numbers (64 KiB of complex ones; larger blocks raised the peak resident
+#: memory of a back-off sweep by up to 10% and ran little faster).
+GRAM_BLOCK = 1 << 12
 
 #: Largest steering matrix (theta points x elements) built at once: 2**22
 #: complex entries are 64 MiB.
@@ -193,40 +205,175 @@ def total_power(schedule: ArraySchedule) -> float:
     Integrates the product of combined envelopes over one period for every
     element pair using their piecewise-constant forms (no sampling error) and
     contracts with the sinc coupling kernel.  Equals the full harmonic-power
-    sum by Parseval; truncated sums approach it from below.
+    sum by Parseval; truncated sums approach it from below.  This is
+    ``_total_powers`` on one schedule.
     """
-    segments = [envelope_segments(e) for e in schedule.elements]
-    n_el = len(segments)
-    gram = np.zeros((n_el, n_el), dtype=complex)
-    for i in range(n_el):
-        for j in range(i, n_el):
-            gram[i, j] = _pair_integral(segments[i], segments[j])
-            gram[j, i] = np.conj(gram[i, j])
-    kernel = _coupling_kernel(schedule)
-    return float(np.sum(kernel * gram).real)
+    return _total_powers([schedule])[0]
 
 
-def _pair_integral(seg_a, seg_b) -> complex:
-    """Integral over one period of E_a(t) * conj(E_b(t)), exactly."""
-    breaks_a, vals_a = seg_a
-    breaks_b, vals_b = seg_b
-    edges = np.unique(np.concatenate([breaks_a, breaks_b, [0.0, 1.0]]))
-    lengths = np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    idx_a = np.searchsorted(breaks_a, mids, side="right") - 1
-    idx_b = np.searchsorted(breaks_b, mids, side="right") - 1
-    # mids before the first breakpoint belong to the wrapped last segment
-    va = vals_a[idx_a]
-    vb = vals_b[idx_b]
-    return complex(np.sum(va * np.conj(vb) * lengths))
+def _total_powers(schedules) -> list[float]:
+    """``total_power`` of every schedule: one ``_grams`` pass, and each Gram
+    matrix contracted with its coupling kernel."""
+    kernels = {}
+    out = []
+    for schedule, gram in zip(schedules, _grams(schedules)):
+        kernel = kernels.get(schedule.config)
+        if kernel is None:
+            kernel = kernels[schedule.config] = _coupling_kernel(schedule)
+        out.append(float(np.sum(kernel * gram).real))
+    return out
+
+
+def _grams(schedules) -> list[np.ndarray]:
+    """Power Gram matrix of every schedule, G[a, b] the integral over one
+    period of E_a(t) * conj(E_b(t)), in one pass over all of them.
+
+    Every element pair (a, b), a <= b, of each schedule is a row, and a block
+    of at most ``GRAM_BLOCK`` union entries is integrated at once.  The
+    result equals, bit for bit, a loop that merges the two elements' breaks
+    with 0 and 1 (``np.unique``), looks both values up at each segment's
+    midpoint (``searchsorted(breaks, mid, side="right") - 1``, -1 wrapping to
+    the last segment) and takes ``np.sum`` of ``va * conj(vb) * lengths``:
+
+    * merge: every break value gets its rank in one sorted table, and one
+      sort of integer (row, rank, source) keys gives every row's union with
+      running counts of each element's breaks, with no loop and no per-row
+      sort.
+    * edges one ulp apart: the midpoint can round onto the upper edge, and
+      ``searchsorted`` on it then counts that edge too, so the count is taken
+      at ``hi`` whenever ``0.5 * (lo + hi) == hi``.
+    * sum: numpy's pairwise summation depends on the length, so the rows are
+      summed with ``np.sum(..., axis=1)`` in groups of equal segment count.
+    * temporary elision: on operands of 256 KiB or more numpy would evaluate
+      ``va * np.conj(vb) * lengths`` in place with the operands swapped, and
+      a complex multiply that uses FMA rounds the imaginary part of the
+      swapped product differently, so the products are explicit
+      ``np.multiply`` calls.
+    * diagonal: the loop stored each integral above the diagonal and its
+      conjugate below and on it, and so does the Gram matrix here.  With
+      FMA the diagonal's imaginary parts are rounding residues, not zeros.
+    * ragged path counts: ``_segments`` gives the padding paths no break.
+
+    ``total_power`` reads only real parts, which neither the elision nor the
+    diagonal can change; the Gram matrix keeps the loop's bits all the same.
+    """
+    for schedule in schedules:
+        if len(schedule.elements) != schedule.config.n_elements:
+            raise ValueError(
+                f"schedule has {len(schedule.elements)} element schedules for "
+                f"{schedule.config.n_elements} configured elements"
+            )
+    sizes = np.array([len(s.elements) for s in schedules])
+    breaks, values, counts = _segments([e for s in schedules for e in s.elements])
+    first = np.cumsum(counts) - counts
+    table, rank = np.unique(np.concatenate([breaks, [0.0, 1.0]]), return_inverse=True)
+    n_ranks = len(table)  # table[0] is 0.0 and table[-1] is 1.0
+    # all Gram matrices in one buffer; element g is row local[g] of its own
+    local = np.arange(len(counts)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    offsets = np.cumsum(sizes * sizes) - sizes * sizes
+    grams = np.zeros(int(np.sum(sizes * sizes)), dtype=complex)
+    row_start = np.repeat(offsets, sizes) + local * np.repeat(sizes, sizes)
+    # element a owns the rows (a, b) for b from a to the end of its schedule
+    owned = np.repeat(sizes, sizes) - local
+    row_first = np.cumsum(owned) - owned
+    n_rows = int(np.sum(owned))
+    step = max(1, GRAM_BLOCK // (2 * int(np.max(counts, initial=0)) + 2))
+    for start in range(0, n_rows, step):
+        rows = np.arange(start, min(start + step, n_rows))
+        a = np.searchsorted(row_first, rows, side="right") - 1
+        b = a + rows - row_first[a]
+        integrals = _pair_integrals(a, b, table, rank, first, counts, values)
+        grams[row_start[a] + local[b]] = integrals
+        grams[row_start[b] + local[a]] = np.conj(integrals)
+    return [grams[offset:offset + n * n].reshape(n, n) for offset, n in zip(offsets, sizes)]
+
+
+def _pair_integrals(a, b, table, rank, first, counts, values) -> np.ndarray:
+    """Integral over one period of E_a(t) * conj(E_b(t)) for every row (a, b)."""
+    row, lo, hi, at_a, at_b = _merged_segments(a, b, table, rank, first, counts)
+    products = np.multiply(np.multiply(values[at_a], np.conj(values[at_b])), hi - lo)
+    segments = np.bincount(row, minlength=len(a))
+    offsets = np.cumsum(segments) - segments
+    out = np.empty(len(a), dtype=complex)
+    for n in np.unique(segments):
+        same = np.flatnonzero(segments == n)
+        out[same] = np.sum(products[offsets[same, None] + np.arange(n)], axis=1)
+    return out
+
+
+def _merged_segments(a, b, table, rank, first, counts):
+    """Segments of every row's merged breaks, row by row: the row, both ends,
+    and where ``values`` holds each element's value on the segment."""
+    n_ranks = len(table)
+    rows = np.arange(len(a))
+
+    def row_keys(e, tag):
+        """Sort keys of element e's breaks, row by row: (row, rank, tag)."""
+        n = counts[e]
+        pos = np.repeat(first[e] - (np.cumsum(n) - n), n) + np.arange(np.sum(n))
+        return (np.repeat(rows * n_ranks, n) + rank[pos]) * 4 + tag
+
+    ends = np.stack((rows * n_ranks, rows * n_ranks + n_ranks - 1), axis=1).ravel() * 4 + 2
+    entries = np.sort(np.concatenate([row_keys(a, 0), row_keys(b, 1), ends]))
+    # the union: the last entry of each (row, rank) group, with the running
+    # counts of a's and b's breaks up to it
+    last = np.append(entries[1:] >> 2 != entries[:-1] >> 2, True)
+    union = entries[last] >> 2
+    row = union // n_ranks
+    seen_a = np.cumsum(entries & 3 == 0)[last] - (np.cumsum(counts[a]) - counts[a])[row]
+    seen_b = np.cumsum(entries & 3 == 1)[last] - (np.cumsum(counts[b]) - counts[b])[row]
+    # every edge but a row's last (the rank of 1.0) starts a segment
+    starts = np.flatnonzero(union % n_ranks != n_ranks - 1)
+    row = row[starts]
+    lo, hi = table[union[starts] % n_ranks], table[union[starts + 1] % n_ranks]
+    # breaks <= mid: those up to lo, or up to hi when mid rounds onto it
+    at = starts + (0.5 * (lo + hi) == hi)
+    ea, eb = a[row], b[row]
+    return (row, lo, hi, first[ea] + (seen_a[at] - 1) % counts[ea],
+            first[eb] + (seen_b[at] - 1) % counts[eb])
 
 
 def harmonic_efficiency(schedule: ArraySchedule) -> float:
     """Fraction of the total radiated power carried by the m = 1 harmonic."""
-    total = total_power(schedule)
-    if total <= 0:
-        raise ValueError("zero radiated power")
-    return harmonic_power(schedule, 1) / total
+    return _harmonic_efficiencies([schedule])[0]
+
+
+def _harmonic_efficiencies(schedules) -> list[float]:
+    """``harmonic_efficiency`` of every schedule of an iterable whose
+    schedules share one config.
+
+    The schedules are taken in the blocks ``_blocks`` makes, so a long sweep
+    holds one block at a time.  Each block gets one ``_total_powers`` pass,
+    and its m = 1 powers come from one coefficient matrix of the stacked
+    elements and one ``_harmonic_powers`` call, the same bits as
+    ``harmonic_power`` on each schedule.
+    """
+    out = []
+    for block in _blocks(schedules):
+        totals = _total_powers(block)
+        if min(totals) <= 0:
+            raise ValueError("zero radiated power")
+        # coefficient_matrix reads only the elements, so one call serves all
+        stacked = replace(block[0], elements=[e for s in block for e in s.elements])
+        a1 = coefficient_matrix(stacked, [1]).reshape(len(block), -1)
+        powers = _harmonic_powers(block[0], a1, [1] * len(block))
+        out.extend(float(p) / total for p, total in zip(powers, totals))
+    return out
+
+
+def _blocks(schedules):
+    """Consecutive runs of schedules with at most ``GRAM_BLOCK`` envelope
+    breaks in all (two per pulse at most; a larger schedule alone)."""
+    block, breaks = [], 0
+    for schedule in schedules:
+        n = sum(4 * len(e.paths) for e in schedule.elements)
+        if block and breaks + n > GRAM_BLOCK:
+            yield block
+            block, breaks = [], 0
+        block.append(schedule)
+        breaks += n
+    if block:
+        yield block
 
 
 def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> HarmonicSpectrum:

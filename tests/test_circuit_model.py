@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -17,7 +18,10 @@ from switchbeam.circuit_model import (
     power_breakdown,
     total_drain_efficiency,
 )
+from switchbeam import harmonic_analysis
 from switchbeam.formats import read_fixture_csv
+from switchbeam.harmonic_analysis import harmonic_efficiency
+from switchbeam.schedule_design import design_schedule
 
 
 def lossfree_params(**overrides):
@@ -89,6 +93,19 @@ class TestCircuitParams:
     def test_rejects_nonfinite_values(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             lossfree_params(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, "1e-2", None, [1.2]])
+    def test_fields_must_be_json_numbers(self, value):
+        data = {**lossfree_params().to_dict(), "switch_resistance": 1e4, "bias_current": value}
+        with pytest.raises(ValueError, match="^circuit params field bias_current: expected a number"):
+            CircuitParams.from_dict(data)
+
+    @pytest.mark.parametrize("name", ["circuit_params_200mhz.json", "circuit_params_2ghz.json"])
+    def test_reference_files_load_as_written(self, name):
+        text = resources.files("switchbeam.reference").joinpath(name).read_text()
+        doc = json.loads(text)
+        params = load_reference_params(name)
+        assert params.to_dict() == {k: float(v) for k, v in doc.items() if k != "notes"}
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match=(
@@ -223,3 +240,44 @@ class TestPboSweep:
     def test_rejects_alpha_outside_unit_interval(self):
         with pytest.raises(ValueError):
             pbo_sweep(reference_config(), None, THETA_20, [1.2])
+
+
+class TestPboSweepBatch:
+    """The batched sweep gives the bits of one harmonic_efficiency per alpha."""
+
+    @pytest.mark.parametrize("n_elements, path_count", [(1, 4), (5, 4), (5, 8), (16, 8)])
+    def test_rows_equal_per_alpha_efficiencies(self, n_elements, path_count):
+        cfg = reference_config(n_elements=n_elements, path_count=path_count)
+        params = load_reference_params("circuit_params_2ghz.json")
+        steer = np.deg2rad(-35.0)
+        # the 0 dB point, a repeat and the fine grid of a back-off curve
+        alphas = [10 ** (k / 100) for k in range(-100, 1, 7)] + [1.0, 0.5, 0.5]
+        zeta_peak = harmonic_efficiency(design_schedule(cfg, steer, 1.0))
+        rows = pbo_sweep(cfg, params, steer, alphas)
+        assert len(rows) == len(alphas)
+        for alpha, row in zip(alphas, rows):
+            zeta = harmonic_efficiency(design_schedule(cfg, steer, alpha))
+            eta = total_drain_efficiency(zeta, circuit_efficiency(params, 2 * alpha / 3))
+            pbo_db = 10.0 * math.log10(alpha * zeta / zeta_peak)
+            assert (row.zeta_harm.hex(), row.eta.hex(), row.pbo_db.hex()) == (
+                zeta.hex(), eta.hex(), pbo_db.hex())
+
+    def test_blocks_of_the_grid_give_the_same_rows(self, monkeypatch):
+        cfg = reference_config(path_count=8)
+        alphas = [10 ** (k / 20) for k in range(-20, 1)]
+        whole = pbo_sweep(cfg, None, THETA_20, alphas)
+        # one schedule per block, and Gram blocks of a few rows
+        monkeypatch.setattr(harmonic_analysis, "GRAM_BLOCK", 1)
+        assert pbo_sweep(cfg, None, THETA_20, alphas) == whole
+
+    def test_traced_memory_stays_bounded(self):
+        cfg = reference_config(n_elements=16, path_count=8)
+        alphas = [10 ** (k / 100) for k in range(-100, 1)]
+        pbo_sweep(cfg, None, THETA_20, alphas[:3])
+        tracemalloc.start()
+        try:
+            pbo_sweep(cfg, None, THETA_20, alphas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20

@@ -177,6 +177,10 @@ class TestMalformedScheduleDocument:
         (lambda doc: doc["config"].update(paths=4.0), "integer"),
         (lambda doc: doc["config"].update(elements=True), "integer"),
         (lambda doc: doc["elements"][3].update(index=3.5), "integer"),
+        # the element list must hold one schedule per configured element
+        (lambda doc: doc["elements"].__delitem__(slice(3, None)),
+         "3 element schedules for 5 configured elements"),
+        (lambda doc: doc.update(elements=[]), "0 element schedules for 5 configured elements"),
     ])
     def test_exits_two_with_json_error(self, capsys, tmp_path, command, edit, message):
         sched = tmp_path / "s.json"
@@ -274,6 +278,8 @@ class TestEfficiency:
         lambda doc: 5,
         lambda doc: {**doc, "bias_current": None},
         lambda doc: {**doc, "pulse_freq": 10**400},
+        # float() would read these as 1.0 and 0.01
+        lambda doc: {**doc, "supply_voltage": True, "bias_current": "1e-2"},
     ])
     def test_circuit_file_of_non_numbers_exits_two(self, capsys, tmp_path, edit):
         with open(reference_path("circuit_params_200mhz.json"), encoding="utf-8") as fh:

@@ -88,3 +88,15 @@ def test_pattern_from_ragged_schedule_file(capsys, tmp_path):
     digest = stdout_digest(capsys, ["pattern", "--schedule", str(schedule),
                                     "--harmonics", "1,-3,5,-7,9"])
     assert digest == RAGGED_DIGEST
+
+
+#: ``efficiency`` of a 16-element 8-path array on a 0.5 dB back-off grid with
+#: a circuit file: the batched sweep must print the per-alpha loop's bytes.
+EFFICIENCY_8PATH_DIGEST = "f0865064e400131984b53555ff685efd5ec72732900c3c6c10103fc998c39937"
+
+
+def test_efficiency_8path_sweep(capsys):
+    digest = stdout_digest(capsys, ["efficiency", "--elements", "16", "--paths", "8",
+                                    "--theta-deg", "-35", "--alpha-db-step", "0.5",
+                                    "--circuit", reference_path("circuit_params_2ghz.json")])
+    assert digest == EFFICIENCY_8PATH_DIGEST

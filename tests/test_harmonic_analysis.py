@@ -2,16 +2,18 @@
 
 import dataclasses
 import json
+import tracemalloc
 from math import pi
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALPHA_GRID, THETA_20, reference_config
 from switchbeam.array_model import (
     ArraySchedule,
+    _segments,
     ElementSchedule,
     PulseTrain,
     envelope_segments,
@@ -434,6 +436,17 @@ class TestLoadedSchedules:
 
     @settings(max_examples=60, deadline=None)
     @given(loaded_schedules(disjoint_timings))
+    def test_segments_of_many_elements_equal_each_alone(self, schedule):
+        # zero-width padding of ragged path counts must add no break
+        breaks, values, counts = _segments(schedule.elements)
+        ends = np.cumsum(counts)
+        for element, start, end in zip(schedule.elements, ends - counts, ends):
+            alone = envelope_segments(element)
+            assert same_bits(breaks[start:end], alone[0])
+            assert same_bits(values[start:end], alone[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(loaded_schedules(disjoint_timings))
     def test_envelope_segments_match_synthesized_samples(self, schedule):
         # both add the same pulse weights in the same order, so away from the
         # breaks (where the value is a convention) they agree bit for bit
@@ -447,6 +460,111 @@ class TestLoadedSchedules:
             looked_up = values[np.searchsorted(breaks, t, side="right") - 1]
             env = synthesize_envelope(element, samples)
             assert np.array_equal(env[clear], looked_up[clear])
+
+
+# ------------------------------------------------ batched Gram pass vs. the pair loop
+
+def pair_integral(seg_a, seg_b) -> complex:
+    """Reference: integral over one period of E_a(t) * conj(E_b(t)), one pair."""
+    breaks_a, vals_a = seg_a
+    breaks_b, vals_b = seg_b
+    edges = np.unique(np.concatenate([breaks_a, breaks_b, [0.0, 1.0]]))
+    lengths = np.diff(edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    idx_a = np.searchsorted(breaks_a, mids, side="right") - 1
+    idx_b = np.searchsorted(breaks_b, mids, side="right") - 1
+    # mids before the first breakpoint belong to the wrapped last segment
+    va = vals_a[idx_a]
+    vb = vals_b[idx_b]
+    return complex(np.sum(va * np.conj(vb) * lengths))
+
+
+def loop_gram(schedule) -> np.ndarray:
+    """Reference: the loop over element pairs that the batched pass replaced."""
+    segments = [envelope_segments(e) for e in schedule.elements]
+    n_el = len(segments)
+    gram = np.zeros((n_el, n_el), dtype=complex)
+    for i in range(n_el):
+        for j in range(i, n_el):
+            gram[i, j] = pair_integral(segments[i], segments[j])
+            gram[j, i] = np.conj(gram[i, j])
+    return gram
+
+
+def loop_total_power(schedule) -> float:
+    kernel = harmonic_analysis._coupling_kernel(schedule)
+    return float(np.sum(kernel * loop_gram(schedule)).real)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def dyadic_timings(draw):
+    """Disjoint trains on a 1/64 grid, each onset possibly nudged by one ulp,
+    so that edges coincide or lie one ulp apart."""
+    width = draw(st.integers(1, 21)) / 64
+    on = draw(st.integers(0, 63)) / 64
+    off = on + width + draw(st.integers(0, 64 - 2 * int(width * 64))) / 64
+    on, off = (float(np.nextafter(t, t + draw(st.sampled_from([-1.0, 0.0, 1.0]))))
+               for t in (on, off))
+    assume(PulseTrain(width, on, off).pulses_disjoint())
+    return draw(st.sampled_from([0.0, -0.0, pi / 2, -2.5])), width, on, off
+
+
+class TestTotalPowerBatch:
+    @pytest.mark.parametrize("path_count", [4, 8])
+    @pytest.mark.parametrize("n_elements", [1, 2, 5, 16, 33])
+    def test_equals_pair_loop_on_designed_schedules(self, n_elements, path_count):
+        cfg = reference_config(n_elements=n_elements, path_count=path_count)
+        for alpha in ALPHA_GRID + (0.37, 10 ** -0.95):
+            schedule = design_schedule(cfg, np.deg2rad(-37.5), alpha)
+            assert total_power(schedule).hex() == loop_total_power(schedule).hex()
+
+    @pytest.mark.parametrize("block", [harmonic_analysis.GRAM_BLOCK, 1 << 22])
+    def test_gram_equals_pair_loop_at_sizes_numpy_would_elide(self, block, monkeypatch):
+        # 64 elements x 8 paths in one block hold complex arrays far above the
+        # 256 KiB at which numpy reuses temporaries in place
+        monkeypatch.setattr(harmonic_analysis, "GRAM_BLOCK", block)
+        schedule = design_schedule(reference_config(64, path_count=8), np.deg2rad(23.0), 0.61)
+        assert same_bits(harmonic_analysis._grams([schedule])[0], loop_gram(schedule))
+        assert total_power(schedule).hex() == loop_total_power(schedule).hex()
+
+    @settings(max_examples=80, deadline=None)
+    @given(loaded_schedules(dyadic_timings()))
+    def test_gram_equals_pair_loop_on_ragged_dyadic_schedules(self, schedule):
+        assert same_bits(harmonic_analysis._grams([schedule])[0], loop_gram(schedule))
+        assert total_power(schedule).hex() == loop_total_power(schedule).hex()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(loaded_schedules(st.one_of(disjoint_timings, dyadic_timings())),
+                    min_size=1, max_size=5),
+           st.sampled_from([1, 40, 1 << 13]))
+    def test_one_pass_over_many_schedules_equals_each_alone(self, schedules, block):
+        expected = [loop_gram(s) for s in schedules]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harmonic_analysis, "GRAM_BLOCK", block)
+            grams = harmonic_analysis._grams(schedules)
+            totals = harmonic_analysis._total_powers(schedules)
+        assert all(same_bits(g, e) for g, e in zip(grams, expected))
+        assert [p.hex() for p in totals] == [loop_total_power(s).hex() for s in schedules]
+
+    def test_element_count_must_match_the_config(self, peak_schedule):
+        short = dataclasses.replace(peak_schedule, elements=peak_schedule.elements[:3])
+        with pytest.raises(ValueError, match="3 element schedules for 5 configured"):
+            total_power(short)
+
+    def test_traced_memory_stays_bounded(self):
+        schedule = design_schedule(reference_config(256, path_count=8), THETA_20, 0.5)
+        total_power(design_schedule(reference_config(path_count=8), THETA_20, 0.5))
+        tracemalloc.start()
+        try:
+            total_power(schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestSharedSteering:
