@@ -358,5 +358,4 @@ def _segments(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for p in range(onsets.shape[1]):
         inside = ((mids - onsets[:, p:p + 1]) % 1.0) < widths[:, p:p + 1]
         values = values + weights[:, p:p + 1] * inside
-    breaks, values, counts = edges[keep], values[keep], keep.sum(axis=1)
-    return breaks, values, counts
+    return edges[keep], values[keep], keep.sum(axis=1)

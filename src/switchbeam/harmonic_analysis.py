@@ -206,7 +206,9 @@ def total_power(schedule: ArraySchedule) -> float:
     element pair using their piecewise-constant forms (no sampling error) and
     contracts with the sinc coupling kernel.  Equals the full harmonic-power
     sum by Parseval; truncated sums approach it from below.  This is
-    ``_total_powers`` on one schedule.
+    ``_total_powers`` on one schedule: all pairs are merged and integrated in
+    blocks of one vectorized pass (``_grams``), with the bits of a loop that
+    integrates one pair at a time.
     """
     return _total_powers([schedule])[0]
 
@@ -277,6 +279,7 @@ def _grams(schedules) -> list[np.ndarray]:
     owned = np.repeat(sizes, sizes) - local
     row_first = np.cumsum(owned) - owned
     n_rows = int(np.sum(owned))
+    # a row merges at most 2 * max(counts) + 2 breaks
     step = max(1, GRAM_BLOCK // (2 * int(np.max(counts, initial=0)) + 2))
     for start in range(0, n_rows, step):
         rows = np.arange(start, min(start + step, n_rows))
