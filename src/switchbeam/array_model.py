@@ -247,17 +247,30 @@ def pulse_table(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table[..., :2], table[..., 2], np.exp(1j * table[..., 3]) * table[..., 4]
 
 
-def _pulses(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pulse onsets, widths and weights of every element (elements x 2K),
-    path by path with the positive pulse first; overlapping pulses of one
-    train raise ValueError."""
+def _check_disjoint(elements) -> None:
+    """Raise ValueError if the two pulses of any train overlap."""
     for element in elements:
         if not all(t.pulses_disjoint() for _, t in element.paths):
             raise ValueError(f"element {element.element_index}: pulses within one train overlap")
-    onsets, widths, rotation = pulse_table(elements)
+
+
+def _pulses(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pulse form of a pulse table: onsets, widths and weights of every
+    element (elements x 2K), path by path with the positive pulse first."""
+    onsets, widths, rotation = table
     n, k = widths.shape
     return (onsets.reshape(n, 2 * k), np.repeat(widths, 2, axis=1),
             np.stack((rotation, -rotation), axis=2).reshape(n, 2 * k))
+
+
+def _train_pulses(element: ElementSchedule):
+    """Onset, width and weight of every pulse, read from the paths, not from
+    ``pulse_table``: the sampled envelopes are the table's independent check."""
+    _check_disjoint((element,))
+    for phase, train in element.paths:
+        rotation = np.exp(1j * phase)
+        yield train.onset_pos_norm, train.width_norm, rotation
+        yield train.onset_neg_norm, train.width_norm, -rotation
 
 
 def synthesize_envelope(element: ElementSchedule, samples_per_period: int) -> np.ndarray:
@@ -282,7 +295,7 @@ def synthesize_envelope(element: ElementSchedule, samples_per_period: int) -> np
         raise ValueError("samples_per_period must be at least 64")
     t = (np.arange(samples_per_period) + 0.5) / samples_per_period
     env = np.zeros(samples_per_period, dtype=complex)
-    for onset, width, weight in zip(*(column[0] for column in _pulses((element,)))):
+    for onset, width, weight in _train_pulses(element):
         env += weight * (((t - onset) % 1.0) < width)
     return env
 
@@ -309,7 +322,7 @@ def envelope_filtered_samples(element: ElementSchedule, samples_per_period: int)
         return np.where(x <= 0.0, lower, upper)
 
     out = np.zeros(s, dtype=complex)
-    for onset, width, weight in zip(*(column[0] for column in _pulses((element,)))):
+    for onset, width, weight in _train_pulses(element):
         for shift in (-1.0, 0.0, 1.0):  # wrapped copies cover the kernel support
             a = onset + shift
             out += weight * (kernel_cdf(centers - a) - kernel_cdf(centers - (a + width)))
@@ -326,13 +339,14 @@ def envelope_segments(element: ElementSchedule) -> tuple[np.ndarray, np.ndarray]
         not necessarily 0); segment ``i`` spans ``[breaks[i], breaks[i+1])``
         (wrapping at 1) and the envelope equals ``values[i]`` throughout.
     """
-    breaks, values, _ = _segments((element,))
+    _check_disjoint((element,))
+    breaks, values, _ = _segments(_pulses(pulse_table((element,))))
     return breaks, values
 
 
-def _segments(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``envelope_segments`` of many elements in one broadcast: the breaks and
-    values of every element in turn, and how many segments each one has.
+def _segments(pulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``envelope_segments`` of many elements' per-pulse form (``_pulses``) in
+    one broadcast: the breaks and values of each element in turn, and their counts.
 
     Each element's breaks are the distinct wrapped edges of its own pulses;
     the zero-width paths that pad ragged path counts add none, except that
@@ -341,7 +355,7 @@ def _segments(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     loop of ``+=`` would; the padding terms, added last, are zeros and leave
     every value unchanged.
     """
-    onsets, widths, weights = _pulses(elements)
+    onsets, widths, weights = pulses
     edges = np.concatenate([onsets, onsets + widths], axis=1) % 1.0
     # padding paths come last, so path 0 is real unless the element has none
     real = widths > 0

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
 
 from .array_model import ArrayConfig
 from .harmonic_analysis import _harmonic_efficiencies
-from .schedule_design import design_schedule
+from .schedule_design import _designed_tables, design_schedule
 
 #: Two pulses per period, each at most a third of the period wide.
 MAX_DUTY = 2.0 / 3.0
@@ -200,21 +199,18 @@ def pbo_sweep(
     Circuit columns are ``None`` when no circuit parameters are supplied.
     The cell duty corresponding to a duty-cycle ratio alpha is ``2*alpha/3``.
     Every zeta_harm equals ``harmonic_efficiency`` of that alpha's designed
-    schedule, bit for bit; the grid is designed and evaluated in one batched
-    pass, block by block, so memory does not grow with the grid.
+    schedule, bit for bit; the peak schedule's tables (``_designed_tables``)
+    are evaluated in one batched pass, block by block, so memory does not
+    grow with the grid.
     """
     alphas = [float(a) for a in alpha_grid]
     if any(not 0 < a <= 1 for a in alphas):
         raise ValueError("alpha grid values must lie in (0, 1]")
 
-    # one pass over the whole grid; the peak schedule also serves alpha = 1
     peak = design_schedule(config, steer_angle, 1.0)
-    zetas = iter(_harmonic_efficiencies(chain(
-        [peak], (design_schedule(config, steer_angle, a) for a in alphas if a != 1.0))))
-    zeta_peak = next(zetas)
+    zeta_peak, *zetas = _harmonic_efficiencies(config, _designed_tables(peak, [1.0] + alphas))
     rows = []
-    for alpha in alphas:
-        zeta_harm = zeta_peak if alpha == 1.0 else next(zetas)
+    for alpha, zeta_harm in zip(alphas, zetas):
         pbo_db = 10.0 * math.log10(alpha * zeta_harm / zeta_peak)
         zeta_circ = eta = None
         if params is not None:

@@ -3,42 +3,46 @@
 The analytic path integrates each rectangular pulse exactly, giving the
 Fourier coefficient of every path train in closed form; per-element combined
 coefficients are the path sum with each path rotated by its carrier phase.
-``coefficient_matrix`` evaluates that closed form for every harmonic,
-element and path in one broadcast over the schedule's pulse table
+The internals read a schedule only as its pulse table
 (``array_model.pulse_table``: per path, its two onsets, width and carrier
-rotation, ragged path counts padded with zero-rotation paths), and the paths
-are then added in order.  Its complex products are spelled out in real
-arithmetic as the scalar ``path_coefficient`` / ``combined_coefficient``
-code rounds them, so both give identical bits; numpy's vectorized complex
-multiply does not.
+rotation, ragged path counts padded with zero-rotation paths) and its config.
+``_coefficients`` evaluates that closed form for every harmonic, element and
+path of a table in one broadcast, and the paths are then added in order.  Its
+complex products are spelled out in real arithmetic as the scalar
+``path_coefficient`` / ``combined_coefficient`` code rounds them, so both
+give identical bits; numpy's vectorized complex multiply does not.
 
 Radiated harmonic powers follow from the spatial power integral with an
 unnormalized sinc kernel.  The total radiated power is computed in the time
 domain by exact piecewise-constant integration, so Parseval holds without
 sampling error: each element pair's envelope product is integrated over the
 merged segments of both envelopes.  ``_total_powers`` does this for every
-pair of many schedules at once (a whole back-off sweep is one pass), in
-blocks of at most ``GRAM_BLOCK`` entries, and gives the same bits as a loop
-over pairs; its docstring lists the traps that would silently lose them.
-Patterns and the sideband level share one steering
-matrix (theta points x elements) across all harmonics; its size is capped by
-``MAX_STEERING_ENTRIES``.
+pair of many same-size schedules stacked in one table (a back-off sweep, the
+tables ``schedule_design._designed_tables`` gives, is one pass) with the bits
+of a loop over pairs; ``_grams`` lists the traps that would lose them.
+Patterns and the sideband level share one steering matrix (theta points x
+elements) across all harmonics; its size is capped by ``MAX_STEERING_ENTRIES``.
 
-A DFT-based estimator over the synthesized envelope provides an independent
-numerical oracle for the analytic coefficients.
+A DFT-based estimator over the envelope, which reads the element's paths and
+not the pulse table, is an independent numerical oracle for the analytic
+coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from math import pi
+from dataclasses import dataclass
+from itertools import islice
+from math import isfinite, pi
 
 import numpy as np
 
 from .array_model import (
+    ArrayConfig,
     ArraySchedule,
     ElementSchedule,
     PulseTrain,
+    _check_disjoint,
+    _pulses,
     _segments,
     envelope_filtered_samples,
     pulse_table,
@@ -108,8 +112,13 @@ def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
     ``combined_coefficient`` at each entry.  Harmonics are evaluated in
     blocks of at most ``COEFFICIENT_BLOCK`` pulse-table entries.
     """
+    return _coefficients(pulse_table(schedule.elements), ms)
+
+
+def _coefficients(table, ms) -> np.ndarray:
+    """``coefficient_matrix`` of a pulse table: one column per table row."""
     # per path: onsets (positive, negative), width and carrier rotation
-    onsets, width, rotation = pulse_table(schedule.elements)
+    onsets, width, rotation = table
     n, k = width.shape
     width, rot_r, rot_i = width[..., None], rotation.real, rotation.imag
     m = np.asarray(ms, dtype=float)
@@ -164,22 +173,21 @@ class HarmonicSpectrum:
     efficiency: float
 
 
-def _coupling_kernel(schedule: ArraySchedule) -> np.ndarray:
-    cfg = schedule.config
-    n = np.arange(cfg.n_elements)
-    beta_d = cfg.wavenumber * cfg.element_spacing
-    excitations = np.asarray(cfg.excitations)
+def _coupling_kernel(config: ArrayConfig) -> np.ndarray:
+    n = np.arange(config.n_elements)
+    beta_d = config.wavenumber * config.element_spacing
+    excitations = np.asarray(config.excitations)
     return np.outer(excitations, excitations) * _sinc(beta_d * (n[:, None] - n[None, :]))
 
 
-def _harmonic_powers(schedule: ArraySchedule, matrix: np.ndarray, ms) -> np.ndarray:
+def _harmonic_powers(config: ArrayConfig, matrix: np.ndarray, ms) -> np.ndarray:
     """Radiated powers of the harmonics ``ms``, one per row of ``matrix``.
 
     The kernel is real symmetric, so each quadratic form is real up to
     rounding; a residual imaginary part above 1e-9 of the diagonal indicates
     a symmetry bug and raises.
     """
-    kernel = _coupling_kernel(schedule)
+    kernel = _coupling_kernel(config)
     values = np.einsum("mn,ns,ms->m", matrix, kernel, matrix.conj())
     scales = np.einsum("mn,nn->m", np.abs(matrix) ** 2, kernel).real
     for m, value, scale in zip(ms, values, scales):
@@ -196,7 +204,7 @@ def harmonic_power(schedule: ArraySchedule, m: int) -> float:
     Evaluates the spatial power integral over element pairs with the
     unnormalized sinc coupling kernel.
     """
-    return float(_harmonic_powers(schedule, coefficient_matrix(schedule, [m]), [m])[0])
+    return float(_harmonic_powers(schedule.config, coefficient_matrix(schedule, [m]), [m])[0])
 
 
 def total_power(schedule: ArraySchedule) -> float:
@@ -206,29 +214,36 @@ def total_power(schedule: ArraySchedule) -> float:
     element pair using their piecewise-constant forms (no sampling error) and
     contracts with the sinc coupling kernel.  Equals the full harmonic-power
     sum by Parseval; truncated sums approach it from below.  This is
-    ``_total_powers`` on one schedule: all pairs are merged and integrated in
-    blocks of one vectorized pass (``_grams``), with the bits of a loop that
-    integrates one pair at a time.
+    ``_total_powers`` on the schedule's pulse table: all pairs are merged and
+    integrated in blocks of one vectorized pass (``_grams``), with the bits of
+    a loop that integrates one pair at a time.
     """
-    return _total_powers([schedule])[0]
+    return _total_powers(schedule.config, _power_table(schedule))[0]
 
 
-def _total_powers(schedules) -> list[float]:
-    """``total_power`` of every schedule: one ``_grams`` pass, and each Gram
-    matrix contracted with its coupling kernel."""
-    kernels = {}
-    out = []
-    for schedule, gram in zip(schedules, _grams(schedules)):
-        kernel = kernels.get(schedule.config)
-        if kernel is None:
-            kernel = kernels[schedule.config] = _coupling_kernel(schedule)
-        out.append(float(np.sum(kernel * gram).real))
-    return out
+def _power_table(schedule: ArraySchedule):
+    """The schedule's pulse table, checked as the power pass needs it."""
+    if len(schedule.elements) != schedule.config.n_elements:
+        raise ValueError(
+            f"schedule has {len(schedule.elements)} element schedules for "
+            f"{schedule.config.n_elements} configured elements"
+        )
+    _check_disjoint(schedule.elements)
+    return pulse_table(schedule.elements)
 
 
-def _grams(schedules) -> list[np.ndarray]:
-    """Power Gram matrix of every schedule, G[a, b] the integral over one
-    period of E_a(t) * conj(E_b(t)), in one pass over all of them.
+def _total_powers(config: ArrayConfig, table) -> list[float]:
+    """``total_power`` of each schedule of ``config`` stacked in a pulse table:
+    one ``_grams`` pass, each Gram matrix contracted with the coupling kernel."""
+    kernel = _coupling_kernel(config)
+    grams = _grams(_pulses(table), len(table[1]) // config.n_elements)
+    return [float(np.sum(kernel * gram).real) for gram in grams]
+
+
+def _grams(pulses, count: int) -> np.ndarray:
+    """Power Gram matrices of ``count`` schedules of one size, stacked in
+    per-pulse form (``_pulses``): G[s, a, b] is the integral over one period
+    of E_a(t) * conj(E_b(t)) for elements a and b of schedule s.
 
     Every element pair (a, b), a <= b, of each schedule is a row, and a block
     of at most ``GRAM_BLOCK`` union entries is integrated at once.  The
@@ -259,36 +274,23 @@ def _grams(schedules) -> list[np.ndarray]:
     ``total_power`` reads only real parts, which neither the elision nor the
     diagonal can change; the Gram matrix keeps the loop's bits all the same.
     """
-    for schedule in schedules:
-        if len(schedule.elements) != schedule.config.n_elements:
-            raise ValueError(
-                f"schedule has {len(schedule.elements)} element schedules for "
-                f"{schedule.config.n_elements} configured elements"
-            )
-    sizes = np.array([len(s.elements) for s in schedules])
-    breaks, values, counts = _segments([e for s in schedules for e in s.elements])
+    breaks, values, counts = _segments(pulses)
+    n = len(counts) // count
     first = np.cumsum(counts) - counts
     table, rank = np.unique(np.concatenate([breaks, [0.0, 1.0]]), return_inverse=True)
-    n_ranks = len(table)  # table[0] is 0.0 and table[-1] is 1.0
-    # all Gram matrices in one buffer; element g is row local[g] of its own
-    local = np.arange(len(counts)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    offsets = np.cumsum(sizes * sizes) - sizes * sizes
-    grams = np.zeros(int(np.sum(sizes * sizes)), dtype=complex)
-    row_start = np.repeat(offsets, sizes) + local * np.repeat(sizes, sizes)
-    # element a owns the rows (a, b) for b from a to the end of its schedule
-    owned = np.repeat(sizes, sizes) - local
-    row_first = np.cumsum(owned) - owned
-    n_rows = int(np.sum(owned))
+    upper_i, upper_j = np.triu_indices(n)
+    n_rows = count * len(upper_i)
+    grams = np.zeros(count * n * n, dtype=complex)
     # a row merges at most 2 * max(counts) + 2 breaks
     step = max(1, GRAM_BLOCK // (2 * int(np.max(counts, initial=0)) + 2))
     for start in range(0, n_rows, step):
-        rows = np.arange(start, min(start + step, n_rows))
-        a = np.searchsorted(row_first, rows, side="right") - 1
-        b = a + rows - row_first[a]
+        schedule, pair = np.divmod(np.arange(start, min(start + step, n_rows)), len(upper_i))
+        i, j = upper_i[pair], upper_j[pair]
+        a, b = schedule * n + i, schedule * n + j
         integrals = _pair_integrals(a, b, table, rank, first, counts, values)
-        grams[row_start[a] + local[b]] = integrals
-        grams[row_start[b] + local[a]] = np.conj(integrals)
-    return [grams[offset:offset + n * n].reshape(n, n) for offset, n in zip(offsets, sizes)]
+        grams[a * n + j] = integrals
+        grams[b * n + i] = np.conj(integrals)
+    return grams.reshape(count, n, n)
 
 
 def _pair_integrals(a, b, table, rank, first, counts, values) -> np.ndarray:
@@ -338,45 +340,30 @@ def _merged_segments(a, b, table, rank, first, counts):
 
 def harmonic_efficiency(schedule: ArraySchedule) -> float:
     """Fraction of the total radiated power carried by the m = 1 harmonic."""
-    return _harmonic_efficiencies([schedule])[0]
+    return _harmonic_efficiencies(schedule.config, [_power_table(schedule)])[0]
 
 
-def _harmonic_efficiencies(schedules) -> list[float]:
-    """``harmonic_efficiency`` of every schedule of an iterable whose
-    schedules share one config.
+def _harmonic_efficiencies(config: ArrayConfig, tables) -> list[float]:
+    """``harmonic_efficiency`` of every pulse table of an iterable, each one
+    schedule of ``config``, with the bits of one call per schedule.
 
-    The schedules are taken in the blocks ``_blocks`` makes, so a long sweep
-    holds one block at a time.  Each block gets one ``_total_powers`` pass,
-    and its m = 1 powers come from one coefficient matrix of the stacked
-    elements and one ``_harmonic_powers`` call, the same bits as
-    ``harmonic_power`` on each schedule.
+    The tables are stacked in blocks of at most ``GRAM_BLOCK`` envelope
+    breaks (two per pulse; a larger schedule alone), and each block gets one
+    ``_total_powers`` pass, one m = 1 ``_coefficients`` and one
+    ``_harmonic_powers`` call.
     """
+    tables = iter(tables)
+    size = max(1, GRAM_BLOCK // (4 * config.n_elements * config.path_count))
     out = []
-    for block in _blocks(schedules):
-        totals = _total_powers(block)
+    while block := list(islice(tables, size)):
+        stacked = tuple(np.concatenate(column) for column in zip(*block))
+        totals = _total_powers(config, stacked)
         if min(totals) <= 0:
             raise ValueError("zero radiated power")
-        # coefficient_matrix reads only the elements, so one call serves all
-        stacked = replace(block[0], elements=[e for s in block for e in s.elements])
-        a1 = coefficient_matrix(stacked, [1]).reshape(len(block), -1)
-        powers = _harmonic_powers(block[0], a1, [1] * len(block))
+        a1 = _coefficients(stacked, [1]).reshape(len(block), -1)
+        powers = _harmonic_powers(config, a1, [1] * len(block))
         out.extend(float(p) / total for p, total in zip(powers, totals))
     return out
-
-
-def _blocks(schedules):
-    """Consecutive runs of schedules with at most ``GRAM_BLOCK`` envelope
-    breaks in all (two per pulse at most; a larger schedule alone)."""
-    block, breaks = [], 0
-    for schedule in schedules:
-        n = sum(4 * len(e.paths) for e in schedule.elements)
-        if block and breaks + n > GRAM_BLOCK:
-            yield block
-            block, breaks = [], 0
-        block.append(schedule)
-        breaks += n
-    if block:
-        yield block
 
 
 def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> HarmonicSpectrum:
@@ -384,28 +371,29 @@ def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> Har
 
     Powers below ``POWER_CLAMP_REL`` of the total are clamped to zero.
     """
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
     total = total_power(schedule)
     ms = range(-m_max, m_max + 1)
     matrix = coefficient_matrix(schedule, ms)
     coefficients = {m: HarmonicCoefficient(m, a) for m, a in zip(ms, matrix)}
     powers = {
         m: 0.0 if p < POWER_CLAMP_REL * total else float(p)
-        for m, p in zip(ms, _harmonic_powers(schedule, matrix, ms))
+        for m, p in zip(ms, _harmonic_powers(schedule.config, matrix, ms))
     }
     efficiency = powers[1] / total if total > 0 else 0.0
     return HarmonicSpectrum(coefficients, powers, total, efficiency)
 
 
-def _steering(schedule: ArraySchedule, theta: np.ndarray) -> np.ndarray:
+def _steering(config: ArrayConfig, theta: np.ndarray) -> np.ndarray:
     """Geometric phase of every element toward every angle: theta x elements."""
-    cfg = schedule.config
-    if theta.size * cfg.n_elements > MAX_STEERING_ENTRIES:
+    if theta.size * config.n_elements > MAX_STEERING_ENTRIES:
         raise ValueError(
-            f"{theta.size} angles x {cfg.n_elements} elements exceed the steering-matrix "
+            f"{theta.size} angles x {config.n_elements} elements exceed the steering-matrix "
             f"cap of {MAX_STEERING_ENTRIES} entries"
         )
-    n = np.arange(cfg.n_elements)
-    beta_d = cfg.wavenumber * cfg.element_spacing
+    n = np.arange(config.n_elements)
+    beta_d = config.wavenumber * config.element_spacing
     phase = 1j * beta_d * np.outer(np.sin(theta), n)
     return np.exp(phase, out=phase)
 
@@ -423,7 +411,7 @@ def array_factor(schedule: ArraySchedule, m: int, theta) -> complex | np.ndarray
     be a scalar or an array of radians.
     """
     theta_arr = np.asarray(theta, dtype=float)
-    out = _steering(schedule, theta_arr) @ _excited(schedule, [m])[0]
+    out = _steering(schedule.config, theta_arr) @ _excited(schedule, [m])[0]
     return complex(out[0]) if theta_arr.ndim == 0 else out
 
 
@@ -453,7 +441,7 @@ def radiation_pattern(
     if theta.size == 0:
         raise ValueError("theta grid is empty")
     harmonics = list(harmonics)
-    phase = _steering(schedule, theta)
+    phase = _steering(schedule.config, theta)
     excited = _excited(schedule, [1] + harmonics)
     if reference is None:
         reference = float(np.max(np.abs(phase @ excited[0])))
@@ -478,13 +466,15 @@ def sideband_level(schedule: ArraySchedule, m_max: int, theta_step_deg: float = 
     """
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
+    if not (isfinite(theta_step_deg) and theta_step_deg > 0):
+        raise ValueError("theta_step_deg must be finite and positive")
     theta = np.deg2rad(np.arange(-90.0, 90.0 + theta_step_deg / 2, theta_step_deg))
     ms = [1] + [m for m in range(-m_max, m_max + 1) if m not in (0, 1)]
     excited_t = _excited(schedule, ms).T
     block = max(1, MAX_STEERING_ENTRIES // schedule.config.n_elements)
     peaks = np.zeros(len(ms))
     for start in range(0, theta.size, block):
-        fields = np.abs(_steering(schedule, theta[start:start + block]) @ excited_t)
+        fields = np.abs(_steering(schedule.config, theta[start:start + block]) @ excited_t)
         np.maximum(peaks, fields.max(axis=0), out=peaks)
     ref, worst = float(peaks[0]), float(np.max(peaks[1:]))
     if worst == 0.0:

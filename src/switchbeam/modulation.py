@@ -18,8 +18,8 @@ import numpy as np
 
 from .array_model import ArrayConfig
 from .circuit_model import MAX_DUTY, CircuitParams, circuit_efficiency
-from .harmonic_analysis import array_factor
-from .schedule_design import design_schedule
+from .harmonic_analysis import _coefficients, _steering, array_factor
+from .schedule_design import _designed_tables, design_schedule
 
 #: Bisection width at which the pre-distortion root is accepted.
 ROOT_TOL = 1e-10
@@ -118,26 +118,24 @@ def simulate_constellation(
 ) -> ConstellationResult:
     """Drive each plan through the designed array and measure the EVM.
 
-    For every plan the schedule at its duty ratio is built, the first
-    harmonic is evaluated at the steering angle, normalized by the peak-mode
-    response, and rotated by the carrier phase.  The quadrature drive makes
-    the phase exact by construction, so only the magnitude law distorts.
-    EVM is the RMS error over the RMS of the normalized reference
-    constellation, in percent.
+    One schedule is designed, at the peak; its ``array_factor`` at the
+    steering angle is the reference.  Each duty's field there is the same
+    product on the peak's table with narrowed pulses (``_designed_tables``),
+    normalized and rotated by the carrier phase.  The quadrature drive makes
+    the phase exact, so only the magnitude law distorts.  EVM is the RMS
+    error over the normalized reference constellation's RMS, in percent.
     """
     if not plans:
         raise ValueError("no symbol plans to simulate")
-    reference = abs(array_factor(design_schedule(config, steer_angle, 1.0), 1, steer_angle))
-    magnitude_cache: dict[float, float] = {}
-    received = []
-    for plan in plans:
-        mag = magnitude_cache.get(plan.duty_ratio)
-        if mag is None:
-            schedule = design_schedule(config, steer_angle, plan.duty_ratio)
-            mag = abs(array_factor(schedule, 1, steer_angle)) / reference
-            magnitude_cache[plan.duty_ratio] = mag
-        received.append(mag * np.exp(1j * plan.carrier_phase))
-    received = np.array(received)
+    peak = design_schedule(config, steer_angle, 1.0)
+    reference = abs(array_factor(peak, 1, steer_angle))
+    phase = _steering(config, np.asarray(steer_angle, dtype=float))
+    duties = list(dict.fromkeys(plan.duty_ratio for plan in plans))
+    magnitude = {}
+    for duty, table in zip(duties, _designed_tables(peak, duties)):
+        field = phase @ (_coefficients(table, [1])[0] * config.excitations)
+        magnitude[duty] = abs(complex(field[0])) / reference
+    received = np.array([magnitude[p.duty_ratio] * np.exp(1j * p.carrier_phase) for p in plans])
     ideal = np.array([p.magnitude_target * np.exp(1j * p.carrier_phase) for p in plans])
     evm = 100.0 * np.sqrt(np.mean(np.abs(received - ideal) ** 2) / np.mean(np.abs(ideal) ** 2))
     return ConstellationResult(received, float(evm))

@@ -26,11 +26,14 @@ from __future__ import annotations
 
 from math import pi, sin
 
+import numpy as np
+
 from .array_model import (
     ArrayConfig,
     ArraySchedule,
     ElementSchedule,
     PulseTrain,
+    pulse_table,
     validate,
     wrap_unit,
 )
@@ -105,6 +108,16 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
     if problems:  # construction bug, not user error
         raise RuntimeError("designed schedule fails validation: " + "; ".join(problems))
     return schedule
+
+
+def _designed_tables(peak: ArraySchedule, duty_ratios):
+    """``pulse_table`` of ``design_schedule`` at every duty ratio, bit for bit:
+    the designed peak schedule's table with every width ``duty_ratio / 3``."""
+    onsets, widths, rotation = pulse_table(peak.elements)
+    for duty_ratio in duty_ratios:
+        if not 0 < duty_ratio <= 1:
+            raise ValueError("duty_ratio must lie in (0, 1]")
+        yield onsets, np.full_like(widths, duty_ratio / 3.0), rotation
 
 
 def suppressed_harmonics(path_count: int, m_max: int) -> list[int]:

@@ -1,6 +1,10 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from switchbeam import schedule_design
 from switchbeam.array_model import C_VACUUM, ArrayConfig
 from switchbeam.schedule_design import design_schedule
 
@@ -30,3 +34,22 @@ def peak_schedule():
 @pytest.fixture(scope="session")
 def peak_schedule_8path():
     return design_schedule(reference_config(path_count=8), THETA_20, 1.0)
+
+
+@pytest.fixture
+def design_calls(monkeypatch):
+    """Counts the calls of ``design_schedule`` and ``validate``, through every
+    switchbeam module that imported them."""
+    calls = Counter()
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "switchbeam"]
+    for name in ("design_schedule", "validate"):
+        original = getattr(schedule_design, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls

@@ -270,6 +270,11 @@ class TestPboSweepBatch:
         monkeypatch.setattr(harmonic_analysis, "GRAM_BLOCK", 1)
         assert pbo_sweep(cfg, None, THETA_20, alphas) == whole
 
+    def test_designs_one_schedule_for_the_whole_grid(self, design_calls):
+        alphas = [10 ** (k / 100) for k in range(-100, 1)]
+        pbo_sweep(reference_config(n_elements=16, path_count=8), None, THETA_20, alphas)
+        assert design_calls == {"design_schedule": 1, "validate": 1}
+
     def test_traced_memory_stays_bounded(self):
         cfg = reference_config(n_elements=16, path_count=8)
         alphas = [10 ** (k / 100) for k in range(-100, 1)]

@@ -7,8 +7,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from switchbeam import cli
-from switchbeam.array_model import MAX_ELEMENTS
+from switchbeam import array_model, cli, harmonic_analysis, schedule_design
+from switchbeam.array_model import MAX_ELEMENTS, pulse_table
 from switchbeam.cli import main
 
 DESIGN_20 = ["--elements", "5", "--spacing-wl", "0.5", "--f0", "77e9",
@@ -336,6 +336,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", *DESIGN_20, "--alpha-db", "-6")
         assert code == 0
         assert "all checks passed" in out
+
+    def test_oracle_does_not_read_the_pulse_table(self, capsys, monkeypatch):
+        # the analytic coefficients read the schedule through pulse_table and
+        # the DFT oracle reads the paths, so a flattening that widens every
+        # pulse by 0.1% must fail the oracle check
+        def widened(elements):
+            onsets, widths, rotation = pulse_table(elements)
+            return onsets, widths * 1.001, rotation
+
+        for module in (array_model, harmonic_analysis, schedule_design):
+            monkeypatch.setattr(module, "pulse_table", widened)
+        code, out, _ = run(capsys, "verify", "--elements", "8", "--paths", "8",
+                           "--alpha-db", "-6")
+        assert code == 1
+        assert "FAIL  analytic vs DFT oracle" in out
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--json")

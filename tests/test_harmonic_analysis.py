@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from conftest import ALPHA_GRID, THETA_20, reference_config
 from switchbeam.array_model import (
     ArraySchedule,
+    _pulses,
     _segments,
     ElementSchedule,
     PulseTrain,
     envelope_segments,
+    pulse_table,
     synthesize_envelope,
 )
 from switchbeam import harmonic_analysis
@@ -231,6 +233,11 @@ class TestSpectrum:
             spectrum.powers[1] / spectrum.total_power, rel=1e-12
         )
 
+    @pytest.mark.parametrize("m_max", [0, -1])
+    def test_rejects_m_max_below_one(self, peak_schedule, m_max):
+        with pytest.raises(ValueError, match="m_max must be at least 1"):
+            compute_spectrum(peak_schedule, m_max)
+
     def test_tabulated_sum_does_not_exceed_total(self, peak_schedule):
         spectrum = compute_spectrum(peak_schedule, m_max=51)
         assert sum(spectrum.powers.values()) <= spectrum.total_power * (1 + 1e-12)
@@ -291,6 +298,12 @@ class TestSidebandLevel:
         element = ElementSchedule(0, ((0.0, PulseTrain(1 / 3, 0.0, 0.5)),))
         schedule = ArraySchedule(cfg, 1.0, 0.0, (element,))
         assert sideband_level(schedule, 7) >= -10.0
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_theta_step_that_is_not_finite_and_positive(self, peak_schedule, step):
+        # -0.1 used to give an empty grid and a false -150 dB "no sidebands"
+        with pytest.raises(ValueError, match="theta_step_deg must be finite and positive"):
+            sideband_level(peak_schedule, 25, step)
 
     def test_rejects_tiny_m_max(self, peak_schedule):
         with pytest.raises(ValueError):
@@ -357,11 +370,12 @@ disjoint_timings = st.tuples(
 
 
 @st.composite
-def loaded_schedules(draw, timings=train_timings):
+def loaded_schedules(draw, timings=train_timings, n_elements=None):
     """Arbitrary schedules as a document can hold them: ragged path counts,
     elements without paths, unequal widths and, unless ``timings`` rules
-    them out, overlapping pulses."""
-    element_paths = draw(st.lists(st.lists(timings, max_size=9), min_size=1, max_size=6))
+    them out, overlapping pulses.  ``n_elements`` fixes the element count."""
+    element_paths = draw(st.lists(st.lists(timings, max_size=9),
+                                  min_size=n_elements or 1, max_size=n_elements or 6))
     cfg = reference_config(n_elements=len(element_paths))
     elements = tuple(
         ElementSchedule(i, tuple((ph, PulseTrain(w, on, off)) for ph, w, on, off in paths))
@@ -415,6 +429,18 @@ class TestLoadedSchedules:
         first = dump_json(schedule_to_doc(schedule))
         assert dump_json(schedule_to_doc(schedule_from_doc(json.loads(first)))) == first
 
+    @pytest.mark.parametrize("field, change", [
+        ("excitations", {"excitations": (0.5, 0.8, 1.0, 0.8, 0.5)}),
+        ("excitations", {"excitations": (2.0,) * 5}),
+        ("if_freq", {"if_freq": 1e8}),
+    ])
+    def test_document_rejects_what_it_cannot_hold(self, field, change):
+        # loaded back, a tapered 0.3-wavelength array would be uniform, and
+        # its total power and efficiency would move without an error
+        cfg = dataclasses.replace(reference_config(spacing_wl=0.3), **change)
+        with pytest.raises(ValueError, match=field):
+            schedule_to_doc(design_schedule(cfg, THETA_20, 1.0))
+
     @settings(max_examples=60, deadline=None)
     @given(loaded_schedules(disjoint_timings))
     def test_tabulated_powers_never_exceed_total(self, schedule):
@@ -438,7 +464,7 @@ class TestLoadedSchedules:
     @given(loaded_schedules(disjoint_timings))
     def test_segments_of_many_elements_equal_each_alone(self, schedule):
         # zero-width padding of ragged path counts must add no break
-        breaks, values, counts = _segments(schedule.elements)
+        breaks, values, counts = _segments(_pulses(pulse_table(schedule.elements)))
         ends = np.cumsum(counts)
         for element, start, end in zip(schedule.elements, ends - counts, ends):
             alone = envelope_segments(element)
@@ -492,8 +518,14 @@ def loop_gram(schedule) -> np.ndarray:
 
 
 def loop_total_power(schedule) -> float:
-    kernel = harmonic_analysis._coupling_kernel(schedule)
+    kernel = harmonic_analysis._coupling_kernel(schedule.config)
     return float(np.sum(kernel * loop_gram(schedule)).real)
+
+
+def batch_grams(schedules) -> np.ndarray:
+    """The batched pass over same-size schedules stacked in one pulse table."""
+    table = pulse_table([e for s in schedules for e in s.elements])
+    return harmonic_analysis._grams(_pulses(table), len(schedules))
 
 
 def same_bits(a, b) -> bool:
@@ -528,25 +560,29 @@ class TestTotalPowerBatch:
         # 256 KiB at which numpy reuses temporaries in place
         monkeypatch.setattr(harmonic_analysis, "GRAM_BLOCK", block)
         schedule = design_schedule(reference_config(64, path_count=8), np.deg2rad(23.0), 0.61)
-        assert same_bits(harmonic_analysis._grams([schedule])[0], loop_gram(schedule))
+        assert same_bits(batch_grams([schedule])[0], loop_gram(schedule))
         assert total_power(schedule).hex() == loop_total_power(schedule).hex()
 
     @settings(max_examples=80, deadline=None)
     @given(loaded_schedules(dyadic_timings()))
     def test_gram_equals_pair_loop_on_ragged_dyadic_schedules(self, schedule):
-        assert same_bits(harmonic_analysis._grams([schedule])[0], loop_gram(schedule))
+        assert same_bits(batch_grams([schedule])[0], loop_gram(schedule))
         assert total_power(schedule).hex() == loop_total_power(schedule).hex()
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(loaded_schedules(st.one_of(disjoint_timings, dyadic_timings())),
-                    min_size=1, max_size=5),
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+               loaded_schedules(st.one_of(disjoint_timings, dyadic_timings()), n_elements=n),
+               min_size=1, max_size=5)),
            st.sampled_from([1, 40, 1 << 13]))
     def test_one_pass_over_many_schedules_equals_each_alone(self, schedules, block):
+        # same-size schedules with ragged path counts: one table pads them all
         expected = [loop_gram(s) for s in schedules]
+        table = pulse_table([e for s in schedules for e in s.elements])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(harmonic_analysis, "GRAM_BLOCK", block)
-            grams = harmonic_analysis._grams(schedules)
-            totals = harmonic_analysis._total_powers(schedules)
+            grams = batch_grams(schedules)
+            totals = harmonic_analysis._total_powers(schedules[0].config, table)
+        assert len(grams) == len(totals) == len(schedules)
         assert all(same_bits(g, e) for g, e in zip(grams, expected))
         assert [p.hex() for p in totals] == [loop_total_power(s).hex() for s in schedules]
 

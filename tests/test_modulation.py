@@ -1,5 +1,6 @@
 """QAM planning, duty-cycle pre-distortion, and constellation simulation."""
 
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -10,16 +11,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import THETA_20, reference_config
+from switchbeam.array_model import C_VACUUM, ArrayConfig
 from switchbeam.circuit_model import CircuitParams
+from switchbeam.harmonic_analysis import array_factor
 from switchbeam.modulation import (
     amplitude_of_alpha,
     plan_constellation,
     predistort_alpha,
     simulate_constellation,
 )
+from switchbeam.schedule_design import design_schedule
 
 QAM16 = [complex(i, q) for i in (-3, -1, 1, 3) for q in (-3, -1, 1, 3)]
 QPSK = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]
+
+
+def qam_points(order: int) -> list[complex]:
+    levels = range(1 - math.isqrt(order), math.isqrt(order), 2)
+    return [complex(i, q) for i in levels for q in levels]
+
+
+def loop_constellation(plans, config, steer_angle):
+    """Reference: one designed schedule and one array_factor per distinct duty
+    ratio, the received points and their EVM."""
+    reference = abs(array_factor(design_schedule(config, steer_angle, 1.0), 1, steer_angle))
+    magnitudes = {}
+    for plan in plans:
+        if plan.duty_ratio not in magnitudes:
+            schedule = design_schedule(config, steer_angle, plan.duty_ratio)
+            magnitudes[plan.duty_ratio] = abs(array_factor(schedule, 1, steer_angle)) / reference
+    received = np.array([magnitudes[p.duty_ratio] * np.exp(1j * p.carrier_phase) for p in plans])
+    ideal = np.array([p.magnitude_target * np.exp(1j * p.carrier_phase) for p in plans])
+    evm = 100.0 * np.sqrt(np.mean(np.abs(received - ideal) ** 2) / np.mean(np.abs(ideal) ** 2))
+    return received, float(evm)
 
 
 def droopy_params() -> CircuitParams:
@@ -155,3 +179,38 @@ class TestSimulateConstellation:
         ideal = plan_constellation(QAM16, predistort=True)
         for lossy, clean in zip(plans, ideal):
             assert lossy.duty_ratio >= clean.duty_ratio
+
+
+class TestSimulateConstellationOnOneDesign:
+    """One designed table per duty gives the bits of one schedule per duty."""
+
+    @pytest.mark.parametrize("order", [16, 64, 256])
+    @pytest.mark.parametrize("n_elements, path_count, excitations", [
+        (5, 4, None),
+        (5, 8, (0.5, 0.8, 1.0, 0.8, 0.5)),
+        (16, 8, tuple(0.4 + 0.6 * math.sin(math.pi * (n + 0.5) / 16) for n in range(16))),
+    ])
+    @pytest.mark.parametrize("predistort", [True, False])
+    def test_equals_one_schedule_per_duty(
+        self, order, n_elements, path_count, excitations, predistort
+    ):
+        cfg = ArrayConfig(n_elements, 0.3 * C_VACUUM / 77e9, 77e9, 1e9,
+                          excitations=excitations, path_count=path_count)
+        plans = plan_constellation(qam_points(order), predistort, droopy_params())
+        # mirrored symbols share a duty ratio, so duties repeat
+        assert len({p.duty_ratio for p in plans}) < len(plans)
+        result = simulate_constellation(plans, cfg, np.deg2rad(-27.0))
+        received, evm = loop_constellation(plans, cfg, np.deg2rad(-27.0))
+        assert result.received.tobytes() == received.tobytes()
+        assert result.evm_rms_percent.hex() == evm.hex()
+
+    def test_designs_one_schedule(self, design_calls):
+        plans = plan_constellation(qam_points(256), predistort=True)
+        simulate_constellation(plans, reference_config(n_elements=16, path_count=8), THETA_20)
+        assert design_calls == {"design_schedule": 1, "validate": 1}
+
+    def test_rejects_a_duty_outside_unit_interval(self):
+        plans = plan_constellation(QAM16, predistort=True)
+        plans[3] = dataclasses.replace(plans[3], duty_ratio=1.5)
+        with pytest.raises(ValueError, match=r"duty_ratio must lie in \(0, 1\]"):
+            simulate_constellation(plans, reference_config(), THETA_20)

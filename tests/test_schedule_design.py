@@ -9,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALPHA_GRID, THETA_20, reference_config
+from switchbeam.array_model import pulse_table
 from switchbeam.harmonic_analysis import array_factor, coefficient_matrix, combined_coefficient
 from switchbeam.schedule_design import (
     EIGHT_PATH_SHIFT,
     PBO_SHIFT,
+    _designed_tables,
     design_schedule,
     steering_onset,
     suppressed_harmonics,
@@ -205,3 +207,34 @@ def test_pulse_frequency_scale_invariance():
             assert t1.width_norm == t2.width_norm
         for m in (-7, 1, 5, 13):
             assert combined_coefficient(e_fast, m) == combined_coefficient(e_slow, m)
+
+
+class TestDesignedTables:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_elements=st.integers(1, 24),
+        spacing_wl=st.floats(0.05, 2.0),
+        theta=st.floats(-1.5, 1.5),
+        alphas=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4),
+        path_count=st.sampled_from([4, 8]),
+    )
+    @example(n_elements=5, spacing_wl=0.5, theta=0.35, alphas=[1.0, 10 ** -0.6, 1.0],
+             path_count=8)
+    def test_each_table_is_the_designed_schedules_table(
+        self, n_elements, spacing_wl, theta, alphas, path_count
+    ):
+        cfg = reference_config(n_elements=n_elements, path_count=path_count,
+                               spacing_wl=spacing_wl)
+        tables = list(_designed_tables(design_schedule(cfg, theta, 1.0), alphas))
+        assert len(tables) == len(alphas)
+        for alpha, table in zip(alphas, tables):
+            expected = pulse_table(design_schedule(cfg, theta, alpha).elements)
+            for got, want in zip(table, expected, strict=True):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("duty", [0.0, -0.5, 1.5, float("nan")])
+    def test_rejects_duty_outside_unit_interval(self, duty):
+        with pytest.raises(ValueError, match=r"duty_ratio must lie in \(0, 1\]"):
+            list(_designed_tables(design_schedule(reference_config(), THETA_20, 1.0),
+                                  [0.5, duty]))
