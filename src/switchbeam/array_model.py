@@ -254,15 +254,6 @@ def _check_disjoint(elements) -> None:
             raise ValueError(f"element {element.element_index}: pulses within one train overlap")
 
 
-def _pulses(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pulse form of a pulse table: onsets, widths and weights of every
-    element (elements x 2K), path by path with the positive pulse first."""
-    onsets, widths, rotation = table
-    n, k = widths.shape
-    return (onsets.reshape(n, 2 * k), np.repeat(widths, 2, axis=1),
-            np.stack((rotation, -rotation), axis=2).reshape(n, 2 * k))
-
-
 def _train_pulses(element: ElementSchedule):
     """Onset, width and weight of every pulse, read from the paths, not from
     ``pulse_table``: the sampled envelopes are the table's independent check."""
@@ -340,36 +331,37 @@ def envelope_segments(element: ElementSchedule) -> tuple[np.ndarray, np.ndarray]
         (wrapping at 1) and the envelope equals ``values[i]`` throughout.
     """
     _check_disjoint((element,))
-    breaks, values, _ = _segments(_pulses(pulse_table((element,))))
-    return breaks, values
+    edges, values = (row[0] for row in _segments(pulse_table((element,))))
+    last = edges < np.append(edges[1:], np.inf)
+    return edges[last], values[last]
 
 
-def _segments(pulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``envelope_segments`` of many elements' per-pulse form (``_pulses``) in
-    one broadcast: the breaks and values of each element in turn, and their counts.
+def _segments(table) -> tuple[np.ndarray, np.ndarray]:
+    """``envelope_segments`` of every element of a pulse table, as padded
+    rows: the element's wrapped pulse edges, sorted, equal edges left in
+    place and +inf after the last, and at the last edge of each run of equal
+    edges the envelope's value up to the next edge (0 at other entries).
 
-    Each element's breaks are the distinct wrapped edges of its own pulses;
-    the zero-width paths that pad ragged path counts add none, except that
-    an element without paths keeps its lone padding break at 0 (one segment
-    of value 0).  Values add the pulse terms onto zero in pulse order, as a
-    loop of ``+=`` would; the padding terms, added last, are zeros and leave
-    every value unchanged.
+    The zero-width paths that pad ragged path counts add no edge, but an
+    element without paths keeps its padding path's edges at 0 (one segment
+    of value 0).  Values add the pulse terms onto zero path by path, the
+    positive pulse first, as a loop of ``+=`` would.
     """
-    onsets, widths, weights = pulses
-    edges = np.concatenate([onsets, onsets + widths], axis=1) % 1.0
+    onsets, widths, rotation = table
+    n, k = widths.shape
+    edges = np.concatenate([onsets, onsets + widths[..., None]], axis=2) % 1.0
     # padding paths come last, so path 0 is real unless the element has none
     real = widths > 0
-    real[:, :2] = True
-    edges[~np.concatenate([real, real], axis=1)] = np.inf
-    edges.sort(axis=1)
-    # each row keeps the last of every run of equal edges; the next edge is
-    # then the segment's upper end, and the row's last wraps to its first + 1
-    upper = np.append(edges[:, 1:], np.full((len(edges), 1), np.inf), axis=1)
-    keep = np.isfinite(edges) & (edges != upper)
-    upper = np.where(np.isfinite(upper), upper, edges[:, :1] + 1.0)
-    mids = np.where(keep, 0.5 * (edges + upper), 0.0)
+    real[:, 0] = True
+    edges[~real] = np.inf
+    edges = np.sort(edges.reshape(n, 4 * k), axis=1)
+    # a run's last edge starts a segment that ends at the next edge; the
+    # row's last wraps to its first + 1
+    upper = np.append(edges[:, 1:], np.full((n, 1), np.inf), axis=1)
+    mids = np.where(edges < upper, 0.5 * (edges + np.minimum(upper, edges[:, :1] + 1.0)), np.nan)
+    weights = np.stack((rotation, -rotation), axis=2)
     values = np.zeros(edges.shape, dtype=complex)
-    for p in range(onsets.shape[1]):
-        inside = ((mids - onsets[:, p:p + 1]) % 1.0) < widths[:, p:p + 1]
-        values = values + weights[:, p:p + 1] * inside
-    return edges[keep], values[keep], keep.sum(axis=1)
+    for p, side in np.ndindex(k, 2):
+        inside = ((mids - onsets[:, p, side, None]) % 1.0) < widths[:, p, None]
+        values = values + weights[:, p, side, None] * inside
+    return edges, values

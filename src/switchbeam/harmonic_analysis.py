@@ -16,10 +16,10 @@ Radiated harmonic powers follow from the spatial power integral with an
 unnormalized sinc kernel.  The total radiated power is computed in the time
 domain by exact piecewise-constant integration, so Parseval holds without
 sampling error: each element pair's envelope product is integrated over the
-merged segments of both envelopes.  ``_total_powers`` does this for every
-pair of many same-size schedules stacked in one table (a back-off sweep, the
-tables ``schedule_design._designed_tables`` gives, is one pass) with the bits
-of a loop over pairs; ``_grams`` lists the traps that would lose them.
+union of both envelopes' segments, found by sorting each pair's edge rows
+(``array_model._segments``).  ``_total_powers`` does this for every pair of
+many same-size schedules stacked in one table (a back-off sweep is one pass)
+with the bits of a loop over pairs; ``_grams`` lists the traps that would lose them.
 Patterns and the sideband level share one steering matrix (theta points x
 elements) across all harmonics; its size is capped by ``MAX_STEERING_ENTRIES``.
 
@@ -42,7 +42,6 @@ from .array_model import (
     ElementSchedule,
     PulseTrain,
     _check_disjoint,
-    _pulses,
     _segments,
     envelope_filtered_samples,
     pulse_table,
@@ -236,26 +235,26 @@ def _total_powers(config: ArrayConfig, table) -> list[float]:
     """``total_power`` of each schedule of ``config`` stacked in a pulse table:
     one ``_grams`` pass, each Gram matrix contracted with the coupling kernel."""
     kernel = _coupling_kernel(config)
-    grams = _grams(_pulses(table), len(table[1]) // config.n_elements)
+    grams = _grams(table, len(table[1]) // config.n_elements)
     return [float(np.sum(kernel * gram).real) for gram in grams]
 
 
-def _grams(pulses, count: int) -> np.ndarray:
-    """Power Gram matrices of ``count`` schedules of one size, stacked in
-    per-pulse form (``_pulses``): G[s, a, b] is the integral over one period
-    of E_a(t) * conj(E_b(t)) for elements a and b of schedule s.
+def _grams(table, count: int) -> np.ndarray:
+    """Power Gram matrices of ``count`` schedules of one size, stacked in a
+    pulse table: G[s, a, b] is the integral over one period of
+    E_a(t) * conj(E_b(t)) for elements a and b of schedule s.
 
     Every element pair (a, b), a <= b, of each schedule is a row, and a block
-    of at most ``GRAM_BLOCK`` union entries is integrated at once.  The
+    of at most ``GRAM_BLOCK`` merged edges is integrated at once.  The
     result equals, bit for bit, a loop that merges the two elements' breaks
     with 0 and 1 (``np.unique``), looks both values up at each segment's
     midpoint (``searchsorted(breaks, mid, side="right") - 1``, -1 wrapping to
     the last segment) and takes ``np.sum`` of ``va * conj(vb) * lengths``:
 
-    * merge: every break value gets its rank in one sorted table, and one
-      sort of integer (row, rank, source) keys gives every row's union with
-      running counts of each element's breaks, with no loop and no per-row
-      sort.
+    * merge: each row joins both elements' padded edge rows (``_segments``)
+      with 0 and 1 and sorts them.  The last entry of each run of equal
+      edges is a break of the union; an element's value on the segment from
+      it sits at (its edges counted up to there - 1) mod its finite edges.
     * edges one ulp apart: the midpoint can round onto the upper edge, and
       ``searchsorted`` on it then counts that edge too, so the count is taken
       at ``hi`` whenever ``0.5 * (lo + hi) == hi``.
@@ -269,34 +268,52 @@ def _grams(pulses, count: int) -> np.ndarray:
     * diagonal: the loop stored each integral above the diagonal and its
       conjugate below and on it, and so does the Gram matrix here.  With
       FMA the diagonal's imaginary parts are rounding residues, not zeros.
-    * ragged path counts: ``_segments`` gives the padding paths no break.
+    * ragged path counts: ``_segments`` gives the padding paths no edge.
 
     ``total_power`` reads only real parts, which neither the elision nor the
     diagonal can change; the Gram matrix keeps the loop's bits all the same.
     """
-    breaks, values, counts = _segments(pulses)
-    n = len(counts) // count
-    first = np.cumsum(counts) - counts
-    table, rank = np.unique(np.concatenate([breaks, [0.0, 1.0]]), return_inverse=True)
+    edges, values = _segments(table)
+    finite = np.sum(np.isfinite(edges), axis=1)
+    n = len(edges) // count
     upper_i, upper_j = np.triu_indices(n)
     n_rows = count * len(upper_i)
     grams = np.zeros(count * n * n, dtype=complex)
-    # a row merges at most 2 * max(counts) + 2 breaks
-    step = max(1, GRAM_BLOCK // (2 * int(np.max(counts, initial=0)) + 2))
+    # a row merges two padded edge rows with 0 and 1
+    step = max(1, GRAM_BLOCK // (2 * edges.shape[1] + 2))
     for start in range(0, n_rows, step):
         schedule, pair = np.divmod(np.arange(start, min(start + step, n_rows)), len(upper_i))
         i, j = upper_i[pair], upper_j[pair]
         a, b = schedule * n + i, schedule * n + j
-        integrals = _pair_integrals(a, b, table, rank, first, counts, values)
+        integrals = _pair_integrals(a, b, edges, values, finite)
         grams[a * n + j] = integrals
         grams[b * n + i] = np.conj(integrals)
     return grams.reshape(count, n, n)
 
 
-def _pair_integrals(a, b, table, rank, first, counts, values) -> np.ndarray:
-    """Integral over one period of E_a(t) * conj(E_b(t)) for every row (a, b)."""
-    row, lo, hi, at_a, at_b = _merged_segments(a, b, table, rank, first, counts)
-    products = np.multiply(np.multiply(values[at_a], np.conj(values[at_b])), hi - lo)
+def _pair_integrals(a, b, edges, values, finite) -> np.ndarray:
+    """Integral over one period of E_a(t) * conj(E_b(t)) for every row (a, b),
+    ``finite`` being each element's number of finite edges."""
+    width = edges.shape[1]
+    merged = np.concatenate([edges[a], edges[b], np.tile([0.0, 1.0, np.inf], (len(a), 1))], 1)
+    order = np.argsort(merged, axis=1)
+    merged = np.take_along_axis(merged, order, axis=1)
+    # the union: the last entry of each run (the inf end sorts last and
+    # closes every run), with the running counts of a's and b's edges up to
+    # it; these need no stable sort, as ties within a run are all counted
+    row, at = np.nonzero(merged[:, :-1] < merged[:, 1:])
+    seen_a = np.cumsum(order < width, axis=1)[row, at]
+    seen_b = np.cumsum(order < 2 * width, axis=1)[row, at] - seen_a
+    union = merged[row, at]
+    # every break but a row's last (1.0) starts a segment
+    starts = np.flatnonzero(union < 1.0)
+    row, lo, hi = row[starts], union[starts], union[starts + 1]
+    # edges <= mid: those up to lo, or up to hi when mid rounds onto it
+    at = starts + (0.5 * (lo + hi) == hi)
+    ea, eb = a[row], b[row]
+    va = values[ea, (seen_a[at] - 1) % finite[ea]]
+    vb = values[eb, (seen_b[at] - 1) % finite[eb]]
+    products = np.multiply(np.multiply(va, np.conj(vb)), hi - lo)
     segments = np.bincount(row, minlength=len(a))
     offsets = np.cumsum(segments) - segments
     out = np.empty(len(a), dtype=complex)
@@ -304,38 +321,6 @@ def _pair_integrals(a, b, table, rank, first, counts, values) -> np.ndarray:
         same = np.flatnonzero(segments == n)
         out[same] = np.sum(products[offsets[same, None] + np.arange(n)], axis=1)
     return out
-
-
-def _merged_segments(a, b, table, rank, first, counts):
-    """Segments of every row's merged breaks, row by row: the row, both ends,
-    and where ``values`` holds each element's value on the segment."""
-    n_ranks = len(table)
-    rows = np.arange(len(a))
-
-    def row_keys(e, tag):
-        """Sort keys of element e's breaks, row by row: (row, rank, tag)."""
-        n = counts[e]
-        pos = np.repeat(first[e] - (np.cumsum(n) - n), n) + np.arange(np.sum(n))
-        return (np.repeat(rows * n_ranks, n) + rank[pos]) * 4 + tag
-
-    ends = np.stack((rows * n_ranks, rows * n_ranks + n_ranks - 1), axis=1).ravel() * 4 + 2
-    entries = np.sort(np.concatenate([row_keys(a, 0), row_keys(b, 1), ends]))
-    # the union: the last entry of each (row, rank) group, with the running
-    # counts of a's and b's breaks up to it
-    last = np.append(entries[1:] >> 2 != entries[:-1] >> 2, True)
-    union = entries[last] >> 2
-    row = union // n_ranks
-    seen_a = np.cumsum(entries & 3 == 0)[last] - (np.cumsum(counts[a]) - counts[a])[row]
-    seen_b = np.cumsum(entries & 3 == 1)[last] - (np.cumsum(counts[b]) - counts[b])[row]
-    # every edge but a row's last (the rank of 1.0) starts a segment
-    starts = np.flatnonzero(union % n_ranks != n_ranks - 1)
-    row = row[starts]
-    lo, hi = table[union[starts] % n_ranks], table[union[starts + 1] % n_ranks]
-    # breaks <= mid: those up to lo, or up to hi when mid rounds onto it
-    at = starts + (0.5 * (lo + hi) == hi)
-    ea, eb = a[row], b[row]
-    return (row, lo, hi, first[ea] + (seen_a[at] - 1) % counts[ea],
-            first[eb] + (seen_b[at] - 1) % counts[eb])
 
 
 def harmonic_efficiency(schedule: ArraySchedule) -> float:

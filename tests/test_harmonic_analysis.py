@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import ALPHA_GRID, THETA_20, reference_config
 from switchbeam.array_model import (
     ArraySchedule,
-    _pulses,
     _segments,
     ElementSchedule,
     PulseTrain,
@@ -464,12 +463,14 @@ class TestLoadedSchedules:
     @given(loaded_schedules(disjoint_timings))
     def test_segments_of_many_elements_equal_each_alone(self, schedule):
         # zero-width padding of ragged path counts must add no break
-        breaks, values, counts = _segments(_pulses(pulse_table(schedule.elements)))
-        ends = np.cumsum(counts)
-        for element, start, end in zip(schedule.elements, ends - counts, ends):
+        edges, values = _segments(pulse_table(schedule.elements))
+        assert edges.shape == values.shape == (len(schedule.elements), 4 * max(
+            [1] + [len(e.paths) for e in schedule.elements]))
+        for element, row, row_values in zip(schedule.elements, edges, values):
+            last = np.isfinite(row) & (row != np.append(row[1:], np.inf))
             alone = envelope_segments(element)
-            assert same_bits(breaks[start:end], alone[0])
-            assert same_bits(values[start:end], alone[1])
+            assert same_bits(row[last], alone[0])
+            assert same_bits(row_values[last], alone[1])
 
     @settings(max_examples=60, deadline=None)
     @given(loaded_schedules(disjoint_timings))
@@ -525,7 +526,7 @@ def loop_total_power(schedule) -> float:
 def batch_grams(schedules) -> np.ndarray:
     """The batched pass over same-size schedules stacked in one pulse table."""
     table = pulse_table([e for s in schedules for e in s.elements])
-    return harmonic_analysis._grams(_pulses(table), len(schedules))
+    return harmonic_analysis._grams(table, len(schedules))
 
 
 def same_bits(a, b) -> bool:
