@@ -54,9 +54,6 @@ class ArrayConfig:
         Carrier frequency in Hz.
     pulse_freq : float
         Switching-pulse repetition frequency in Hz.
-    if_freq : float, optional
-        Intermediate frequency in Hz; when present the pulse rate must exceed
-        twice this value to avoid aliasing.
     excitations : tuple of float, optional
         Per-element amplitude weights; defaults to uniform unit excitation.
     path_count : int
@@ -67,13 +64,11 @@ class ArrayConfig:
     element_spacing: float
     carrier_freq: float
     pulse_freq: float
-    if_freq: float | None = None
     excitations: tuple[float, ...] | None = None
     path_count: int = 4
 
     def __post_init__(self):
-        if not all(isfinite(x) for x in (self.element_spacing, self.carrier_freq,
-                                         self.pulse_freq, self.if_freq or 0.0)):
+        if not all(isfinite(x) for x in (self.element_spacing, self.carrier_freq, self.pulse_freq)):
             raise ValueError("spacing and frequencies must be finite")
         if not 1 <= self.n_elements <= MAX_ELEMENTS:
             raise ValueError(f"n_elements must lie in [1, {MAX_ELEMENTS}]")
@@ -108,8 +103,6 @@ class ArrayConfig:
                 f"config: carrier/pulse frequency ratio "
                 f"{self.carrier_freq / self.pulse_freq:.3g} below {MIN_FREQ_RATIO:g}"
             )
-        if self.if_freq is not None and not self.pulse_freq > 2 * self.if_freq:
-            out.append("config: pulse_freq must exceed twice if_freq to avoid aliasing")
         return out
 
 

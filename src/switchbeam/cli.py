@@ -48,7 +48,7 @@ MAX_SAMPLES = 1 << 20
 MAX_ALPHA_POINTS = 100_000
 
 
-def _add_design_flags(p: argparse.ArgumentParser) -> None:
+def _add_design_flags(p: argparse.ArgumentParser, alpha_db: bool = True) -> None:
     p.add_argument("--elements", type=int, default=5, help="number of array elements")
     p.add_argument("--spacing-wl", type=float, default=0.5,
                    help="element spacing in wavelengths")
@@ -58,8 +58,9 @@ def _add_design_flags(p: argparse.ArgumentParser) -> None:
                    help="signal paths per element")
     p.add_argument("--theta-deg", type=float, default=20.0,
                    help="steering angle in degrees")
-    p.add_argument("--alpha-db", type=float, default=0.0,
-                   help="duty-cycle ratio as 10*log10(alpha), at most 0")
+    if alpha_db:
+        p.add_argument("--alpha-db", type=float, default=0.0,
+                       help="duty-cycle ratio as 10*log10(alpha), at most 0")
 
 
 def _config_from_args(args) -> ArrayConfig:
@@ -382,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pattern)
 
     p = sub.add_parser("efficiency", help="efficiency and back-off sweep as CSV")
-    _add_design_flags(p)
+    _add_design_flags(p, alpha_db=False)
     p.add_argument("--alpha-db-min", type=float, default=-10.0)
     p.add_argument("--alpha-db-max", type=float, default=0.0)
     p.add_argument("--alpha-db-step", type=float, default=1.0)
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_efficiency)
 
     p = sub.add_parser("qam", help="plan and simulate a QAM constellation")
-    _add_design_flags(p)
+    _add_design_flags(p, alpha_db=False)
     p.add_argument("--constellation", required=True, help="CSV of i,q rows")
     p.add_argument("--predistort", choices=("on", "off", "circuit"), default="on")
     p.add_argument("--circuit", help="circuit params JSON (for --predistort circuit)")

@@ -68,12 +68,10 @@ def write_csv(header: list[str], rows: list[list]) -> str:
 
 def schedule_to_doc(schedule: ArraySchedule, theta_deg: float | None = None) -> dict:
     """Schedule document: config, duty ratio, and normalized train timings.
-    It holds no excitations or IF, so a config with either is rejected."""
+    It holds no excitations, so a config with non-uniform ones is rejected."""
     cfg = schedule.config
     if cfg.excitations != (1.0,) * cfg.n_elements:
         raise ValueError("a schedule document cannot hold excitations other than all 1")
-    if cfg.if_freq is not None:
-        raise ValueError("a schedule document cannot hold if_freq")
     if theta_deg is None:
         theta_deg = math.degrees(schedule.steer_angle)
     return {
@@ -188,7 +186,7 @@ def read_constellation_csv(text: str) -> list[complex]:
             raise ValueError(f"constellation line {lineno}: expected two columns, got {len(parts)}")
         if not all(_is_number(p) for p in parts):
             raise ValueError(f"constellation line {lineno}: non-numeric value")
-        points.append(complex(float(parts[0]), float(parts[1])))
+        points.append(complex(*_finite_floats(parts, f"constellation line {lineno}")))
     if not points:
         raise ValueError("constellation file holds no points")
     return points
@@ -211,8 +209,18 @@ def read_fixture_csv(text: str) -> dict[str, list[tuple[float, float]]]:
         parts = [p.strip() for p in raw.split(",")]
         if len(parts) != 3 or not _is_number(parts[0]) or not _is_number(parts[1]):
             raise ValueError(f"fixture line {lineno}: malformed row")
-        series.setdefault(parts[2], []).append((float(parts[0]), float(parts[1])))
+        x, y = _finite_floats(parts[:2], f"fixture line {lineno}")
+        series.setdefault(parts[2], []).append((x, y))
     return series
+
+
+def _finite_floats(cells, where: str) -> list[float]:
+    """Cells that parse as numbers, as floats; ``where`` names the line if
+    one is NaN or infinite."""
+    values = [float(c) for c in cells]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{where}: non-finite value")
+    return values
 
 
 def _is_number(s: str) -> bool:

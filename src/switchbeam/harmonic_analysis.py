@@ -358,6 +358,7 @@ def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> Har
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    _check_harmonic_count(schedule.config, m_max)
     total = total_power(schedule)
     ms = range(-m_max, m_max + 1)
     matrix = coefficient_matrix(schedule, ms)
@@ -368,6 +369,14 @@ def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> Har
     }
     efficiency = powers[1] / total if total > 0 else 0.0
     return HarmonicSpectrum(coefficients, powers, total, efficiency)
+
+
+def _check_harmonic_count(config: ArrayConfig, m_max: int) -> None:
+    """Reject |m| <= m_max before any harmonic is listed if its coefficient
+    matrix (harmonics x elements) would exceed ``MAX_STEERING_ENTRIES``."""
+    if (2 * m_max + 1) * config.n_elements > MAX_STEERING_ENTRIES:
+        raise ValueError(f"{2 * m_max + 1} harmonics x {config.n_elements} elements exceed "
+                         f"the coefficient cap of {MAX_STEERING_ENTRIES} entries; lower m_max")
 
 
 def _steering(config: ArrayConfig, theta: np.ndarray) -> np.ndarray:
@@ -447,16 +456,18 @@ def sideband_level(schedule: ArraySchedule, m_max: int, theta_step_deg: float = 
 
     Scans all harmonics m != 1 with |m| <= m_max over a dense theta grid and
     compares each one's peak against the m = 1 peak.  The grid is processed
-    in blocks, so no steering matrix exceeds ``MAX_STEERING_ENTRIES``.
+    in blocks, so neither a steering matrix (theta x elements) nor a field
+    matrix (theta x harmonics) exceeds ``MAX_STEERING_ENTRIES``.
     """
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
+    _check_harmonic_count(schedule.config, m_max)
     if not (isfinite(theta_step_deg) and theta_step_deg > 0):
         raise ValueError("theta_step_deg must be finite and positive")
     theta = np.deg2rad(np.arange(-90.0, 90.0 + theta_step_deg / 2, theta_step_deg))
     ms = [1] + [m for m in range(-m_max, m_max + 1) if m not in (0, 1)]
     excited_t = _excited(schedule, ms).T
-    block = max(1, MAX_STEERING_ENTRIES // schedule.config.n_elements)
+    block = max(1, MAX_STEERING_ENTRIES // max(schedule.config.n_elements, len(ms)))
     peaks = np.zeros(len(ms))
     for start in range(0, theta.size, block):
         fields = np.abs(_steering(schedule.config, theta[start:start + block]) @ excited_t)

@@ -74,7 +74,6 @@ class TestArrayConfig:
         dict(element_spacing=math.nan),
         dict(carrier_freq=math.inf),
         dict(pulse_freq=math.nan),
-        dict(if_freq=math.inf),
         dict(excitations=(1.0, math.inf, 1.0, 1.0, 1.0)),
     ])
     def test_rejects_nonsense(self, kwargs):
@@ -86,12 +85,6 @@ class TestArrayConfig:
     def test_frequency_ratio_violation_is_reported_not_raised(self):
         cfg = ArrayConfig(2, 2e-3, carrier_freq=5e9, pulse_freq=1e9)
         assert any("ratio" in v for v in cfg.violations())
-
-    def test_if_aliasing_violation(self):
-        cfg = ArrayConfig(2, 2e-3, 77e9, 1e9, if_freq=0.6e9)
-        assert any("if_freq" in v for v in cfg.violations())
-        ok = ArrayConfig(2, 2e-3, 77e9, 1e9, if_freq=0.4e9)
-        assert ok.violations() == []
 
 
 class TestValidate:

@@ -73,6 +73,16 @@ class TestDesign:
         assert code == 2
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("argv", [
+        ["efficiency", "--alpha-db", "5"],
+        ["qam", "--constellation", reference_path("qam16.csv"), "--alpha-db", "-3"],
+    ])
+    def test_alpha_db_only_where_it_is_read(self, capsys, argv):
+        # efficiency sweeps its own grid and qam sets alpha per symbol
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
     def test_writes_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "schedule.json"
         code, out, _ = run(capsys, "design", "--out", str(out_path))
@@ -233,6 +243,22 @@ class TestNonFiniteInput:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "finite" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("command, text, line", [
+        (["qam"], "nan,1\n", 1),
+        (["qam", "--predistort", "off"], "i,q\n0.5,0.5\nnan,1\n", 3),
+        (["qam"], "0.5,1e400\n", 1),
+        (["efficiency"], "ten_log_alpha,efficiency_percent,series_label\n0,nan,a\n", 2),
+        (["efficiency"], "ten_log_alpha,efficiency_percent,series_label\n0,1,a\n-1,-inf,a\n", 3),
+        (["efficiency"], "ten_log_alpha,efficiency_percent,series_label\nnan,50,a\n", 2),
+    ])
+    def test_csv_numbers_must_be_finite(self, capsys, tmp_path, command, text, line):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        flag = "--constellation" if command[0] == "qam" else "--compare"
+        code, out, err = run(capsys, *command, flag, str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"].endswith(f"line {line}: non-finite value")
 
 
 class TestEfficiency:

@@ -431,7 +431,6 @@ class TestLoadedSchedules:
     @pytest.mark.parametrize("field, change", [
         ("excitations", {"excitations": (0.5, 0.8, 1.0, 0.8, 0.5)}),
         ("excitations", {"excitations": (2.0,) * 5}),
-        ("if_freq", {"if_freq": 1e8}),
     ])
     def test_document_rejects_what_it_cannot_hold(self, field, change):
         # loaded back, a tapered 0.3-wavelength array would be uniform, and
@@ -641,6 +640,26 @@ class TestSharedSteering:
         whole = sideband_level(peak_schedule, 25)
         monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", 997)
         assert sideband_level(peak_schedule, 25) == pytest.approx(whole, rel=1e-12)
+
+    @pytest.mark.parametrize("analysis", [compute_spectrum, sideband_level])
+    def test_harmonics_above_the_cap_are_rejected(self, peak_schedule, monkeypatch, analysis):
+        # 51 harmonics x 5 elements is one above the lowered cap
+        monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", 51 * 5 - 1)
+        analysis(peak_schedule, 24)
+        with pytest.raises(ValueError, match="51 harmonics x 5 elements exceed"):
+            analysis(peak_schedule, 25)
+
+    def test_sideband_fields_stay_under_the_cap(self, peak_schedule, monkeypatch):
+        # 200 harmonics: blocks of 2**14 // 5 angles would hold 10 MiB of fields
+        monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", 1 << 14)
+        sideband_level(peak_schedule, 100)
+        tracemalloc.start()
+        try:
+            sideband_level(peak_schedule, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     def test_pattern_above_the_cap_is_rejected(self, peak_schedule, monkeypatch):
         monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", 5 * 100)
