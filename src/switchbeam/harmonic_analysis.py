@@ -62,8 +62,8 @@ DEFAULT_M_MAX = 101
 COEFFICIENT_BLOCK = 1 << 15
 
 #: Largest block of the power Gram pass: schedules are taken with at most
-#: this many envelope breaks at a time, and their element pairs with at most
-#: this many merged breaks, so each working array holds about this many
+#: this many pulse edges at a time, and their element pairs with at most
+#: this many merged edges, so each working array holds about this many
 #: numbers (64 KiB of complex ones; larger blocks raised the peak resident
 #: memory of a back-off sweep by up to 10% and ran little faster).
 GRAM_BLOCK = 1 << 12
@@ -332,8 +332,8 @@ def _harmonic_efficiencies(config: ArrayConfig, tables) -> list[float]:
     """``harmonic_efficiency`` of every pulse table of an iterable, each one
     schedule of ``config``, with the bits of one call per schedule.
 
-    The tables are stacked in blocks of at most ``GRAM_BLOCK`` envelope
-    breaks (two per pulse; a larger schedule alone), and each block gets one
+    The tables are stacked in blocks of at most ``GRAM_BLOCK`` pulse
+    edges (two per pulse; a larger schedule alone), and each block gets one
     ``_total_powers`` pass, one m = 1 ``_coefficients`` and one
     ``_harmonic_powers`` call.
     """
