@@ -171,12 +171,20 @@ class ElementSchedule:
 
 @dataclass(frozen=True)
 class ArraySchedule:
-    """A complete switching plan: geometry plus one schedule per element."""
+    """A complete switching plan: geometry plus one schedule per element.
+
+    ``onset_step`` is set only by ``design_schedule``: the period fraction
+    delta by which each element's envelope trails the previous one's, so
+    that element n is element 0 shifted by n * delta.  The constructor does
+    not take it, and ``dataclasses.replace``, documents and every other
+    schedule carry ``None``; it takes no part in equality or ``repr``.
+    """
 
     config: ArrayConfig
     duty_ratio: float
     steer_angle: float
     elements: tuple[ElementSchedule, ...] = field(default_factory=tuple)
+    onset_step: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))

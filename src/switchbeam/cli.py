@@ -357,13 +357,25 @@ def cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------------- main
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that takes flags only by their full names and reports
+    a usage error as the JSON error object on stderr, with exit code 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        sys.stderr.write(dump_json({"error": message}) + "\n")
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="switchbeam",
         description="Design and analyze harmonic-beamforming switching schedules.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("design", help="emit a switching-schedule JSON document")
     _add_design_flags(p)

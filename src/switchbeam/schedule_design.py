@@ -80,6 +80,9 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
     Returns
     -------
     ArraySchedule
+        Its ``onset_step`` is the per-element steering step
+        ``beta_d * sin(steer_angle) / (2 pi)`` in periods: every element's
+        envelope is element 0's shifted by its index times this step.
     """
     if not 0 < duty_ratio <= 1:
         raise ValueError("duty_ratio must lie in (0, 1]")
@@ -107,6 +110,8 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
     problems = validate(schedule)
     if problems:  # construction bug, not user error
         raise RuntimeError("designed schedule fails validation: " + "; ".join(problems))
+    beta_d = config.wavenumber * config.element_spacing
+    object.__setattr__(schedule, "onset_step", beta_d * sin(steer_angle) / (2 * pi))
     return schedule
 
 

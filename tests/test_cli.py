@@ -90,6 +90,28 @@ class TestDesign:
         json.loads(out_path.read_text())
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["design", "--paths", "3"],
+        ["efficiency", "--alpha-db", "5"],
+        ["qam", "--constellation", reference_path("qam16.csv"), "--alpha-db", "-3"],
+        [],
+        ["design", "--elem", "2"],
+    ], ids=["bad-choice", "efficiency-alpha-db", "qam-alpha-db", "no-command", "abbreviated"])
+    def test_exit_two_with_json_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "error" in json.loads(out.err)
+
+    def test_version_and_help_still_exit_zero(self, capsys):
+        for argv in (["--version"], ["design", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0 and capsys.readouterr().out
+
+
 class TestPattern:
     def test_main_lobe_at_steering_angle(self, capsys):
         code, out, _ = run(capsys, "pattern", *DESIGN_20, "--alpha-db", "0",

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
+from fractions import Fraction
 from math import pi
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import ALPHA_GRID, THETA_20, reference_config
 from switchbeam.array_model import (
+    MAX_ELEMENTS,
     ArraySchedule,
     _segments,
     ElementSchedule,
@@ -38,7 +40,12 @@ from switchbeam.harmonic_analysis import (
     sideband_level,
     total_power,
 )
-from switchbeam.formats import dump_json, schedule_from_doc, schedule_to_doc
+from switchbeam.formats import (
+    canonical_schedule,
+    dump_json,
+    schedule_from_doc,
+    schedule_to_doc,
+)
 from switchbeam.schedule_design import design_schedule, steering_onset
 
 ZETA_PEAK_4PATH = 9.0 / pi**2
@@ -667,3 +674,147 @@ class TestSharedSteering:
         radiation_pattern(peak_schedule, [1], theta)
         with pytest.raises(ValueError, match="cap"):
             radiation_pattern(peak_schedule, [1], np.linspace(-1.0, 1.0, 101))
+
+
+# ------------------------------------------- designed schedules: the lag sum
+
+def relative_gap(a: float, b: float) -> float:
+    return abs(a - b) / abs(b)
+
+
+def gram_tolerance(alpha: float) -> float:
+    """Relative agreement with ``total_power`` expected of the lag sum: the
+    Gram pass integrates segment lengths hi - lo of edges in [0, 1), each
+    off by ~1e-16, so on pulses of width alpha / 3 its own relative error
+    grows as ~1e-16 / alpha (``test_lag_sum_is_exact_where_gram_pass_rounds``)."""
+    return max(1e-14, 1e-15 / alpha)
+
+
+def rational_total_power(schedule) -> Fraction:
+    """Exact total power of the schedule's stored floats: every pulse pair's
+    circular overlap in rational arithmetic, weighted by the rounded
+    rotation products and coupling kernel."""
+    onsets, widths, rotation = pulse_table(schedule.elements)
+    weights = np.stack((rotation, -rotation), axis=-1).reshape(len(widths), -1)
+    onsets = onsets.reshape(len(widths), -1)
+    widths = np.repeat(widths, 2, axis=1)
+    kernel = harmonic_analysis._coupling_kernel(schedule.config)
+    total = Fraction(0)
+    for a, b in np.ndindex(kernel.shape):
+        pair = Fraction(0)
+        for p, q in np.ndindex(onsets.shape[1], onsets.shape[1]):
+            shift = (Fraction(onsets[a, p]) - Fraction(onsets[b, q])) % 1
+            overlap = Fraction(widths[a, p]) - min(shift, 1 - shift)
+            if overlap > 0:
+                pair += Fraction((weights[a, p] * np.conj(weights[b, q])).real) * overlap
+        total += Fraction(kernel[a, b]) * pair
+    return total
+
+
+class TestLagTotalPower:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 64), st.sampled_from([4, 8]), st.floats(-80.0, 80.0),
+           st.floats(1e-6, 1.0), st.floats(0.3, 0.7), st.data())
+    @example(1, 4, 0.0, 1.0, 0.5, None)
+    @example(1, 4, 0.0, 2.0 ** -8, 0.5, None)
+    def test_spectrum_total_agrees_with_gram_pass(self, n, path_count, theta_deg, alpha,
+                                                  spacing_wl, data):
+        # below alpha ~ 1e-15 a pulse is narrower than an ulp of its onset
+        # and the Gram pass loses it altogether
+        cfg = reference_config(n_elements=n, path_count=path_count, spacing_wl=spacing_wl)
+        if data is not None:
+            excitations = data.draw(st.lists(st.floats(0.05, 20.0), min_size=n, max_size=n))
+            cfg = dataclasses.replace(cfg, excitations=excitations)
+        schedule = design_schedule(cfg, np.deg2rad(theta_deg), alpha)
+        spectrum = compute_spectrum(schedule, m_max=5)
+        exact = total_power(schedule)
+        assert relative_gap(spectrum.total_power, exact) <= gram_tolerance(alpha)
+        assert spectrum.efficiency == spectrum.powers[1] / spectrum.total_power
+        assert relative_gap(spectrum.efficiency, harmonic_efficiency(schedule)) <= \
+            gram_tolerance(alpha)
+
+    @pytest.mark.parametrize("n, path_count, alpha, theta_deg", [
+        (1, 4, 2.0 ** -8, 0.0), (5, 4, 1e-4, 23.4), (5, 8, 1e-3, -59.3), (3, 8, 0.5, 60.0),
+    ])
+    def test_lag_sum_is_exact_where_gram_pass_rounds(self, n, path_count, alpha, theta_deg):
+        # at (1, 4, 2**-8) the Gram pass is 1.1e-14 off the exact 1/96
+        cfg = reference_config(n_elements=n, path_count=path_count, spacing_wl=0.37)
+        schedule = design_schedule(cfg, np.deg2rad(theta_deg), alpha)
+        exact = float(rational_total_power(schedule))
+        assert relative_gap(harmonic_analysis._lag_total_power(schedule), exact) <= 1e-15
+        assert relative_gap(total_power(schedule), exact) <= gram_tolerance(alpha)
+
+    @pytest.mark.parametrize("theta_deg, alpha", [(-59.3, 1.0), (23.4, 10 ** -0.6)])
+    def test_large_eight_path_array_agrees_with_gram_pass(self, theta_deg, alpha):
+        cfg = reference_config(n_elements=256, path_count=8, spacing_wl=0.37)
+        schedule = design_schedule(cfg, np.deg2rad(theta_deg), alpha)
+        exact = total_power(schedule)
+        assert relative_gap(compute_spectrum(schedule, m_max=25).total_power, exact) <= 1e-14
+
+    @pytest.mark.parametrize("path_count", [4, 8])
+    def test_coefficients_and_powers_keep_their_bits(self, path_count):
+        designed = design_schedule(reference_config(33, path_count, 0.6), THETA_20, 0.4)
+        general = dataclasses.replace(designed)
+        fast, exact = compute_spectrum(designed, 25), compute_spectrum(general, 25)
+        assert relative_gap(fast.total_power, exact.total_power) <= 1e-14
+        for m, coefficient in exact.coefficients.items():
+            assert np.array_equal(fast.coefficients[m].per_element, coefficient.per_element)
+        # only the clamp threshold, POWER_CLAMP_REL times the total, may move
+        threshold = POWER_CLAMP_REL * max(fast.total_power, exact.total_power)
+        for m, power in exact.powers.items():
+            assert fast.powers[m] == power or max(fast.powers[m], power) < threshold
+
+    def test_designed_schedule_skips_the_gram_pass(self, monkeypatch):
+        schedule = design_schedule(reference_config(16, path_count=8), THETA_20, 0.5)
+        expected = total_power(schedule)
+
+        def no_gram(*args):
+            raise AssertionError("Gram pass on a designed schedule")
+
+        monkeypatch.setattr(harmonic_analysis, "total_power", no_gram)
+        monkeypatch.setattr(harmonic_analysis, "_grams", no_gram)
+        assert relative_gap(compute_spectrum(schedule, 5).total_power, expected) <= 1e-14
+
+    def test_memory_stays_flat_at_the_element_cap(self):
+        # the N x N Gram or coupling matrix alone would be 32 MiB of floats
+        schedule = design_schedule(reference_config(MAX_ELEMENTS, path_count=8), THETA_20, 0.5)
+        harmonic_analysis._lag_total_power(schedule)
+        tracemalloc.start()
+        try:
+            harmonic_analysis._lag_total_power(schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+
+class TestDesignedStructure:
+    @pytest.mark.parametrize("path_count", [4, 8])
+    @pytest.mark.parametrize("theta_deg", [-59.3, 0.0, 23.4])
+    def test_every_element_is_element_zero_shifted(self, path_count, theta_deg):
+        schedule = design_schedule(reference_config(9, path_count), np.deg2rad(theta_deg), 0.5)
+        onsets = pulse_table(schedule.elements)[0]
+        n = np.arange(9)[:, None, None]
+        gap = (onsets - onsets[0] - n * schedule.onset_step + 0.5) % 1.0 - 0.5
+        assert np.max(np.abs(gap)) <= 1e-14
+
+    def test_constructor_does_not_take_the_step(self, peak_schedule):
+        with pytest.raises(TypeError):
+            ArraySchedule(peak_schedule.config, 1.0, THETA_20, peak_schedule.elements,
+                          onset_step=peak_schedule.onset_step)
+
+    @pytest.mark.parametrize("rebuild", [
+        lambda s: dataclasses.replace(s, elements=s.elements),
+        lambda s: canonical_schedule(s),
+        lambda s: schedule_from_doc(json.loads(dump_json(schedule_to_doc(s)))),
+    ], ids=["replace", "canonical", "document"])
+    def test_rebuilt_schedules_take_the_gram_pass(self, rebuild):
+        designed = design_schedule(reference_config(12, path_count=8), np.deg2rad(-20.0), 0.3)
+        rebuilt = rebuild(designed)
+        assert designed.onset_step is not None and rebuilt.onset_step is None
+        assert compute_spectrum(rebuilt, 5).total_power.hex() == total_power(rebuilt).hex()
+
+    def test_equality_repr_and_document_ignore_the_step(self, peak_schedule):
+        copy = dataclasses.replace(peak_schedule, elements=peak_schedule.elements)
+        assert copy == peak_schedule and repr(copy) == repr(peak_schedule)
+        assert dump_json(schedule_to_doc(copy)) == dump_json(schedule_to_doc(peak_schedule))
