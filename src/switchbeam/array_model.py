@@ -17,7 +17,7 @@ evaluate in parallel sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, isfinite, pi
+from math import ceil, floor, inf, isfinite, pi
 
 import numpy as np
 
@@ -300,6 +300,12 @@ def envelope_filtered_samples(element: ElementSchedule, samples_per_period: int)
     suppresses spectral aliasing of the discrete Fourier transform to third
     order in the bin width, which is what lets a finite-length DFT recover
     the analytic Fourier coefficients to high accuracy.
+
+    Each pulse copy [a, a + width] is evaluated only on the bins whose
+    kernel reaches it, widened by one bin on each side against rounding in
+    the bin arithmetic.  Every other bin would add ``weight * (0 - 0)`` or
+    ``weight * (1 - 1)``, an exact zero, and the factor multiplying the
+    weight is real, so the slices give the bits of a pass over all bins.
     """
     if samples_per_period < 64:
         raise ValueError("samples_per_period must be at least 64")
@@ -317,7 +323,13 @@ def envelope_filtered_samples(element: ElementSchedule, samples_per_period: int)
     for onset, width, weight in _train_pulses(element):
         for shift in (-1.0, 0.0, 1.0):  # wrapped copies cover the kernel support
             a = onset + shift
-            out += weight * (kernel_cdf(centers - a) - kernel_cdf(centers - (a + width)))
+            # bin i gains a nonzero term only if a*s - 1.5 < i < (a + width)*s + 0.5;
+            # one more bin on each side covers rounding in that arithmetic
+            lo = max(floor(a * s - 0.5) - 1, 0)
+            hi = min(ceil((a + width) * s + 0.5) + 1, s)
+            if lo < hi:
+                c = centers[lo:hi]
+                out[lo:hi] += weight * (kernel_cdf(c - a) - kernel_cdf(c - (a + width)))
     return out
 
 

@@ -290,8 +290,14 @@ def cmd_verify(args) -> int:
     schedule = _schedule_from_args(args)
     if args.m_max < 1:
         raise ValueError("--m-max must be at least 1")
-    if not 64 <= args.samples <= MAX_SAMPLES:
-        raise ValueError(f"--samples must lie in [64, {MAX_SAMPLES}]")
+    # below this count the oracle tolerance is 1 or more, which an all-zero
+    # estimate meets
+    least = next(n for n in range(1, MAX_SAMPLES + 1) if oracle_tolerance(n) < 1)
+    if not least <= args.samples <= MAX_SAMPLES:
+        raise ValueError(
+            f"--samples must lie in [{least}, {MAX_SAMPLES}]; below {least} the oracle "
+            "tolerance is 1 or more and would pass an all-zero estimate"
+        )
     if args.m_max >= args.samples // 2:
         raise ValueError("--m-max must be below half the sample count")
     if (2 * args.m_max + 1) * schedule.config.n_elements > MAX_STEERING_ENTRIES:

@@ -87,7 +87,7 @@ def plan_constellation(
     Magnitude targets are the point magnitudes normalized by the largest one.
     With ``predistort`` the duty ratio inverts the amplitude law; without it
     the naive rule ``10*log10(alpha) = 20*log10(target)`` is applied, i.e.
-    ``alpha = target**2``.
+    ``alpha = target**2``.  Symbols of equal magnitude share one bisection.
     """
     symbols = [complex(p) for p in points]
     if not symbols:
@@ -96,11 +96,14 @@ def plan_constellation(
     if peak <= 0:
         raise ValueError("constellation has no nonzero symbol")
     plans = []
+    alphas = {}  # pre-distorted duty ratio by exact target
     for z in symbols:
         if abs(z) == 0:
             raise ValueError("zero-magnitude symbol cannot be planned")
         target = abs(z) / peak
-        alpha = predistort_alpha(target, circuit) if predistort else target**2
+        if predistort and target not in alphas:
+            alphas[target] = predistort_alpha(target, circuit)
+        alpha = alphas[target] if predistort else target**2
         plans.append(SymbolPlan(z, alpha, float(np.angle(z)), target))
     return plans
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import THETA_20, reference_config
 from switchbeam.array_model import (
@@ -210,6 +212,80 @@ class TestSynthesizeEnvelope:
             ) / scale
 
         assert dft_error(2**10) / dft_error(2**14) > 4.0
+
+
+def dense_filtered_samples(element, samples):
+    """``envelope_filtered_samples`` as a pass over every bin for each pulse
+    copy: the reference that its per-pulse slices must match bit for bit."""
+    h = 1.0 / samples
+    centers = (np.arange(samples) + 0.5) / samples
+
+    def kernel_cdf(x):
+        x = np.clip(x, -h, h)
+        lower = (x + h) ** 2 / (2 * h * h)
+        upper = 1.0 - (h - x) ** 2 / (2 * h * h)
+        return np.where(x <= 0.0, lower, upper)
+
+    out = np.zeros(samples, dtype=complex)
+    for phase, train in element.paths:
+        rotation = np.exp(1j * phase)
+        for onset, weight in ((train.onset_pos_norm, rotation), (train.onset_neg_norm, -rotation)):
+            for shift in (-1.0, 0.0, 1.0):
+                a = onset + shift
+                out += weight * (kernel_cdf(centers - a)
+                                 - kernel_cdf(centers - (a + train.width_norm)))
+    return out
+
+
+@st.composite
+def bin_onsets(draw, samples):
+    """An onset on a bin edge k/S, one ulp either side of it, mid-bin, or anywhere."""
+    k = draw(st.integers(0, samples - 1))
+    edge = k / samples
+    return draw(st.sampled_from([
+        edge, float(np.nextafter(edge, 2.0)), float(np.nextafter(edge, -1.0)) % 1.0,
+        (k + 0.5) / samples, draw(st.floats(0.0, 1.0, exclude_max=True)),
+    ]))
+
+
+@st.composite
+def loaded_elements(draw):
+    """A hand-written element: 0 to 8 paths with their own onsets and widths
+    up to the disjoint limit, pulses that may wrap across 0/1, and signed
+    zero and pi among the phases."""
+    samples = draw(st.sampled_from([64, 100, 1024]))
+    paths = []
+    for _ in range(draw(st.integers(0, 8))):
+        pos, neg = draw(bin_onsets(samples)), draw(bin_onsets(samples))
+        gap = wrap_unit(neg - pos)
+        scale = draw(st.one_of(st.just(1.0), st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e)))
+        train = PulseTrain(max(scale * min(gap, 1.0 - gap), 1e-12), pos, neg)
+        phase = draw(st.one_of(st.sampled_from([0.0, -0.0, math.pi]),
+                               st.floats(-math.pi, math.pi)))
+        if train.pulses_disjoint():
+            paths.append((phase, train))
+    return ElementSchedule(0, tuple(paths)), samples
+
+
+class TestEnvelopeFilteredSamples:
+    @settings(max_examples=150, deadline=None)
+    @given(case=loaded_elements())
+    # a mid-bin onset at S = 100: rounding lifts the bin whose kernel edge
+    # meets the pulse edge exactly off zero, one bin before the exact support
+    @example(case=(ElementSchedule(0, ((0.0, PulseTrain(0.1, 0.015, 0.515)),)), 100))
+    def test_slices_give_the_dense_bits_on_loaded_elements(self, case):
+        element, samples = case
+        got = envelope_filtered_samples(element, samples)
+        assert got.tobytes() == dense_filtered_samples(element, samples).tobytes()
+
+    @pytest.mark.parametrize("path_count, alpha, theta", [
+        (4, 1.0, THETA_20), (8, 10.0 ** -0.6, -0.61), (4, 1e-3, 0.72),
+    ])
+    def test_slices_give_the_dense_bits_on_designed_elements(self, path_count, alpha, theta):
+        schedule = design_schedule(reference_config(path_count=path_count), theta, alpha)
+        for element in (schedule.elements[0], schedule.elements[-1]):
+            got = envelope_filtered_samples(element, 1 << 14)
+            assert got.tobytes() == dense_filtered_samples(element, 1 << 14).tobytes()
 
 
 class TestEnvelopeSegments:

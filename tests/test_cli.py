@@ -431,11 +431,30 @@ class TestVerify:
         assert "m=-3" in checks["harmonic suppression"]["detail"]
 
     def test_coarse_sampling_uses_relaxed_tolerance(self, capsys):
-        code, out, _ = run(capsys, "verify", "--samples", "64", "--json")
+        code, out, _ = run(capsys, "verify", "--samples", "256", "--json")
         assert code == 0
         oracle = next(c for c in json.loads(out)["checks"]
                       if c["name"] == "analytic vs DFT oracle")
         assert oracle["passed"] is True
+        assert "tolerance 2.621e-01" in oracle["detail"]
+
+    def test_sample_count_with_vacuous_tolerance_is_rejected(self, capsys):
+        # oracle_tolerance(163) >= 1 would accept an all-zero estimate
+        assert cli.oracle_tolerance(163) >= 1 > cli.oracle_tolerance(164)
+        code, out, err = run(capsys, "verify", "--samples", "163")
+        assert code == 2 and out == ""
+        assert "[164, " in json.loads(err)["error"]
+        code, out, _ = run(capsys, "verify", "--samples", "164")
+        assert code == 0, out
+
+    def test_all_zero_oracle_fails_at_the_least_sample_count(self, capsys, monkeypatch):
+        def zeros(element, samples, m_max):
+            return dict.fromkeys(range(-m_max, m_max + 1), 0j)
+
+        monkeypatch.setattr(cli, "envelope_dft_coefficients", zeros)
+        code, out, _ = run(capsys, "verify", "--samples", "164", "--m-max", "20")
+        assert code == 1
+        assert "FAIL  analytic vs DFT oracle: max relative error 1.000e+00" in out
 
     def test_element_without_paths_fails_every_check(self, capsys, tmp_path):
         # |A_1| = 0 at the empty element: the suppression ratios are 0/0 and
@@ -465,5 +484,5 @@ class TestVerify:
         assert [line.split()[0] for line in out.splitlines()] == ["FAIL"] * 3 + ["verification"]
 
     def test_m_max_must_clear_nyquist(self, capsys):
-        code, _, _ = run(capsys, "verify", "--samples", "64", "--m-max", "40")
-        assert code == 2
+        code, _, err = run(capsys, "verify", "--samples", "256", "--m-max", "128")
+        assert code == 2 and "--m-max" in json.loads(err)["error"]

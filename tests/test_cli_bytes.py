@@ -38,6 +38,9 @@ CASES = {
     "verify": ["verify", "--alpha-db", "-6", "--m-max", "25", "--samples", "16384"],
     "verify_8path_json": ["verify", "--elements", "16", "--paths", "8", "--theta-deg", "-35",
                           "--alpha-db", "-3", "--m-max", "25", "--samples", "4096", "--json"],
+    "verify_32x8": ["verify", "--elements", "32", "--paths", "8", "--theta-deg", "41.3",
+                    "--alpha-db", "-4.2"],
+    "verify_narrow_pulses": ["verify", "--alpha-db", "-30", "--samples", "1000"],
 }
 
 DIGESTS = {
@@ -50,13 +53,15 @@ DIGESTS = {
     "qam": "ec384905459d290efe91cb79c99c362a8fa8fc09bfd23b24fd10d86c3478938d",
     "verify": "6d3b1d254362591c89f52dc200abbe295d4e54c486ca77b033147810cafc9021",
     "verify_8path_json": "a16a2e32a3d18b764331f8e14483149bc191949f10e08e21c9124e3fd9c22c39",
+    "verify_32x8": "94b6e3e66cb1bf4e1c63ed3f7f0217af4ab2679849f94fa049bb625106168200",
+    "verify_narrow_pulses": "3ee94e4185f1123bc5436fdef6edab2a4112afd4fdc99855fc1fa6ec9c98595b",
 }
 
 
-def stdout_digest(capsys, argv) -> str:
+def stdout_digest(capsys, argv, expected_code=0) -> str:
     code = main(list(argv))
     out = capsys.readouterr().out
-    assert code == 0, out
+    assert code == expected_code, out
     return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
@@ -76,8 +81,12 @@ def test_pattern_from_schedule_file_matches_inline_run(capsys, tmp_path):
 #: from two elements, so the pulse table pads ragged path counts.
 RAGGED_DIGEST = "9d9d1f3d34fbea6688de4942f4b4399b3684e64d7e1199747d4719b24809b7cf"
 
+#: ``verify --schedule`` of the same ragged document: validation and
+#: suppression fail (exit 1), and the DFT oracle samples the ragged paths.
+RAGGED_VERIFY_DIGEST = "48c36796f1ac2643e876d4a2c7a1c90e6a9a130af3c4d843622ec659db30cf61"
 
-def test_pattern_from_ragged_schedule_file(capsys, tmp_path):
+
+def ragged_schedule(tmp_path):
     schedule = tmp_path / "schedule.json"
     assert main(["design", "--elements", "6", "--paths", "8", "--theta-deg", "25",
                  "--alpha-db", "-4", "--out", str(schedule)]) == 0
@@ -85,9 +94,33 @@ def test_pattern_from_ragged_schedule_file(capsys, tmp_path):
     doc["elements"][1]["paths"] = doc["elements"][1]["paths"][:5]
     doc["elements"][4]["paths"] = doc["elements"][4]["paths"][2:]
     schedule.write_text(json.dumps(doc))
-    digest = stdout_digest(capsys, ["pattern", "--schedule", str(schedule),
+    return str(schedule)
+
+
+def test_pattern_from_ragged_schedule_file(capsys, tmp_path):
+    digest = stdout_digest(capsys, ["pattern", "--schedule", ragged_schedule(tmp_path),
                                     "--harmonics", "1,-3,5,-7,9"])
     assert digest == RAGGED_DIGEST
+
+
+def test_verify_ragged_schedule_file(capsys, tmp_path):
+    digest = stdout_digest(capsys, ["verify", "--schedule", ragged_schedule(tmp_path)], 1)
+    assert digest == RAGGED_VERIFY_DIGEST
+
+
+#: ``qam`` of a square 64-QAM with circuit pre-distortion: 64 symbols share
+#: 9 magnitudes.
+QAM64_CIRCUIT_DIGEST = "1b245e58b8bf15ab8d57cac27f29b029b2b7756332bc9981d28a44b0a0960327"
+
+
+def test_qam64_circuit_predistortion(capsys, tmp_path):
+    constellation = tmp_path / "qam64.csv"
+    levels = range(-7, 8, 2)
+    constellation.write_text("i,q\n" + "".join(f"{i},{q}\n" for i in levels for q in levels))
+    digest = stdout_digest(capsys, ["qam", "--constellation", str(constellation),
+                                    "--predistort", "circuit",
+                                    "--circuit", reference_path("circuit_params_2ghz.json")])
+    assert digest == QAM64_CIRCUIT_DIGEST
 
 
 #: ``efficiency`` of a 16-element 8-path array on a 0.5 dB back-off grid with

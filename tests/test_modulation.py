@@ -14,7 +14,9 @@ from conftest import THETA_20, reference_config
 from switchbeam.array_model import C_VACUUM, ArrayConfig
 from switchbeam.circuit_model import CircuitParams
 from switchbeam.harmonic_analysis import array_factor
+from switchbeam import modulation
 from switchbeam.modulation import (
+    SymbolPlan,
     amplitude_of_alpha,
     plan_constellation,
     predistort_alpha,
@@ -134,6 +136,24 @@ class TestPlanConstellation:
         plans = plan_constellation(QAM16, predistort=False)
         inner = next(p for p in plans if p.symbol == 1 + 1j)
         assert inner.duty_ratio == pytest.approx(inner.magnitude_target**2, rel=1e-12)
+
+    @pytest.mark.parametrize("with_circuit", [False, True])
+    @pytest.mark.parametrize("order, magnitudes", [(16, 3), (64, 9), (256, 32)])
+    def test_one_bisection_per_magnitude(self, monkeypatch, order, magnitudes, with_circuit):
+        circuit = droopy_params() if with_circuit else None
+        points = qam_points(order)
+        peak = max(abs(z) for z in points)
+        expected = [SymbolPlan(z, predistort_alpha(abs(z) / peak, circuit),
+                               float(np.angle(z)), abs(z) / peak) for z in points]
+        targets = []
+
+        def counted(target, circuit=None):
+            targets.append(target)
+            return predistort_alpha(target, circuit)
+
+        monkeypatch.setattr(modulation, "predistort_alpha", counted)
+        assert plan_constellation(points, predistort=True, circuit=circuit) == expected
+        assert len(targets) == len(set(targets)) == magnitudes
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
