@@ -288,6 +288,15 @@ class TestRadiationPattern:
         with pytest.raises(ValueError):
             radiation_pattern(peak_schedule, [1], [])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_angles_are_rejected(self, peak_schedule, bad):
+        # a NaN angle used to give a NaN reference, which passed the check,
+        # and NaN levels
+        with pytest.raises(ValueError, match="theta must be finite"):
+            radiation_pattern(peak_schedule, [1, 5], [bad, 0.1])
+        with pytest.raises(ValueError, match="theta must be finite"):
+            array_factor(peak_schedule, 1, bad)
+
 
 class TestSidebandLevel:
     def test_four_path_peak_mode_dominated_by_fifth_harmonic(self, peak_schedule):
@@ -314,6 +323,28 @@ class TestSidebandLevel:
     def test_rejects_tiny_m_max(self, peak_schedule):
         with pytest.raises(ValueError):
             sideband_level(peak_schedule, 1)
+
+    @pytest.mark.parametrize("step", [1e-6, 1e-9, 5e-324])
+    def test_theta_grid_is_capped_before_it_is_built(self, peak_schedule, step):
+        # 1e-9 used to fail in numpy allocating 1.31 TiB, 1e-6 to allocate 1.4 GB
+        with pytest.raises(ValueError, match="theta grid exceeds the cap of 1048576 points"):
+            sideband_level(peak_schedule, 25, step)
+
+    def test_theta_cap_admits_a_grid_of_its_size(self, peak_schedule, monkeypatch):
+        monkeypatch.setattr(harmonic_analysis, "_MAX_THETA_POINTS", 3601)
+        sideband_level(peak_schedule, 25, 0.05)
+        with pytest.raises(ValueError, match="cap of 3601 points"):
+            sideband_level(peak_schedule, 25, 0.0499)
+
+    def test_silent_schedule_is_rejected(self):
+        # elements without paths radiate nothing: no m = 1 peak to compare
+        # against, not a -150 dB "no sidebands"
+        cfg = reference_config(n_elements=3)
+        schedule = ArraySchedule(cfg, 1.0, 0.0, tuple(ElementSchedule(i, ()) for i in range(3)))
+        with pytest.raises(ValueError, match="the m = 1 peak"):
+            sideband_level(schedule, 7)
+        with pytest.raises(ValueError, match="pattern reference must be positive"):
+            radiation_pattern(schedule, [3], np.linspace(-1.0, 1.0, 5))
 
 
 class TestDftOracle:
@@ -388,6 +419,20 @@ def loaded_schedules(draw, timings=train_timings, n_elements=None):
         for i, paths in enumerate(element_paths)
     )
     return ArraySchedule(cfg, 1.0, 0.0, elements)
+
+
+@st.composite
+def excited_schedules(draw):
+    """``loaded_schedules`` with unequal element excitations and a spacing of
+    0.1 to 1 wavelength: below 0.5, some harmonics' beams leave the visible
+    region, so their peaks fall well short of their bounds."""
+    schedule = draw(loaded_schedules())
+    weights = draw(st.lists(st.floats(0.05, 4.0), min_size=schedule.config.n_elements,
+                            max_size=schedule.config.n_elements))
+    spacing = schedule.config.element_spacing * draw(st.floats(0.2, 2.0))
+    config = dataclasses.replace(schedule.config, excitations=tuple(weights),
+                                 element_spacing=spacing)
+    return dataclasses.replace(schedule, config=config)
 
 
 class TestCoefficientMatrix:
@@ -642,6 +687,64 @@ class TestSharedSteering:
                     for m in range(-m_max, m_max + 1) if m not in (0, 1))
         expected = 20.0 * np.log10(worst / ref)
         assert sideband_level(schedule, m_max, step) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(excited_schedules(), st.integers(2, 40))
+    def test_sideband_level_equals_an_unpruned_scan(self, schedule, m_max):
+        theta = np.deg2rad(np.arange(-90.0, 90.025, 0.05))
+        ref = np.max(np.abs(loop_array_factor(schedule, 1, theta)))
+        if ref == 0:
+            with pytest.raises(ValueError, match="the m = 1 peak"):
+                sideband_level(schedule, m_max)
+            return
+        ratio = max(np.max(np.abs(loop_array_factor(schedule, m, theta)))
+                    for m in range(-m_max, m_max + 1) if m not in (0, 1)) / ref
+        level = sideband_level(schedule, m_max)
+        if level == DB_FLOOR and ratio <= 10 ** (DB_FLOOR / 20):
+            return
+        assert abs(10 ** (level / 20) - ratio) <= 1e-13 * max(1.0, ratio)
+
+    @pytest.mark.parametrize("n_elements, path_count, spacing_wl, steer_deg, alpha", [
+        (5, 4, 0.2, 20.0, 1.0), (5, 4, 0.15, -41.0, 10 ** -0.6), (16, 8, 0.3, 20.0, 1.0),
+    ])
+    def test_sideband_level_finds_a_worst_harmonic_below_the_top_bound(
+        self, n_elements, path_count, spacing_wl, steer_deg, alpha
+    ):
+        # below 0.5 wavelength some harmonics' beams leave the visible region,
+        # so the largest bound need not belong to the highest peak
+        cfg = reference_config(n_elements=n_elements, path_count=path_count,
+                               spacing_wl=spacing_wl)
+        schedule = design_schedule(cfg, np.deg2rad(steer_deg), alpha)
+        theta = np.deg2rad(np.arange(-90.0, 90.025, 0.05))
+        ms = [m for m in range(-25, 26) if m not in (0, 1)]
+        peaks = [np.max(np.abs(loop_array_factor(schedule, m, theta))) for m in ms]
+        bounds = [np.sum(np.abs(coefficient_vector(schedule, m) * cfg.excitations)) for m in ms]
+        assert np.argmax(peaks) != np.argmax(bounds)
+        ref = np.max(np.abs(loop_array_factor(schedule, 1, theta)))
+        expected = 20.0 * np.log10(max(peaks) / ref)
+        assert sideband_level(schedule, 25) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("spacing_wl", [0.5, 0.2])
+    @pytest.mark.parametrize("path_count", [4, 8])
+    def test_sideband_peaks_match_a_long_double_steering(self, path_count, spacing_wl):
+        cfg = reference_config(n_elements=256, path_count=path_count, spacing_wl=spacing_wl)
+        schedule = design_schedule(cfg, np.deg2rad(20.0), 10 ** -0.6)
+        theta = np.deg2rad(np.arange(-90.0, 90.025, 0.05))
+        peaks = harmonic_analysis._sideband_peaks(schedule, 25, theta)
+        ms = [m for m in range(-25, 26) if m != 0]
+        x = np.longdouble(cfg.wavenumber * cfg.element_spacing) * np.sin(theta.astype(np.longdouble))
+        steering = np.exp(1j * np.multiply.outer(x, np.arange(256)))
+        assert steering.dtype == np.clongdouble
+        excited = harmonic_analysis._excited(schedule, ms).astype(np.clongdouble)
+        exact = dict(zip(ms, np.max(np.abs(steering @ excited.T), axis=0)))
+        worst = max(p for m, p in peaks.items() if m != 1)
+        assert len(peaks) < len(ms)
+        for m in ms:
+            if m in peaks:
+                assert abs(peaks[m] - exact[m]) <= 1e-15 * exact[1]
+            else:
+                # a skipped harmonic could not have been the worst
+                assert exact[m] <= worst + 1e-15 * exact[1]
 
     def test_sideband_level_blocks_the_grid_under_the_cap(self, peak_schedule, monkeypatch):
         whole = sideband_level(peak_schedule, 25)
