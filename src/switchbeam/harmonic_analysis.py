@@ -6,11 +6,14 @@ coefficients are the path sum with each path rotated by its carrier phase.
 The internals read a schedule only as its pulse table
 (``array_model.pulse_table``: per path, its two onsets, width and carrier
 rotation, ragged path counts padded with zero-rotation paths) and its config.
-``_coefficients`` evaluates that closed form for every harmonic, element and
-path of a table in one broadcast, and the paths are then added in order.  Its
-complex products are spelled out in real arithmetic as the scalar
+``_coefficients`` evaluates that closed form for a table in broadcasts over
+elements and paths, with its exponentials once per distinct |m| (the -|m|
+rows reuse them exactly) and, for a table of one width, one width
+exponential per |m|; the paths are then added in order.  Its complex
+products are spelled out in real arithmetic as the scalar
 ``path_coefficient`` / ``combined_coefficient`` code rounds them, so both
-give identical bits; numpy's vectorized complex multiply does not.
+give identical bits; numpy's vectorized complex multiply does not.  Harmonic
+indices must be integers with |m| <= 2**53.
 
 Radiated harmonic powers follow from the spatial power integral with an
 unnormalized sinc kernel.  The total radiated power is computed in the time
@@ -23,8 +26,11 @@ with the bits of a loop over pairs; ``_grams`` lists the traps that would lose t
 ``compute_spectrum`` takes a second route for a designed schedule (one with an
 ``onset_step``): its elements are one envelope shifted by n * step, so the
 Gram matrix is Toeplitz and the total is a sum over N lags of element 0's
-autocorrelation (``_lag_total_power``), agreeing to ~1e-15 relative, not bit
-for bit.  Every other schedule, and every other caller, takes the Gram pass.
+autocorrelation (``_lag_total_power``), agreeing to ~1e-15 relative.  Each
+harmonic's power is element 0's |A[m, 0]|**2 times a cosine sum over the
+same N lags (``_template_powers``), agreeing to ~1e-14 of the total.
+Neither is bit for bit, and no N x N kernel is built.  Every other schedule,
+and every other caller, takes the Gram pass and ``_harmonic_powers``.
 A pattern shares one steering matrix (theta points x elements) across all
 its harmonics; its size is capped by ``MAX_STEERING_ENTRIES``.  The sideband
 level builds its steering under the same cap from two tables of about
@@ -119,26 +125,79 @@ def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
     """Combined coefficients of all elements at every harmonic in ``ms``.
 
     Returns a ``(len(ms), n_elements)`` complex array equal, bit for bit, to
-    ``combined_coefficient`` at each entry.  Harmonics are evaluated in
-    blocks of at most ``COEFFICIENT_BLOCK`` pulse-table entries.
+    ``combined_coefficient`` at each entry.  Each harmonic index must be an
+    integer of magnitude at most 2**53, else ValueError.  Harmonics are
+    evaluated in blocks of at most ``COEFFICIENT_BLOCK`` pulse-table entries.
     """
-    return _coefficients(pulse_table(schedule.elements), ms)
+    return _coefficients(pulse_table(schedule.elements), _harmonic_indices(ms))
+
+
+def _harmonic_indices(ms) -> np.ndarray:
+    """``ms`` as floats, each checked to be an integer with |m| <= 2**53."""
+    message = "harmonic indices must be finite integers with |m| <= 2**53"
+    try:
+        m = np.asarray(ms, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(message) from None
+    if not ((np.abs(m) < 2.0**53) & (m == np.floor(m))).all():
+        # floats hold every integer up to 2**53, but 2**53 + 1 rounds to it
+        given = np.asarray(ms)
+        if not (((given >= -2**53) & (given <= 2**53)).all() and (m == np.floor(m)).all()):
+            raise ValueError(message)
+    return m
+
+
+def _distinct(values: np.ndarray):
+    """Sorted distinct entries of ``values`` and the index of each entry among
+    them, as ``np.unique(values, return_inverse=True)`` in fewer numpy calls."""
+    if values.size <= 1:
+        return values.ravel(), np.zeros(values.shape, dtype=np.intp)
+    s = np.sort(values, axis=None)
+    new = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    s = s[new]
+    return s, np.searchsorted(s, values)
 
 
 def _coefficients(table, ms) -> np.ndarray:
-    """``coefficient_matrix`` of a pulse table: one column per table row."""
+    """``coefficient_matrix`` of a pulse table: one column per table row.
+
+    ``ms`` must hold integers.  They are taken by |m| in blocks of at most
+    ``COEFFICIENT_BLOCK`` table entries, and a block takes its exponentials
+    once per distinct |m|: of each onset, and of the width if the table has
+    one (a designed table does), else of each path's.
+
+    The -|m| rows reuse the +|m| pulses bit for bit.  With w = 2 pi |m|,
+    ``-1j * -w * t`` is the conjugate of ``-1j * w * t``, save at t = 0,
+    where both are +0 (every onset of a table lies in [0, 1), every width is
+    positive, and a padding path has both zero).  Hence each exponential is
+    its conjugate or equal, and the pulse product
+    p = exp(-jw onset) (1 - exp(-jw width)) keeps its real part and turns
+    its imaginary part into 0.0 - p_i: that is -p_i, or +0 where p_i cancels
+    to +0.  The rest runs as for +|m|, with 1/w negated.
+    """
     # per path: onsets (positive, negative), width and carrier rotation
     onsets, width, rotation = table
     n, k = width.shape
-    width, rot_r, rot_i = width[..., None], rotation.real, rotation.imag
+    # axes (onset, path, harmonic, element): each operation below runs along
+    # whole rows of elements, and the paths are added plane by plane
+    onsets = onsets.transpose(2, 1, 0)[:, :, None]
+    rot_r, rot_i = rotation.real.T[:, None], rotation.imag.T[:, None]
+    # a designed table has one width, whose exponential is then one per |m|
+    width = width[0, 0] if width.size and (width == width[0, 0]).all() else width.T[:, None]
     m = np.asarray(ms, dtype=float)
     out = np.empty((m.size, n), dtype=complex)
+    # by |m|, so that m and -m share a block and its exponentials
+    order = np.argsort(np.abs(m), kind="stable")
     rows = max(1, COEFFICIENT_BLOCK // max(1, n * k))
     for start in range(0, m.size, rows):
-        w = 2 * pi * m[start:start + rows, None, None, None]
+        block = order[start:start + rows]
+        mags, at = _distinct(np.abs(m[block]))
+        w = 2 * pi * mags[:, None]
         # 1/(jw) is (0, -1/w); m = 0 gets 0, its coefficient being exactly 0
         inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0)
-        # exp(-jw t) for the width and for both onsets: shapes (m, n, k, 1|2)
+        # exp(-jw t) for the width and for both onsets:
+        # shapes (|m|, 1) or (k, |m|, n), and (2, k, |m|, n)
         f = np.exp(-1j * w * width)
         e = np.exp(-1j * w * onsets)
         f_r, f_i = 1.0 - f.real, -f.imag
@@ -148,12 +207,22 @@ def _coefficients(table, ms) -> np.ndarray:
         p_r = e_r * f_r - e_i * f_i
         p_i = e_r * f_i + e_i * f_r
         pulse_r, pulse_i = p_i * inv_w, -p_r * inv_w
-        d_r = pulse_r[..., 0] - pulse_r[..., 1]
-        d_i = pulse_i[..., 0] - pulse_i[..., 1]
+        d_r, d_i = pulse_r[0] - pulse_r[1], pulse_i[0] - pulse_i[1]
+        negative = m[block] < 0
+        flips = np.count_nonzero(negative)
+        if flips:
+            # the -|m| rows after the +|m| rows; there pulse_i is negated
+            flip_r = (0.0 - p_i) * -inv_w
+            d_r = np.concatenate((d_r, flip_r[0] - flip_r[1]), axis=1)
+            d_i = np.concatenate((d_i, pulse_i[1] - pulse_i[0]), axis=1)
+            at = at + negative * len(mags)
+        if flips or len(at) > len(mags):
+            # one row per harmonic of the block (else ``at`` counts 0, 1, ...)
+            d_r, d_i = d_r[:, at], d_i[:, at]
         # rotate by the carrier phase and add the paths in order (cumsum,
         # unlike sum, never regroups the additions)
-        out.real[start:start + rows] = np.cumsum(rot_r * d_r - rot_i * d_i, axis=2)[..., -1]
-        out.imag[start:start + rows] = np.cumsum(rot_r * d_i + rot_i * d_r, axis=2)[..., -1]
+        out.real[block] = np.cumsum(rot_r * d_r - rot_i * d_i, axis=0)[-1]
+        out.imag[block] = np.cumsum(rot_r * d_i + rot_i * d_r, axis=0)[-1]
     return out
 
 
@@ -174,8 +243,10 @@ class HarmonicSpectrum:
 
     ``total_power`` comes from the exact time-domain integral, so the sum of
     the tabulated powers can only fall short of it (truncation loses power,
-    never creates it).  For a designed schedule it is the lag sum, which
-    agrees with ``total_power()`` to ~1e-15 relative, not bit for bit.
+    never creates it).  For a designed schedule the total and the powers are
+    lag sums, which agree with ``total_power()`` to ~1e-15 relative and with
+    ``harmonic_power()`` to ~1e-14 of the total, not bit for bit; the
+    coefficients are bit for bit those of ``coefficient_matrix``.
     """
 
     coefficients: dict[int, HarmonicCoefficient]
@@ -363,61 +434,88 @@ def _harmonic_efficiencies(config: ArrayConfig, tables) -> list[float]:
     return out
 
 
+def _lag_weights(config: ArrayConfig) -> np.ndarray:
+    """c_d = sinc(beta_d * d) * sum_a w_a * w_(a+d) for the lags d = 0 .. N-1,
+    doubled for d > 0 to stand for the lag -d too: the lag sums below weight
+    an even function of d by the coupling kernel's diagonals."""
+    n = config.n_elements
+    excitations = np.asarray(config.excitations)
+    beta_d = config.wavenumber * config.element_spacing
+    c = np.correlate(excitations, excitations, "full")[n - 1:] * _sinc(beta_d * np.arange(n))
+    c[1:] *= 2.0
+    return c
+
+
 def _lag_total_power(schedule: ArraySchedule) -> float:
     """``total_power`` of a designed schedule, whose element n is element 0
     shifted by n * ``onset_step``, to ~1e-15 relative (not bit for bit).
 
     The Gram matrix is then Toeplitz, G[a, b] = R((a - b) * step) with R the
     circular autocorrelation of element 0's envelope, and Re R is even, so
-    P = sum over d = -(N-1) .. N-1 of c_d * Re R(d * step), with
-    c_d = sinc(beta_d * d) * sum_a w_a * w_(a+d), is c_0 R(0) plus twice the
-    d > 0 terms.  R(tau) is a sum over the (2K)**2 pulse pairs of element 0,
-    all of one width, of the weight product times the overlap of two equal
-    arcs; lags are taken at most ``GRAM_BLOCK`` overlaps at a time.  Each
-    overlap is a width less a distance, so narrow pulses lose no relative
-    precision here, while the Gram pass's segment lengths carry ~1e-16 / alpha.
+    P = sum over d = 0 .. N-1 of c_d * Re R(d * step) (``_lag_weights``).
+    R(tau) is a sum over the (2K)**2 pulse pairs of element 0, all of one
+    width, of the weight product times the overlap of two equal arcs; lags
+    are taken at most ``GRAM_BLOCK`` overlaps at a time.  Each overlap is a
+    width less a distance, so narrow pulses lose no relative precision here,
+    while the Gram pass's segment lengths carry ~1e-16 / alpha.
     """
-    config = schedule.config
-    n = config.n_elements
     onsets, widths, rotation = pulse_table(schedule.elements[:1])
     weights = np.stack((rotation, -rotation), axis=-1).ravel()
     # the weight product of every pulse pair (p, q) and its onset offset
     products = (weights[:, None] * weights.conj()[None, :]).real.ravel()
     offsets = (onsets.ravel()[:, None] - onsets.ravel()[None, :]).ravel()
     width = widths[0, 0]
-    excitations = np.asarray(config.excitations)
-    lags = np.arange(n)
-    beta_d = config.wavenumber * config.element_spacing
-    c = np.correlate(excitations, excitations, "full")[n - 1:] * _sinc(beta_d * lags)
-    c[1:] *= 2.0
+    c = _lag_weights(schedule.config)
+    lags = np.arange(c.size)
     total = 0.0
     step = max(1, GRAM_BLOCK // offsets.size)
-    for start in range(0, n, step):
+    for start in range(0, c.size, step):
         shift = (offsets + (lags[start:start + step, None] * schedule.onset_step) % 1.0) % 1.0
         overlap = np.maximum(width - np.minimum(shift, 1.0 - shift), 0.0)
         total += c[start:start + step] @ (overlap @ products)
     return float(total)
 
 
+def _template_powers(schedule: ArraySchedule, a0: np.ndarray, ms) -> np.ndarray:
+    """Radiated powers of the harmonics ``ms`` of a designed schedule from
+    element 0's coefficients ``a0``, in O(len(ms) * N).
+
+    Element n's coefficient is A[m, 0] e^(-j 2 pi m n step), so the power's
+    quadratic form collapses onto the lags as the total's does:
+    P_m = |A[m, 0]|**2 * sum over d of c_d cos(2 pi ((m d step) mod 1)).
+    It agrees with ``_harmonic_powers`` to ~1e-14 of the total power, not
+    bit for bit: the designed onsets are rounded where this phase is exact.
+    """
+    c = _lag_weights(schedule.config)
+    phase = np.multiply.outer(np.asarray(ms, dtype=float), np.arange(c.size))
+    phase = phase * schedule.onset_step % 1.0
+    return (a0.real ** 2 + a0.imag ** 2) * (np.cos(2 * pi * phase) @ c)
+
+
 def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> HarmonicSpectrum:
     """Tabulate coefficients and powers for |m| <= m_max.
 
     Powers below ``POWER_CLAMP_REL`` of the total are clamped to zero.  A
-    designed schedule (``onset_step`` set) gets its total power from the lag
-    sum ``_lag_total_power``, which agrees with ``total_power()`` to ~1e-15
-    relative but not bit for bit; every other schedule gets ``total_power()``.
+    designed schedule (``onset_step`` set) takes its powers from the lag sums
+    over element 0 (``_lag_total_power``, ``_template_powers``): the total
+    agrees with ``total_power()`` to ~1e-15 relative and each harmonic's
+    power with ``harmonic_power()`` to ~1e-14 of the total, not bit for bit,
+    while its coefficients stay bit for bit.  Every other schedule gets
+    ``total_power()`` and the powers of ``harmonic_power()``.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     _check_harmonic_count(schedule.config, m_max)
-    total = total_power(schedule) if schedule.onset_step is None else _lag_total_power(schedule)
     ms = range(-m_max, m_max + 1)
     matrix = coefficient_matrix(schedule, ms)
+    if schedule.onset_step is None:
+        total = total_power(schedule)
+        tabulated = _harmonic_powers(schedule.config, matrix, ms)
+    else:
+        total = _lag_total_power(schedule)
+        tabulated = _template_powers(schedule, matrix[:, 0], ms)
     coefficients = {m: HarmonicCoefficient(m, a) for m, a in zip(ms, matrix)}
-    powers = {
-        m: 0.0 if p < POWER_CLAMP_REL * total else float(p)
-        for m, p in zip(ms, _harmonic_powers(schedule.config, matrix, ms))
-    }
+    powers = {m: 0.0 if p < POWER_CLAMP_REL * total else float(p) for m, p in zip(ms, tabulated)}
     efficiency = powers[1] / total if total > 0 else 0.0
     return HarmonicSpectrum(coefficients, powers, total, efficiency)
 
