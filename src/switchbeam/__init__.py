@@ -18,11 +18,9 @@ from .array_model import (
 )
 from .circuit_model import (
     CircuitParams,
-    DensityParams,
     PboPoint,
     PowerBreakdown,
     circuit_efficiency,
-    params_from_width,
     pbo_sweep,
     power_breakdown,
     total_drain_efficiency,
@@ -61,7 +59,6 @@ __all__ = [
     "ArraySchedule",
     "CircuitParams",
     "ConstellationResult",
-    "DensityParams",
     "ElementSchedule",
     "HarmonicCoefficient",
     "HarmonicSpectrum",
@@ -79,7 +76,6 @@ __all__ = [
     "envelope_dft_coefficients",
     "harmonic_efficiency",
     "harmonic_power",
-    "params_from_width",
     "path_coefficient",
     "pbo_sweep",
     "plan_constellation",

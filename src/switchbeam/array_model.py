@@ -11,7 +11,8 @@ analytic spectrum code is cross-checked against.
 Pulse widths and onsets are fractions of the modulation period (onsets in
 [0, 1)); a schedule holds no seconds.  Every type is immutable and every
 function is pure, so everything here is safe to share across threads and to
-evaluate in parallel sweeps.
+evaluate in parallel sweeps.  (``harmonic_analysis`` caches on a schedule the
+coefficients of its last pass, a pure function of its immutable fields.)
 """
 
 from __future__ import annotations

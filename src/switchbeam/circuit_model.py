@@ -77,39 +77,6 @@ class CircuitParams:
 
 
 @dataclass(frozen=True)
-class DensityParams:
-    """Per-width densities of the switching transistor plus its width."""
-
-    cap_per_width: float    # farads per meter of width
-    res_times_width: float  # ohm * meters
-    width: float            # meters
-
-    def __post_init__(self):
-        if self.cap_per_width <= 0 or self.res_times_width <= 0 or self.width <= 0:
-            raise ValueError("density parameters must be positive")
-
-
-def params_from_width(
-    density: DensityParams,
-    supply_voltage: float,
-    bias_current: float,
-    peak_voltage: float,
-    load_resistance: float,
-    pulse_freq: float,
-) -> CircuitParams:
-    """Scale the switch parasitics from transistor width and densities."""
-    return CircuitParams(
-        supply_voltage=supply_voltage,
-        bias_current=bias_current,
-        peak_voltage=peak_voltage,
-        load_resistance=load_resistance,
-        switch_resistance=density.res_times_width / density.width,
-        switch_capacitance=density.cap_per_width * density.width,
-        pulse_freq=pulse_freq,
-    )
-
-
-@dataclass(frozen=True)
 class PowerBreakdown:
     """Period-averaged power components of one cell, in watts."""
 

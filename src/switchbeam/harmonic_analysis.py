@@ -13,7 +13,9 @@ exponential per |m|; the paths are then added in order.  Its complex
 products are spelled out in real arithmetic as the scalar
 ``path_coefficient`` / ``combined_coefficient`` code rounds them, so both
 give identical bits; numpy's vectorized complex multiply does not.  Harmonic
-indices must be integers with |m| <= 2**53.
+indices must be integers with |m| <= 2**53.  A schedule keeps the read-only
+matrix of its last such pass, keyed by harmonic (``_rows``): after
+``compute_spectrum``, ``sideband_level`` and ``radiation_pattern`` index it.
 
 Radiated harmonic powers follow from the spatial power integral with an
 unnormalized sinc kernel.  The total radiated power is computed in the time
@@ -124,12 +126,40 @@ def combined_coefficient(element: ElementSchedule, m: int) -> complex:
 def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
     """Combined coefficients of all elements at every harmonic in ``ms``.
 
-    Returns a ``(len(ms), n_elements)`` complex array equal, bit for bit, to
-    ``combined_coefficient`` at each entry.  Each harmonic index must be an
-    integer of magnitude at most 2**53, else ValueError.  Harmonics are
+    Returns a fresh ``(len(ms), n_elements)`` complex array equal, bit for
+    bit, to ``combined_coefficient`` at each entry.  Each harmonic index must
+    be an integer of magnitude at most 2**53, else ValueError.  Harmonics are
     evaluated in blocks of at most ``COEFFICIENT_BLOCK`` pulse-table entries.
+    The schedule keeps the rows of its last coefficient pass (``_rows``), and
+    a request they cover is copied out of them, with the same bits.
     """
-    return _coefficients(pulse_table(schedule.elements), _harmonic_indices(ms))
+    rows = _rows(schedule, ms)
+    return rows if rows.flags.writeable else rows.copy()
+
+
+def _rows(schedule: ArraySchedule, ms) -> np.ndarray:
+    """``coefficient_matrix`` of ``ms``, read-only or fresh, through the
+    schedule's memo: the read-only matrix of its last coefficient pass, keyed
+    by harmonic.  A request the memo covers is indexed out of it (or is the
+    memo, if it asks for its rows in order); any other runs ``_coefficients``
+    once and its matrix replaces the memo.  Each entry of ``_coefficients``
+    depends on its harmonic and element alone, so the bits are the same.
+    The memo is a private attribute, not a field: equality, hash, repr and
+    ``dataclasses.replace`` do not see it.  It is read and replaced as one
+    (index, matrix) pair, so threads racing on one schedule at most repeat a
+    pass.
+    """
+    m = _harmonic_indices(ms)
+    keys = m.tolist()
+    index, matrix = getattr(schedule, "_coefficient_memo", ({}, None))
+    at = [index.get(key) for key in keys]
+    if matrix is not None and None not in at:
+        return matrix if at == list(range(len(matrix))) else matrix[at]
+    matrix = _coefficients(pulse_table(schedule.elements), m)
+    matrix.flags.writeable = False
+    memo = ({key: i for i, key in enumerate(keys)}, matrix)
+    object.__setattr__(schedule, "_coefficient_memo", memo)
+    return matrix
 
 
 def _harmonic_indices(ms) -> np.ndarray:
@@ -246,7 +276,8 @@ class HarmonicSpectrum:
     never creates it).  For a designed schedule the total and the powers are
     lag sums, which agree with ``total_power()`` to ~1e-15 relative and with
     ``harmonic_power()`` to ~1e-14 of the total, not bit for bit; the
-    coefficients are bit for bit those of ``coefficient_matrix``.
+    coefficients are bit for bit those of ``coefficient_matrix``, each
+    ``per_element`` a read-only row of one matrix.
     """
 
     coefficients: dict[int, HarmonicCoefficient]
@@ -286,7 +317,7 @@ def harmonic_power(schedule: ArraySchedule, m: int) -> float:
     Evaluates the spatial power integral over element pairs with the
     unnormalized sinc coupling kernel.
     """
-    return float(_harmonic_powers(schedule.config, coefficient_matrix(schedule, [m]), [m])[0])
+    return float(_harmonic_powers(schedule.config, _rows(schedule, [m]), [m])[0])
 
 
 def total_power(schedule: ArraySchedule) -> float:
@@ -507,7 +538,10 @@ def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> Har
         raise ValueError("m_max must be at least 1")
     _check_harmonic_count(schedule.config, m_max)
     ms = range(-m_max, m_max + 1)
-    matrix = coefficient_matrix(schedule, ms)
+    # the spectrum's rows: read-only views of one matrix (after a new pass,
+    # the memo itself)
+    matrix = _rows(schedule, ms)
+    matrix.flags.writeable = False
     if schedule.onset_step is None:
         total = total_power(schedule)
         tabulated = _harmonic_powers(schedule.config, matrix, ms)
@@ -545,7 +579,7 @@ def _steering(config: ArrayConfig, theta: np.ndarray) -> np.ndarray:
 
 def _excited(schedule: ArraySchedule, ms) -> np.ndarray:
     """Coefficient matrix weighted by the element excitations."""
-    return coefficient_matrix(schedule, ms) * np.asarray(schedule.config.excitations)
+    return _rows(schedule, ms) * np.asarray(schedule.config.excitations)
 
 
 def array_factor(schedule: ArraySchedule, m: int, theta) -> complex | np.ndarray:
@@ -590,8 +624,8 @@ def radiation_pattern(
     excited = _excited(schedule, [1] + harmonics)
     if reference is None:
         reference = float(np.max(np.abs(phase @ excited[0])))
-    if reference <= 0:
-        raise ValueError("pattern reference must be positive")
+    if not (isfinite(reference) and reference > 0):
+        raise ValueError("pattern reference must be positive and finite")
     levels = {}
     for m, a in zip(harmonics, excited[1:]):
         ratio = np.abs(phase @ a) / reference

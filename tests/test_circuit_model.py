@@ -11,9 +11,7 @@ import pytest
 from conftest import THETA_20, reference_config
 from switchbeam.circuit_model import (
     CircuitParams,
-    DensityParams,
     circuit_efficiency,
-    params_from_width,
     pbo_sweep,
     power_breakdown,
     total_drain_efficiency,
@@ -50,26 +48,6 @@ def load_reference_curves() -> dict:
         .read_text()
     )
     return read_fixture_csv(text)
-
-
-class TestParamsFromWidth:
-    def test_reference_densities_at_100um(self):
-        density = DensityParams(cap_per_width=0.35e-9, res_times_width=5.4, width=100e-6)
-        params = params_from_width(density, 1.2, 0.02, 1.0, 25.0, 1e9)
-        assert params.switch_capacitance == pytest.approx(35e-15, rel=1e-12)
-        assert params.switch_resistance == pytest.approx(54e3, rel=1e-12)
-
-    def test_width_scaling(self):
-        narrow = DensityParams(0.35e-9, 5.4, 50e-6)
-        wide = DensityParams(0.35e-9, 5.4, 100e-6)
-        p_narrow = params_from_width(narrow, 1.2, 0.02, 1.0, 25.0, 1e9)
-        p_wide = params_from_width(wide, 1.2, 0.02, 1.0, 25.0, 1e9)
-        assert p_wide.switch_capacitance == pytest.approx(2 * p_narrow.switch_capacitance)
-        assert p_wide.switch_resistance == pytest.approx(p_narrow.switch_resistance / 2)
-
-    def test_zero_width_rejected(self):
-        with pytest.raises(ValueError):
-            DensityParams(0.35e-9, 5.4, 0.0)
 
 
 class TestCircuitParams:

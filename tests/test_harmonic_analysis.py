@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from math import pi
@@ -284,6 +286,13 @@ class TestRadiationPattern:
             rescaled.levels_db[1], table.levels_db[1] - 20.0, atol=1e-9
         )
 
+    @pytest.mark.parametrize("reference", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0])
+    def test_rejects_a_reference_that_is_not_finite_and_positive(self, peak_schedule, reference):
+        # nan gave NaN levels and inf the floor everywhere
+        theta = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="pattern reference must be positive and finite"):
+            radiation_pattern(peak_schedule, [1, 5], theta, reference=reference)
+
     def test_empty_grid_is_rejected(self, peak_schedule):
         with pytest.raises(ValueError):
             radiation_pattern(peak_schedule, [1], [])
@@ -504,6 +513,8 @@ class TestCoefficientMatrix:
     @example(ZERO_PATH_SCHEDULE, [1, -1, 2, -2], 1)
     @example(ZERO_PATH_SCHEDULE, [-3, 0, 3], harmonic_analysis.COEFFICIENT_BLOCK)
     def test_bytes_equal_the_reference_broadcast(self, schedule, ms, block):
+        # a fresh copy: the module constant may hold a memo of an earlier example
+        schedule = dataclasses.replace(schedule)
         # np.array_equal would pass a zero of the wrong sign
         expected = reference_coefficients(pulse_table(schedule.elements), ms)
         with pytest.MonkeyPatch.context() as patch:
@@ -525,7 +536,8 @@ class TestCoefficientMatrix:
     @pytest.mark.parametrize("m", [2**53, -2**53, 2.0**53, np.int64(-7), 3.0, -0.0])
     def test_accepts_integral_indices(self, peak_schedule, m):
         expected = reference_coefficients(pulse_table(peak_schedule.elements), [float(m)])
-        assert coefficient_matrix(peak_schedule, [m]).tobytes() == expected.tobytes()
+        fresh = dataclasses.replace(peak_schedule)
+        assert coefficient_matrix(fresh, [m]).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", [1.5, -0.25, np.nan, np.inf, -np.inf, 2**53 + 1, -2**53 - 1,
                                    2.0**53 + 2, 2**62, np.int64(-2**63), 2**70, 10**400, 1e300])
@@ -539,6 +551,187 @@ class TestCoefficientMatrix:
     def test_rejects_a_harmonic_that_does_not_exist(self, peak_schedule, m, analysis):
         with pytest.raises(ValueError, match="harmonic indices"):
             analysis(peak_schedule, m)
+
+
+#: A coarse grid: the memo tests compare bytes, not pattern shapes.
+COARSE_THETA = np.deg2rad(np.arange(-90.0, 90.5, 1.0))
+
+
+@st.composite
+def schedule_makers(draw):
+    """Callables that build one schedule afresh at every call: a designed
+    schedule (the lag-sum route), or one of ``loaded_schedules`` copied by
+    ``dataclasses.replace`` (the Gram route)."""
+    if draw(st.booleans()):
+        cfg = reference_config(n_elements=draw(st.integers(1, 16)),
+                               path_count=draw(st.sampled_from([4, 8])))
+        theta, alpha = np.deg2rad(draw(st.floats(-60.0, 60.0))), draw(st.floats(1e-3, 1.0))
+        return lambda: design_schedule(cfg, theta, alpha)
+    schedule = draw(loaded_schedules(disjoint_timings))
+    return lambda: dataclasses.replace(schedule)
+
+
+#: One analysis call: its name and its harmonic argument.
+analysis_calls = st.one_of(
+    st.tuples(st.just("spectrum"), st.integers(1, 12)),
+    st.tuples(st.just("sideband"), st.integers(2, 12)),
+    st.tuples(st.just("pattern"), st.lists(st.integers(-15, 15), max_size=5)),
+    st.tuples(st.just("matrix"), harmonic_lists),
+    st.tuples(st.just("array_factor"), st.integers(-15, 15)),
+)
+
+
+def analysis_bytes(schedule, call) -> bytes:
+    """Every number one analysis call returns, as bytes, or its error."""
+    name, arg = call
+    try:
+        if name == "spectrum":
+            spectrum = compute_spectrum(schedule, arg)
+            parts = [c.per_element for c in spectrum.coefficients.values()]
+            parts += [list(spectrum.powers.values()), [spectrum.total_power, spectrum.efficiency]]
+        elif name == "sideband":
+            parts = [[sideband_level(schedule, arg, 1.0)]]
+        elif name == "pattern":
+            table = radiation_pattern(schedule, arg, COARSE_THETA)
+            parts = [*table.levels_db.values(), [table.reference]]
+        elif name == "matrix":
+            parts = [coefficient_matrix(schedule, arg)]
+        else:
+            parts = [array_factor(schedule, arg, COARSE_THETA)]
+    except ValueError as exc:
+        return str(exc).encode()
+    return b"".join(np.asarray(part).tobytes() for part in parts)
+
+
+def counted_passes(monkeypatch) -> list:
+    """The harmonic count of every ``_coefficients`` pass from here on."""
+    passes = []
+    real = harmonic_analysis._coefficients
+    monkeypatch.setattr(harmonic_analysis, "_coefficients",
+                        lambda table, ms: passes.append(len(ms)) or real(table, ms))
+    return passes
+
+
+class TestCoefficientMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(schedule_makers(), st.lists(analysis_calls, min_size=1, max_size=6))
+    @example(lambda: design_schedule(reference_config(9, 8), THETA_20, 0.4),
+             [("spectrum", 5), ("sideband", 5), ("pattern", [1, 1, -3, 5, -7]),
+              ("matrix", [0, -0.0, 5, 5]), ("array_factor", -3), ("spectrum", 3)])
+    def test_bytes_equal_a_fresh_schedule_in_any_order(self, make, calls):
+        schedule = make()
+        for call in calls:
+            assert analysis_bytes(schedule, call) == analysis_bytes(make(), call)
+
+    def test_one_coefficient_pass_serves_an_array_study(self, monkeypatch):
+        schedule = design_schedule(reference_config(32, path_count=8), THETA_20, 0.4)
+        passes = counted_passes(monkeypatch)
+        compute_spectrum(schedule, 25)
+        sideband_level(schedule, 25)
+        radiation_pattern(schedule, [1, -3, 5, -7], COARSE_THETA)
+        array_factor(schedule, -25, 0.3)
+        harmonic_power(schedule, 7)
+        coefficient_matrix(schedule, [0, -0.0, 1, 1])
+        assert passes == [51]
+        # a harmonic outside the memo: one pass, whose rows replace it
+        coefficient_matrix(schedule, [26])
+        coefficient_matrix(schedule, [26, 26])
+        coefficient_matrix(schedule, [25])
+        assert passes == [51, 1, 1]
+        # copies start without a memo
+        coefficient_matrix(dataclasses.replace(schedule), [25])
+        assert passes == [51, 1, 1, 1]
+
+    def test_writes_into_results_never_reach_the_memo(self):
+        schedule = design_schedule(reference_config(9, path_count=8), THETA_20, 0.4)
+        ms = range(-5, 6)
+        expected = coefficient_matrix(dataclasses.replace(schedule), ms).tobytes()
+        spectrum = compute_spectrum(schedule, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum.coefficients[1].per_element[0] = 0.0
+        # the memo's own rows in order, some of its rows, and a pass that
+        # replaces it
+        for request in (ms, [1, -3], [6]):
+            coefficient_matrix(schedule, request)[...] = 7.0
+        coefficient_matrix(schedule, ms)[...] = 7.0
+        assert coefficient_matrix(schedule, ms).tobytes() == expected
+        rows = compute_spectrum(schedule, 5).coefficients.values()
+        assert b"".join(c.per_element.tobytes() for c in rows) == expected
+
+    def test_memo_is_not_part_of_the_dataclass(self):
+        schedule = design_schedule(reference_config(9), THETA_20, 0.4)
+        before = (dataclasses.fields(schedule), hash(schedule), repr(schedule))
+        compute_spectrum(schedule, 5)
+        assert (dataclasses.fields(schedule), hash(schedule), repr(schedule)) == before
+        copy = dataclasses.replace(schedule)
+        assert copy == schedule and hash(copy) == hash(schedule) and repr(copy) == repr(schedule)
+        assert set(vars(copy)) <= {f.name for f in dataclasses.fields(copy)}
+
+    @pytest.mark.parametrize("m", [1.5, np.nan, 2**53 + 1])
+    def test_memo_does_not_skip_the_index_check(self, m):
+        # 2**53 + 1 rounds onto the key 2**53 as a float
+        schedule = design_schedule(reference_config(9), THETA_20, 0.4)
+        compute_spectrum(schedule, 5)
+        coefficient_matrix(schedule, [1, 2**53])
+        with pytest.raises(ValueError, match="harmonic indices"):
+            coefficient_matrix(schedule, [1, m])
+
+    def test_threads_sharing_a_schedule_get_its_bits(self):
+        # more threads than cores, each replacing the memo with its own rows
+        # while the others index it; a torn (index, matrix) pair would hand
+        # one request another's rows
+        schedule = design_schedule(reference_config(16, path_count=8), THETA_20, 0.4)
+        requests = [range(-5, 6), [1, -3, 5], [7, 0, -7], [2, 4, 4, -9]]
+        expected = [coefficient_matrix(dataclasses.replace(schedule), ms) for ms in requests]
+        mismatches = []
+
+        def worker(k):
+            for i in range(300):
+                ms = requests[(k + i) % len(requests)]
+                got = coefficient_matrix(schedule, ms)
+                if got.tobytes() != expected[(k + i) % len(requests)].tobytes():
+                    mismatches.append(list(ms))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_spectrum_holds_one_coefficient_matrix(self):
+        # the memo and the spectrum's rows share one matrix of 6.3 MiB; the
+        # peak adds the larger working set of the coefficient blocks and of
+        # the lag-sum powers, each measured alone
+        schedule = design_schedule(reference_config(MAX_ELEMENTS), THETA_20, 0.5)
+        ms = range(-101, 102)
+        matrix_bytes = len(ms) * MAX_ELEMENTS * 16
+        compute_spectrum(design_schedule(reference_config(5), THETA_20, 0.5), 101)
+        table = pulse_table(schedule.elements)
+        tracemalloc.start()
+        try:
+            matrix = harmonic_analysis._coefficients(table, np.array(ms, dtype=float))
+            coefficient_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            harmonic_analysis._template_powers(schedule, matrix[:, 0], ms)
+            template_peak = tracemalloc.get_traced_memory()[1] - held + matrix_bytes
+            del matrix
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            spectrum = compute_spectrum(schedule, 101)
+            held, peak = (x - base for x in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert spectrum.coefficients[1].per_element.base.nbytes == matrix_bytes
+        assert held <= matrix_bytes + 2**20
+        assert peak <= max(coefficient_peak, template_peak) + 2**20
 
 
 #: Values a document cannot hold as they are: negative zeros, an angle whose
@@ -849,9 +1042,11 @@ class TestSharedSteering:
         # 200 harmonics: blocks of 2**14 // 5 angles would hold 10 MiB of fields
         monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", 1 << 14)
         sideband_level(peak_schedule, 100)
+        # a fresh copy, so that the measured call runs its coefficient pass
+        fresh = dataclasses.replace(peak_schedule)
         tracemalloc.start()
         try:
-            sideband_level(peak_schedule, 100)
+            sideband_level(fresh, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
