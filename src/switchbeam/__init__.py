@@ -13,7 +13,6 @@ from .array_model import (
     ArraySchedule,
     ElementSchedule,
     PulseTrain,
-    synthesize_envelope,
     validate,
 )
 from .circuit_model import (
@@ -30,12 +29,10 @@ from .harmonic_analysis import (
     HarmonicSpectrum,
     PatternTable,
     array_factor,
-    combined_coefficient,
     compute_spectrum,
     envelope_dft_coefficients,
     harmonic_efficiency,
     harmonic_power,
-    path_coefficient,
     radiation_pattern,
     sideband_level,
     total_power,
@@ -70,13 +67,11 @@ __all__ = [
     "amplitude_of_alpha",
     "array_factor",
     "circuit_efficiency",
-    "combined_coefficient",
     "compute_spectrum",
     "design_schedule",
     "envelope_dft_coefficients",
     "harmonic_efficiency",
     "harmonic_power",
-    "path_coefficient",
     "pbo_sweep",
     "plan_constellation",
     "power_breakdown",
@@ -86,7 +81,6 @@ __all__ = [
     "simulate_constellation",
     "steering_onset",
     "suppressed_harmonics",
-    "synthesize_envelope",
     "total_drain_efficiency",
     "total_power",
     "validate",

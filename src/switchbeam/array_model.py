@@ -4,9 +4,10 @@ Each array element is fed through several phase-offset signal paths, and each
 path is gated by a periodic two-pulse train: one positive-polarity pulse and
 one negative-polarity pulse per modulation period.  This module holds the
 data containers for the array geometry and its switching schedules, schedule
-validation, and time-domain synthesis of the combined complex baseband
-envelope.  The synthesized envelope is the numerical reference that the
-analytic spectrum code is cross-checked against.
+validation, the pulse table, and the filtered samples and segments of the
+combined complex baseband envelope that the analytic spectrum code is
+cross-checked against.  The array is uniform: no element carries a static
+amplitude weight; pulse timing alone sets each element's amplitude.
 
 Pulse widths and onsets are fractions of the modulation period (onsets in
 [0, 1)); a schedule holds no seconds.  Every type is immutable and every
@@ -17,7 +18,7 @@ coefficients of its last pass, a pure function of its immutable fields.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import ceil, floor, inf, isfinite, pi
 
 import numpy as np
@@ -55,8 +56,6 @@ class ArrayConfig:
         Carrier frequency in Hz.
     pulse_freq : float
         Switching-pulse repetition frequency in Hz.
-    excitations : tuple of float, optional
-        Per-element amplitude weights; defaults to uniform unit excitation.
     path_count : int
         Signal paths per element, 4 or 8.
     """
@@ -65,10 +64,14 @@ class ArrayConfig:
     element_spacing: float
     carrier_freq: float
     pulse_freq: float
-    excitations: tuple[float, ...] | None = None
     path_count: int = 4
 
     def __post_init__(self):
+        for name in ("n_elements", "path_count"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            object.__setattr__(self, name, int(count))
         if not all(isfinite(x) for x in (self.element_spacing, self.carrier_freq, self.pulse_freq)):
             raise ValueError("spacing and frequencies must be finite")
         if not 1 <= self.n_elements <= MAX_ELEMENTS:
@@ -79,14 +82,6 @@ class ArrayConfig:
             raise ValueError("frequencies must be positive")
         if self.path_count not in (4, 8):
             raise ValueError("path_count must be 4 or 8")
-        if self.excitations is None:
-            object.__setattr__(self, "excitations", (1.0,) * self.n_elements)
-        else:
-            object.__setattr__(self, "excitations", tuple(float(x) for x in self.excitations))
-            if len(self.excitations) != self.n_elements:
-                raise ValueError("excitations length must match n_elements")
-            if not all(0 < x < inf for x in self.excitations):
-                raise ValueError("excitations must be positive and finite")
 
     @property
     def wavelength(self) -> float:
@@ -179,6 +174,7 @@ class ArraySchedule:
     that element n is element 0 shifted by n * delta.  The constructor does
     not take it, and ``dataclasses.replace``, documents and every other
     schedule carry ``None``; it takes no part in equality or ``repr``.
+    A pickle holds the fields alone, not the coefficient rows cached on it.
     """
 
     config: ArrayConfig
@@ -189,6 +185,9 @@ class ArraySchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def validate(schedule: ArraySchedule) -> list[str]:
@@ -258,39 +257,12 @@ def _check_disjoint(elements) -> None:
 
 def _train_pulses(element: ElementSchedule):
     """Onset, width and weight of every pulse, read from the paths, not from
-    ``pulse_table``: the sampled envelopes are the table's independent check."""
+    ``pulse_table``: the filtered samples are the table's independent check."""
     _check_disjoint((element,))
     for phase, train in element.paths:
         rotation = np.exp(1j * phase)
         yield train.onset_pos_norm, train.width_norm, rotation
         yield train.onset_neg_norm, train.width_norm, -rotation
-
-
-def synthesize_envelope(element: ElementSchedule, samples_per_period: int) -> np.ndarray:
-    """Sample the element's combined complex baseband envelope over one period.
-
-    The envelope is the sum over paths of ``exp(1j*phase)`` times the path's
-    two-pulse train.  Samples are taken at bin midpoints, which is unbiased
-    for rectangular pulses.
-
-    Parameters
-    ----------
-    element : ElementSchedule
-    samples_per_period : int
-        Number of equally spaced samples, at least 64.
-
-    Returns
-    -------
-    numpy.ndarray
-        Complex array of length ``samples_per_period``.
-    """
-    if samples_per_period < 64:
-        raise ValueError("samples_per_period must be at least 64")
-    t = (np.arange(samples_per_period) + 0.5) / samples_per_period
-    env = np.zeros(samples_per_period, dtype=complex)
-    for onset, width, weight in _train_pulses(element):
-        env += weight * (((t - onset) % 1.0) < width)
-    return env
 
 
 def envelope_filtered_samples(element: ElementSchedule, samples_per_period: int) -> np.ndarray:

@@ -67,11 +67,8 @@ def write_csv(header: list[str], rows: list[list]) -> str:
 
 
 def schedule_to_doc(schedule: ArraySchedule, theta_deg: float | None = None) -> dict:
-    """Schedule document: config, duty ratio, and normalized train timings.
-    It holds no excitations, so a config with non-uniform ones is rejected."""
+    """Schedule document: config, duty ratio, and normalized train timings."""
     cfg = schedule.config
-    if cfg.excitations != (1.0,) * cfg.n_elements:
-        raise ValueError("a schedule document cannot hold excitations other than all 1")
     if theta_deg is None:
         theta_deg = math.degrees(schedule.steer_angle)
     return {

@@ -10,21 +10,23 @@ rotation, ragged path counts padded with zero-rotation paths) and its config.
 elements and paths, with its exponentials once per distinct |m| (the -|m|
 rows reuse them exactly) and, for a table of one width, one width
 exponential per |m|; the paths are then added in order.  Its complex
-products are spelled out in real arithmetic as the scalar
-``path_coefficient`` / ``combined_coefficient`` code rounds them, so both
-give identical bits; numpy's vectorized complex multiply does not.  Harmonic
-indices must be integers with |m| <= 2**53.  A schedule keeps the read-only
-matrix of its last such pass, keyed by harmonic (``_rows``): after
-``compute_spectrum``, ``sideband_level`` and ``radiation_pattern`` index it.
+products are spelled out in real arithmetic as scalar complex code rounds
+them, so both give identical bits; numpy's vectorized complex multiply does
+not.  Harmonic indices must be integers with |m| <= 2**53.  A schedule
+keeps the read-only matrix of its last such pass, keyed by harmonic
+(``_rows``): after ``compute_spectrum``, ``sideband_level`` and
+``radiation_pattern`` index it.
 
-Radiated harmonic powers follow from the spatial power integral with an
-unnormalized sinc kernel.  The total radiated power is computed in the time
-domain by exact piecewise-constant integration, so Parseval holds without
-sampling error: each element pair's envelope product is integrated over the
-union of both envelopes' segments, found by sorting each pair's edge rows
-(``array_model._segments``).  ``_total_powers`` does this for every pair of
-many same-size schedules stacked in one table (a back-off sweep is one pass)
-with the bits of a loop over pairs; ``_grams`` lists the traps that would lose them.
+The array is uniform, so radiated harmonic powers follow from the spatial
+power integral with the unnormalized sinc kernel sinc(beta d (a - b)), and
+a pattern is the steering matrix times the coefficient rows.  The total
+radiated power is computed in the time domain by exact piecewise-constant
+integration, so Parseval holds without sampling error: each element pair's
+envelope product is integrated over the union of both envelopes' segments,
+found by sorting each pair's edge rows (``array_model._segments``).
+``_total_powers`` does this for every pair of many same-size schedules
+stacked in one table (a back-off sweep is one pass) with the bits of a loop
+over pairs; ``_grams`` lists the traps that would lose them.
 ``compute_spectrum`` takes a second route for a designed schedule (one with an
 ``onset_step``): its elements are one envelope shifted by n * step, so the
 Gram matrix is Toeplitz and the total is a sum over N lags of element 0's
@@ -37,7 +39,7 @@ A pattern shares one steering matrix (theta points x elements) across all
 its harmonics; its size is capped by ``MAX_STEERING_ENTRIES``.  The sideband
 level builds its steering under the same cap from two tables of about
 sqrt(N) exponentials per angle, and skips every harmonic whose triangle bound,
-sum over n of |w_n A[m, n]|, cannot exceed the strongest peak already found.
+sum over n of |A[m, n]|, cannot exceed the strongest peak already found.
 
 A DFT-based estimator over the envelope, which reads the element's paths and
 not the pulse table, is an independent numerical oracle for the analytic
@@ -56,7 +58,6 @@ from .array_model import (
     ArrayConfig,
     ArraySchedule,
     ElementSchedule,
-    PulseTrain,
     _check_disjoint,
     _segments,
     envelope_filtered_samples,
@@ -101,37 +102,16 @@ def _sinc(x) -> np.ndarray:
     return out
 
 
-def path_coefficient(train: PulseTrain, path_phase: float, m: int) -> complex:
-    """Exact Fourier coefficient of one path's train at harmonic m.
-
-    Integrates the two rectangular pulses in closed form and applies the
-    path's carrier phase as a complex rotation.  For m = 0 the equal positive
-    and negative pulse widths cancel exactly, so the result is 0.
-    """
-    if m == 0:
-        return 0j
-    w = 2j * pi * m
-
-    def pulse(onset_norm: float) -> complex:
-        return np.exp(-w * onset_norm) * (1.0 - np.exp(-w * train.width_norm)) / w
-
-    return np.exp(1j * path_phase) * (pulse(train.onset_pos_norm) - pulse(train.onset_neg_norm))
-
-
-def combined_coefficient(element: ElementSchedule, m: int) -> complex:
-    """Per-element harmonic coefficient: the phase-rotated sum over paths."""
-    return sum((path_coefficient(t, p, m) for p, t in element.paths), start=0j)
-
-
 def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
     """Combined coefficients of all elements at every harmonic in ``ms``.
 
     Returns a fresh ``(len(ms), n_elements)`` complex array equal, bit for
-    bit, to ``combined_coefficient`` at each entry.  Each harmonic index must
-    be an integer of magnitude at most 2**53, else ValueError.  Harmonics are
-    evaluated in blocks of at most ``COEFFICIENT_BLOCK`` pulse-table entries.
-    The schedule keeps the rows of its last coefficient pass (``_rows``), and
-    a request they cover is copied out of them, with the same bits.
+    bit, to a scalar path-by-path sum at each entry.  Each harmonic index
+    must be an integer of magnitude at most 2**53, else ValueError.
+    Harmonics are evaluated in blocks of at most ``COEFFICIENT_BLOCK``
+    pulse-table entries.  The schedule keeps the rows of its last coefficient
+    pass (``_rows``), and a request they cover is copied out of them, with
+    the same bits.
     """
     rows = _rows(schedule, ms)
     return rows if rows.flags.writeable else rows.copy()
@@ -195,7 +175,8 @@ def _coefficients(table, ms) -> np.ndarray:
     ``ms`` must hold integers.  They are taken by |m| in blocks of at most
     ``COEFFICIENT_BLOCK`` table entries, and a block takes its exponentials
     once per distinct |m|: of each onset, and of the width if the table has
-    one (a designed table does), else of each path's.
+    one (a designed table does), else of each path's.  Its bits are those of
+    the scalar reference ``combined_coefficient`` in ``tests/scalar_reference.py``.
 
     The -|m| rows reuse the +|m| pulses bit for bit.  With w = 2 pi |m|,
     ``-1j * -w * t`` is the conjugate of ``-1j * w * t``, save at t = 0,
@@ -289,8 +270,7 @@ class HarmonicSpectrum:
 def _coupling_kernel(config: ArrayConfig) -> np.ndarray:
     n = np.arange(config.n_elements)
     beta_d = config.wavenumber * config.element_spacing
-    excitations = np.asarray(config.excitations)
-    return np.outer(excitations, excitations) * _sinc(beta_d * (n[:, None] - n[None, :]))
+    return _sinc(beta_d * (n[:, None] - n[None, :]))
 
 
 def _harmonic_powers(config: ArrayConfig, matrix: np.ndarray, ms) -> np.ndarray:
@@ -303,11 +283,12 @@ def _harmonic_powers(config: ArrayConfig, matrix: np.ndarray, ms) -> np.ndarray:
     kernel = _coupling_kernel(config)
     values = np.einsum("mn,ns,ms->m", matrix, kernel, matrix.conj())
     scales = np.einsum("mn,nn->m", np.abs(matrix) ** 2, kernel).real
-    for m, value, scale in zip(ms, values, scales):
-        if scale > 0 and abs(value.imag) > 1e-9 * scale:
-            raise RuntimeError(
-                f"harmonic_power(m={m}): imaginary residue {value.imag:.3e} exceeds tolerance"
-            )
+    bad = np.flatnonzero((scales > 0) & (np.abs(values.imag) > 1e-9 * scales))
+    if bad.size:
+        i = bad[0]
+        raise RuntimeError(
+            f"harmonic_power(m={ms[i]}): imaginary residue {values.imag[i]:.3e} exceeds tolerance"
+        )
     return values.real
 
 
@@ -466,13 +447,12 @@ def _harmonic_efficiencies(config: ArrayConfig, tables) -> list[float]:
 
 
 def _lag_weights(config: ArrayConfig) -> np.ndarray:
-    """c_d = sinc(beta_d * d) * sum_a w_a * w_(a+d) for the lags d = 0 .. N-1,
-    doubled for d > 0 to stand for the lag -d too: the lag sums below weight
-    an even function of d by the coupling kernel's diagonals."""
-    n = config.n_elements
-    excitations = np.asarray(config.excitations)
+    """c_d = (N - d) * sinc(beta_d * d), the sum of the coupling kernel's d-th
+    diagonal, for the lags d = 0 .. N-1, doubled for d > 0 to stand for the
+    lag -d too: the lag sums below weight an even function of d by it."""
+    lags = np.arange(config.n_elements)
     beta_d = config.wavenumber * config.element_spacing
-    c = np.correlate(excitations, excitations, "full")[n - 1:] * _sinc(beta_d * np.arange(n))
+    c = (config.n_elements - lags) * _sinc(beta_d * lags)
     c[1:] *= 2.0
     return c
 
@@ -577,11 +557,6 @@ def _steering(config: ArrayConfig, theta: np.ndarray) -> np.ndarray:
     return np.exp(phase, out=phase)
 
 
-def _excited(schedule: ArraySchedule, ms) -> np.ndarray:
-    """Coefficient matrix weighted by the element excitations."""
-    return _rows(schedule, ms) * np.asarray(schedule.config.excitations)
-
-
 def array_factor(schedule: ArraySchedule, m: int, theta) -> complex | np.ndarray:
     """Far-field array factor of harmonic m at observation angle(s) theta.
 
@@ -590,7 +565,7 @@ def array_factor(schedule: ArraySchedule, m: int, theta) -> complex | np.ndarray
     be a scalar or an array of radians.
     """
     theta_arr = np.asarray(theta, dtype=float)
-    out = _steering(schedule.config, theta_arr) @ _excited(schedule, [m])[0]
+    out = _steering(schedule.config, theta_arr) @ _rows(schedule, [m])[0]
     return complex(out[0]) if theta_arr.ndim == 0 else out
 
 
@@ -621,13 +596,13 @@ def radiation_pattern(
         raise ValueError("theta grid is empty")
     harmonics = list(harmonics)
     phase = _steering(schedule.config, theta)
-    excited = _excited(schedule, [1] + harmonics)
+    rows = _rows(schedule, [1] + harmonics)
     if reference is None:
-        reference = float(np.max(np.abs(phase @ excited[0])))
+        reference = float(np.max(np.abs(phase @ rows[0])))
     if not (isfinite(reference) and reference > 0):
         raise ValueError("pattern reference must be positive and finite")
     levels = {}
-    for m, a in zip(harmonics, excited[1:]):
+    for m, a in zip(harmonics, rows[1:]):
         ratio = np.abs(phase @ a) / reference
         with np.errstate(divide="ignore"):
             db = 20.0 * np.log10(ratio)
@@ -649,7 +624,7 @@ def sideband_level(schedule: ArraySchedule, m_max: int, theta_step_deg: float = 
       b = ceil(sqrt(N)), gets e^(j b q x) * e^(j r x): two tables of about
       sqrt(N) exponentials per angle and one broadcast product, in place of
       N exponentials.
-    * Pruning: harmonic m's bound, sum over n of |w_n A[m, n]|, is at least
+    * Pruning: harmonic m's bound, sum over n of |A[m, n]|, is at least
       its peak.  The harmonics are scanned by descending bound, and one is
       dropped once its bound times 1 + 4 (N + 4) eps is no greater than the
       worst peak found so far.  The margin covers the rounding of the bound,
@@ -693,11 +668,11 @@ def _sideband_peaks(schedule: ArraySchedule, m_max: int, theta: np.ndarray) -> d
     config = schedule.config
     n = config.n_elements
     ms = np.array([1] + [m for m in range(-m_max, m_max + 1) if m not in (0, 1)])
-    excited = _excited(schedule, ms)
-    bounds = np.sum(np.abs(excited), axis=1) * (1.0 + 4 * (n + 4) * np.finfo(float).eps)
+    rows = _rows(schedule, ms)
+    bounds = np.sum(np.abs(rows), axis=1) * (1.0 + 4 * (n + 4) * np.finfo(float).eps)
     # m = 1, then the others by descending bound; a column each
     order = np.concatenate(([0], 1 + np.argsort(-bounds[1:], kind="stable")))
-    ms, bounds, columns = ms[order], bounds[order], excited[order].T
+    ms, bounds, columns = ms[order], bounds[order], rows[order].T
     x = config.wavenumber * config.element_spacing * np.sin(theta)
     # the factored steering holds a whole number of b-element rows
     b = isqrt(n - 1) + 1
@@ -752,11 +727,15 @@ def envelope_dft_coefficients(
     return out
 
 
-def oracle_tolerance(samples_per_period: int, base: float = 1e-6) -> float:
+#: The DFT oracle's tolerance at 2^14 samples, relative to the coefficient scale.
+ORACLE_BASE_TOLERANCE = 1e-6
+
+
+def oracle_tolerance(samples_per_period: int) -> float:
     """Documented accuracy rule for the DFT oracle at a given sample count.
 
     The triangular-kernel estimator converges cubically, so the tolerance
-    relaxes as ``base * (16384 / samples)**3`` from its reference point of
-    1e-6 at 2^14 samples.
+    relaxes as ``ORACLE_BASE_TOLERANCE * (16384 / samples)**3`` from its
+    reference point at 2^14 samples.
     """
-    return base * (16384.0 / samples_per_period) ** 3
+    return ORACLE_BASE_TOLERANCE * (16384.0 / samples_per_period) ** 3

@@ -136,7 +136,7 @@ def simulate_constellation(
     duties = list(dict.fromkeys(plan.duty_ratio for plan in plans))
     magnitude = {}
     for duty, table in zip(duties, _designed_tables(peak, duties)):
-        field = phase @ (_coefficients(table, [1])[0] * config.excitations)
+        field = phase @ _coefficients(table, [1])[0]
         magnitude[duty] = abs(complex(field[0])) / reference
     received = np.array([magnitude[p.duty_ratio] * np.exp(1j * p.carrier_phase) for p in plans])
     ideal = np.array([p.magnitude_target * np.exp(1j * p.carrier_phase) for p in plans])

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import THETA_20, reference_config
+from scalar_reference import combined_coefficient, path_coefficient, synthesize_envelope
 from switchbeam.array_model import (
     ArrayConfig,
     ArraySchedule,
@@ -17,11 +18,9 @@ from switchbeam.array_model import (
     envelope_filtered_samples,
     envelope_segments,
     pulse_table,
-    synthesize_envelope,
     validate,
     wrap_unit,
 )
-from switchbeam.harmonic_analysis import combined_coefficient, path_coefficient
 from switchbeam.schedule_design import design_schedule
 
 
@@ -61,9 +60,10 @@ class TestPulseTrain:
 
 
 class TestArrayConfig:
-    def test_defaults_to_uniform_excitation(self):
+    def test_uniform_array_of_five_fields(self):
         cfg = reference_config()
-        assert cfg.excitations == (1.0,) * 5
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "n_elements", "element_spacing", "carrier_freq", "pulse_freq", "path_count"]
         assert cfg.wavelength == pytest.approx(299792458.0 / 77e9, rel=1e-15)
 
     @pytest.mark.parametrize("kwargs", [
@@ -71,18 +71,25 @@ class TestArrayConfig:
         dict(element_spacing=0.0),
         dict(carrier_freq=-1.0),
         dict(path_count=3),
-        dict(excitations=(1.0, 1.0)),
-        dict(excitations=(1.0, -1.0, 1.0, 1.0, 1.0)),
         dict(element_spacing=math.nan),
         dict(carrier_freq=math.inf),
         dict(pulse_freq=math.nan),
-        dict(excitations=(1.0, math.inf, 1.0, 1.0, 1.0)),
+        dict(n_elements=5.0),
+        dict(n_elements=np.float64(5.0)),
+        dict(n_elements=True),
+        dict(path_count=4.0),
+        dict(path_count=True),
     ])
     def test_rejects_nonsense(self, kwargs):
         base = dict(n_elements=5, element_spacing=2e-3, carrier_freq=77e9, pulse_freq=1e9)
         base.update(kwargs)
         with pytest.raises(ValueError):
             ArrayConfig(**base)
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = ArrayConfig(np.int64(5), 2e-3, 77e9, 1e9, path_count=np.int32(8))
+        assert cfg == ArrayConfig(5, 2e-3, 77e9, 1e9, path_count=8)
+        assert type(cfg.n_elements) is int and type(cfg.path_count) is int
 
     def test_frequency_ratio_violation_is_reported_not_raised(self):
         cfg = ArrayConfig(2, 2e-3, carrier_freq=5e9, pulse_freq=1e9)

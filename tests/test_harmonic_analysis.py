@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALPHA_GRID, THETA_20, reference_config
+from scalar_reference import combined_coefficient, path_coefficient, synthesize_envelope
 from switchbeam.array_model import (
     MAX_ELEMENTS,
     ArraySchedule,
@@ -22,7 +24,6 @@ from switchbeam.array_model import (
     PulseTrain,
     envelope_segments,
     pulse_table,
-    synthesize_envelope,
 )
 from switchbeam import harmonic_analysis
 from switchbeam.harmonic_analysis import (
@@ -31,13 +32,11 @@ from switchbeam.harmonic_analysis import (
     array_factor,
     coefficient_matrix,
     coefficient_vector,
-    combined_coefficient,
     compute_spectrum,
     envelope_dft_coefficients,
     harmonic_efficiency,
     harmonic_power,
     oracle_tolerance,
-    path_coefficient,
     radiation_pattern,
     sideband_level,
     total_power,
@@ -183,10 +182,23 @@ class TestPowers:
         schedule = ArraySchedule(cfg, 3 * width, 0.0, (element,))
         assert total_power(schedule) == pytest.approx(2 * width, abs=1e-15)
 
-    def test_doubling_excitation_quadruples_total(self, peak_schedule):
-        doubled_cfg = dataclasses.replace(peak_schedule.config, excitations=(2.0,) * 5)
-        doubled = dataclasses.replace(peak_schedule, config=doubled_cfg)
-        assert total_power(doubled) == pytest.approx(4 * total_power(peak_schedule), rel=1e-12)
+    def test_imaginary_residue_names_the_first_offending_harmonic(self, monkeypatch):
+        # an asymmetric kernel: row [1, 1j] leaves -1j, row [1j, 1] +1j, and a
+        # zero row has no scale to measure a residue against
+        monkeypatch.setattr(harmonic_analysis, "_coupling_kernel",
+                            lambda config: np.array([[1.0, 1.0], [0.0, 1.0]]))
+        matrix = np.array([[0, 0], [1, 1], [1, 1j], [1j, 1]], dtype=complex)
+        with pytest.raises(RuntimeError, match=r"^harmonic_power\(m=9\): imaginary residue "
+                                               r"-1\.000e\+00 exceeds tolerance$"):
+            harmonic_analysis._harmonic_powers(reference_config(2), matrix, [7, 8, 9, 10])
+
+    def test_asymmetric_kernel_is_caught_by_harmonic_power(self, peak_schedule, monkeypatch):
+        # the elements' coefficients differ in phase, so a one-sided kernel
+        # leaves an imaginary part of the order of the power
+        monkeypatch.setattr(harmonic_analysis, "_coupling_kernel",
+                            lambda config: np.triu(np.ones((config.n_elements,) * 2)))
+        with pytest.raises(RuntimeError, match=r"harmonic_power\(m=1\): imaginary residue"):
+            harmonic_power(peak_schedule, 1)
 
     def test_truncated_sum_stays_below_exact_total(self, peak_schedule):
         total = total_power(peak_schedule)
@@ -417,7 +429,7 @@ def loop_array_factor(schedule, m, theta):
     n = np.arange(cfg.n_elements)
     beta_d = cfg.wavenumber * cfg.element_spacing
     phase = np.exp(1j * beta_d * np.outer(np.sin(theta), n))
-    return phase @ (coefficient_vector(schedule, m) * np.asarray(cfg.excitations))
+    return phase @ coefficient_vector(schedule, m)
 
 
 train_timings = st.tuples(
@@ -454,16 +466,13 @@ def loaded_schedules(draw, timings=train_timings, n_elements=None):
 
 
 @st.composite
-def excited_schedules(draw):
-    """``loaded_schedules`` with unequal element excitations and a spacing of
-    0.1 to 1 wavelength: below 0.5, some harmonics' beams leave the visible
-    region, so their peaks fall well short of their bounds."""
+def spaced_schedules(draw):
+    """``loaded_schedules`` with a spacing of 0.1 to 1 wavelength: below 0.5,
+    some harmonics' beams leave the visible region, so their peaks fall well
+    short of their bounds."""
     schedule = draw(loaded_schedules())
-    weights = draw(st.lists(st.floats(0.05, 4.0), min_size=schedule.config.n_elements,
-                            max_size=schedule.config.n_elements))
     spacing = schedule.config.element_spacing * draw(st.floats(0.2, 2.0))
-    config = dataclasses.replace(schedule.config, excitations=tuple(weights),
-                                 element_spacing=spacing)
+    config = dataclasses.replace(schedule.config, element_spacing=spacing)
     return dataclasses.replace(schedule, config=config)
 
 
@@ -676,6 +685,17 @@ class TestCoefficientMemo:
         with pytest.raises(ValueError, match="harmonic indices"):
             coefficient_matrix(schedule, [1, m])
 
+    def test_pickle_drops_the_memo_and_keeps_the_step(self):
+        schedule = design_schedule(reference_config(256, path_count=8), THETA_20, 0.5)
+        before = pickle.dumps(schedule)
+        expected = analysis_bytes(schedule, ("spectrum", 101))
+        # the memo now holds 203 x 256 complex coefficients, about 0.8 MB
+        assert pickle.dumps(schedule) == before
+        copy = pickle.loads(before)
+        assert copy == schedule and copy.onset_step == schedule.onset_step
+        assert "_coefficient_memo" not in vars(copy)
+        assert analysis_bytes(copy, ("spectrum", 101)) == expected
+
     def test_threads_sharing_a_schedule_get_its_bits(self):
         # more threads than cores, each replacing the memo with its own rows
         # while the others index it; a torn (index, matrix) pair would hand
@@ -758,17 +778,6 @@ class TestLoadedSchedules:
         )
         first = dump_json(schedule_to_doc(schedule))
         assert dump_json(schedule_to_doc(schedule_from_doc(json.loads(first)))) == first
-
-    @pytest.mark.parametrize("field, change", [
-        ("excitations", {"excitations": (0.5, 0.8, 1.0, 0.8, 0.5)}),
-        ("excitations", {"excitations": (2.0,) * 5}),
-    ])
-    def test_document_rejects_what_it_cannot_hold(self, field, change):
-        # loaded back, a tapered 0.3-wavelength array would be uniform, and
-        # its total power and efficiency would move without an error
-        cfg = dataclasses.replace(reference_config(spacing_wl=0.3), **change)
-        with pytest.raises(ValueError, match=field):
-            schedule_to_doc(design_schedule(cfg, THETA_20, 1.0))
 
     @settings(max_examples=60, deadline=None)
     @given(loaded_schedules(disjoint_timings))
@@ -968,7 +977,7 @@ class TestSharedSteering:
         assert sideband_level(schedule, m_max, step) == pytest.approx(expected, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(excited_schedules(), st.integers(2, 40))
+    @given(spaced_schedules(), st.integers(2, 40))
     def test_sideband_level_equals_an_unpruned_scan(self, schedule, m_max):
         theta = np.deg2rad(np.arange(-90.0, 90.025, 0.05))
         ref = np.max(np.abs(loop_array_factor(schedule, 1, theta)))
@@ -997,7 +1006,7 @@ class TestSharedSteering:
         theta = np.deg2rad(np.arange(-90.0, 90.025, 0.05))
         ms = [m for m in range(-25, 26) if m not in (0, 1)]
         peaks = [np.max(np.abs(loop_array_factor(schedule, m, theta))) for m in ms]
-        bounds = [np.sum(np.abs(coefficient_vector(schedule, m) * cfg.excitations)) for m in ms]
+        bounds = [np.sum(np.abs(coefficient_vector(schedule, m))) for m in ms]
         assert np.argmax(peaks) != np.argmax(bounds)
         ref = np.max(np.abs(loop_array_factor(schedule, 1, theta)))
         expected = 20.0 * np.log10(max(peaks) / ref)
@@ -1014,8 +1023,8 @@ class TestSharedSteering:
         x = np.longdouble(cfg.wavenumber * cfg.element_spacing) * np.sin(theta.astype(np.longdouble))
         steering = np.exp(1j * np.multiply.outer(x, np.arange(256)))
         assert steering.dtype == np.clongdouble
-        excited = harmonic_analysis._excited(schedule, ms).astype(np.clongdouble)
-        exact = dict(zip(ms, np.max(np.abs(steering @ excited.T), axis=0)))
+        rows = harmonic_analysis._rows(schedule, ms).astype(np.clongdouble)
+        exact = dict(zip(ms, np.max(np.abs(steering @ rows.T), axis=0)))
         worst = max(p for m, p in peaks.items() if m != 1)
         assert len(peaks) < len(ms)
         for m in ms:
@@ -1098,24 +1107,26 @@ def rational_total_power(schedule) -> Fraction:
 class TestLagTotalPower:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 64), st.sampled_from([4, 8]), st.floats(-80.0, 80.0),
-           st.floats(1e-6, 1.0), st.floats(0.3, 0.7), st.data())
-    @example(1, 4, 0.0, 1.0, 0.5, None)
-    @example(1, 4, 0.0, 2.0 ** -8, 0.5, None)
+           st.floats(1e-6, 1.0), st.floats(0.3, 0.7))
+    @example(1, 4, 0.0, 1.0, 0.5)
+    @example(1, 4, 0.0, 2.0 ** -8, 0.5)
     def test_spectrum_total_agrees_with_gram_pass(self, n, path_count, theta_deg, alpha,
-                                                  spacing_wl, data):
+                                                  spacing_wl):
         # below alpha ~ 1e-15 a pulse is narrower than an ulp of its onset
         # and the Gram pass loses it altogether
         cfg = reference_config(n_elements=n, path_count=path_count, spacing_wl=spacing_wl)
-        if data is not None:
-            excitations = data.draw(st.lists(st.floats(0.05, 20.0), min_size=n, max_size=n))
-            cfg = dataclasses.replace(cfg, excitations=excitations)
         schedule = design_schedule(cfg, np.deg2rad(theta_deg), alpha)
         spectrum = compute_spectrum(schedule, m_max=5)
         exact = total_power(schedule)
         assert relative_gap(spectrum.total_power, exact) <= gram_tolerance(alpha)
         assert spectrum.efficiency == spectrum.powers[1] / spectrum.total_power
-        assert relative_gap(spectrum.efficiency, harmonic_efficiency(schedule)) <= \
-            gram_tolerance(alpha)
+        # P_1 as the quadratic form of the m = 1 row in long double: the float64
+        # form of harmonic_power is itself up to ~2e-14 of the total off on
+        # uniform arrays of N > 35, more than gram_tolerance allows
+        row = harmonic_analysis._rows(schedule, [1])[0].astype(np.clongdouble)
+        kernel = harmonic_analysis._coupling_kernel(cfg).astype(np.longdouble)
+        p1 = float((row @ kernel @ row.conj()).real)
+        assert relative_gap(spectrum.efficiency, p1 / exact) <= gram_tolerance(alpha)
 
     @pytest.mark.parametrize("n, path_count, alpha, theta_deg", [
         (1, 4, 2.0 ** -8, 0.0), (5, 4, 1e-4, 23.4), (5, 8, 1e-3, -59.3), (3, 8, 0.5, 60.0),
@@ -1174,14 +1185,11 @@ class TestLagTotalPower:
 class TestTemplatePowers:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 64), st.sampled_from([4, 8]), st.floats(-80.0, 80.0),
-           st.floats(1e-3, 1.0), st.floats(0.1, 1.0), st.sampled_from([5, 25, 101]), st.data())
-    @example(1, 4, 0.0, 1.0, 0.5, 5, None)
+           st.floats(1e-3, 1.0), st.floats(0.1, 1.0), st.sampled_from([5, 25, 101]))
+    @example(1, 4, 0.0, 1.0, 0.5, 5)
     def test_agree_with_the_general_route(self, n, path_count, theta_deg, alpha, spacing_wl,
-                                          m_max, data):
+                                          m_max):
         cfg = reference_config(n_elements=n, path_count=path_count, spacing_wl=spacing_wl)
-        if data is not None:
-            excitations = data.draw(st.lists(st.floats(0.05, 20.0), min_size=n, max_size=n))
-            cfg = dataclasses.replace(cfg, excitations=excitations)
         designed = design_schedule(cfg, np.deg2rad(theta_deg), alpha)
         fast = compute_spectrum(designed, m_max)
         exact = compute_spectrum(dataclasses.replace(designed), m_max)

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALPHA_GRID, THETA_20, reference_config
+from scalar_reference import combined_coefficient
 from switchbeam.array_model import pulse_table
-from switchbeam.harmonic_analysis import array_factor, coefficient_matrix, combined_coefficient
+from switchbeam.harmonic_analysis import array_factor, coefficient_matrix
 from switchbeam.schedule_design import (
     EIGHT_PATH_SHIFT,
     PBO_SHIFT,
