@@ -392,9 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_design_flags(p)
     p.add_argument("--schedule", help="schedule JSON file (overrides design flags)")
     p.add_argument("--harmonics", default="1,-3,5,-7", help="comma-separated harmonic indices")
-    p.add_argument("--theta-min", type=float, default=-90.0)
-    p.add_argument("--theta-max", type=float, default=90.0)
-    p.add_argument("--theta-step", type=float, default=0.25)
+    p.add_argument("--theta-min", type=float, default=-90.0,
+                   help="first angle of the pattern grid, in degrees")
+    p.add_argument("--theta-max", type=float, default=90.0,
+                   help="last angle of the pattern grid, in degrees")
+    p.add_argument("--theta-step", type=float, default=0.25,
+                   help="pattern grid step in degrees, positive; the grid holds at most "
+                        f"{MAX_STEERING_ENTRIES} / elements angles")
     p.add_argument("--normalize", choices=("self", "peakmode"), default="self",
                    help="reference for the dB scale: this schedule or the alpha=1 design")
     p.add_argument("--out", help="output path (default stdout)")

@@ -36,10 +36,16 @@ same N lags (``_template_powers``), agreeing to ~1e-14 of the total.
 Neither is bit for bit, and no N x N kernel is built.  Every other schedule,
 and every other caller, takes the Gram pass and ``_harmonic_powers``.
 A pattern shares one steering matrix (theta points x elements) across all
-its harmonics; its size is capped by ``MAX_STEERING_ENTRIES``.  The sideband
-level builds its steering under the same cap from two tables of about
-sqrt(N) exponentials per angle, and skips every harmonic whose triangle bound,
-sum over n of |A[m, n]|, cannot exceed the strongest peak already found.
+its harmonics; its size is capped by ``MAX_STEERING_ENTRIES``.  Steering
+depends on the geometry and the angle grid alone, never on the schedule, so
+a module-level memo keeps a few read-only tables of exact exponentials
+e^(j beta d sin(theta) k), each the widest built so far for its phase step
+and grid (``_phase_table``): a pattern reads its steering from it, bit for
+bit, and so does an ``array_factor`` over an array of angles.  The sideband
+level forms its steering block by block as e^(j 16 q x) e^(j r x) from two
+memo tables that do not depend on N, and skips every harmonic whose triangle
+bound, sum over n of |A[m, n]|, cannot exceed the strongest peak already
+found.
 
 A DFT-based estimator over the envelope, which reads the element's paths and
 not the pulse table, is an independent numerical oracle for the analytic
@@ -50,7 +56,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import isfinite, isqrt, pi
+from math import isfinite, pi
+from threading import Lock
 
 import numpy as np
 
@@ -91,6 +98,12 @@ MAX_STEERING_ENTRIES = 1 << 22
 
 #: Most theta points ``sideband_level`` scans: a step of ~1.7e-4 degrees.
 _MAX_THETA_POINTS = 1 << 20
+
+#: Most entries (theta points x elements) of a table in the steering memo,
+#: which holds at most four: 2**18 complex entries are 4 MiB and hold the
+#: 721 x 256 table of a 0.25-degree pattern.  ``sideband_level`` forms its
+#: steering in blocks of at most a quarter of this.
+_STEERING_MEMO_ENTRIES = 1 << 18
 
 
 def _sinc(x) -> np.ndarray:
@@ -551,10 +564,48 @@ def _steering(config: ArrayConfig, theta: np.ndarray) -> np.ndarray:
             f"{theta.size} angles x {config.n_elements} elements exceed the steering-matrix "
             f"cap of {MAX_STEERING_ENTRIES} entries"
         )
-    n = np.arange(config.n_elements)
-    beta_d = config.wavenumber * config.element_spacing
-    phase = 1j * beta_d * np.outer(np.sin(theta), n)
+    return _phase_table(config.wavenumber * config.element_spacing, theta, config.n_elements)
+
+
+def _exp_table(beta_d: float, theta: np.ndarray, count: int) -> np.ndarray:
+    """e^(j beta_d sin(theta) k) for every angle and k < count, fresh: each
+    entry depends on its angle and k alone."""
+    phase = 1j * beta_d * np.outer(np.sin(theta), np.arange(count))
     return np.exp(phase, out=phase)
+
+
+# the steering memo: (beta d, theta shape, theta bytes) -> the widest
+# read-only ``_exp_table`` built so far, least recently used first
+_phase_tables: dict[tuple, np.ndarray] = {}
+_phase_tables_lock = Lock()
+
+
+def _phase_table(beta_d: float, theta: np.ndarray, count: int) -> np.ndarray:
+    """``_exp_table`` through the steering memo, with the same bits.
+
+    A request is a read-only column slice of its grid's widest table.  The
+    memo holds at most four tables of at most ``_STEERING_MEMO_ENTRIES``
+    entries and drops the least recently used.  A single angle, or a larger
+    table, is built fresh for the call alone.  A grid's narrower table is
+    dropped before its wider one is built, outside the lock: threads at most
+    repeat a build.
+    """
+    if theta.ndim == 0 or theta.size * count > _STEERING_MEMO_ENTRIES:
+        return _exp_table(beta_d, theta, count)
+    key = (beta_d, theta.shape, theta.tobytes())
+    with _phase_tables_lock:
+        table = _phase_tables.pop(key, None)
+        if table is not None and table.shape[1] >= count:
+            _phase_tables[key] = table
+            return table[:, :count]
+    table = _exp_table(beta_d, theta, count)
+    table.flags.writeable = False
+    with _phase_tables_lock:
+        _phase_tables.pop(key, None)
+        _phase_tables[key] = table
+        while len(_phase_tables) > 4:
+            del _phase_tables[next(iter(_phase_tables))]
+    return table[:, :count]
 
 
 def array_factor(schedule: ArraySchedule, m: int, theta) -> complex | np.ndarray:
@@ -620,10 +671,12 @@ def sideband_level(schedule: ArraySchedule, m_max: int, theta_step_deg: float = 
     and is scanned in blocks whose steering (theta x elements) and field
     (theta x harmonics) matrices stay within ``MAX_STEERING_ENTRIES``.
 
-    * Steering: with x = beta d sin(theta), element n = b q + r, where
-      b = ceil(sqrt(N)), gets e^(j b q x) * e^(j r x): two tables of about
-      sqrt(N) exponentials per angle and one broadcast product, in place of
-      N exponentials.
+    * Steering: with x = beta d sin(theta), element n = 16 q + r gets
+      e^(j 16 q x) * e^(j r x): the memo tables of phase steps 16 beta d
+      (exact, 16 being a power of two) and beta d, ceil(N / 16) and 16
+      exponentials per angle, shared by every N on one grid.  Their product
+      is formed one block of angles at a time, never as a whole
+      theta x N matrix.
     * Pruning: harmonic m's bound, sum over n of |A[m, n]|, is at least
       its peak.  The harmonics are scanned by descending bound, and one is
       dropped once its bound times 1 + 4 (N + 4) eps is no greater than the
@@ -663,7 +716,9 @@ def _sideband_peaks(schedule: ArraySchedule, m_max: int, theta: np.ndarray) -> d
     The harmonics go in column chunks that double from one.  The worst peak
     only grows and never exceeds its final value, so a dropped harmonic
     stays dropped and dropping one inside a theta block is exact.  Each
-    block's steering is built once, and m = 1 is evaluated in every block.
+    block's steering is formed once, from at most a quarter of
+    ``_STEERING_MEMO_ENTRIES`` entries and under ``MAX_STEERING_ENTRIES``
+    with its fields, and m = 1 is evaluated in every block.
     """
     config = schedule.config
     n = config.n_elements
@@ -673,15 +728,31 @@ def _sideband_peaks(schedule: ArraySchedule, m_max: int, theta: np.ndarray) -> d
     # m = 1, then the others by descending bound; a column each
     order = np.concatenate(([0], 1 + np.argsort(-bounds[1:], kind="stable")))
     ms, bounds, columns = ms[order], bounds[order], rows[order].T
-    x = config.wavenumber * config.element_spacing * np.sin(theta)
-    # the factored steering holds a whole number of b-element rows
-    b = isqrt(n - 1) + 1
-    block = max(1, MAX_STEERING_ENTRIES // max(b * -(-n // b), len(ms)))
+    # the factored steering: element k = 16 q + r gets e^(j 16 q x) e^(j r x),
+    # x = beta d sin(theta); 16 is a power of two, so the q table's phase
+    # step 16 beta d is exact and its entries are the single exponentials
+    # of the elements 16 q
+    beta_d = config.wavenumber * config.element_spacing
+    base, rows_q = 16, -(-n // 16)
+    width = base * rows_q
+    whole = theta.size * max(base, rows_q) <= _STEERING_MEMO_ENTRIES
+    if whole:
+        low = _phase_table(beta_d, theta, base)
+        high = _phase_table(base * beta_d, theta, rows_q)
+    block = max(1, min(MAX_STEERING_ENTRIES // max(width, len(ms)),
+                       (_STEERING_MEMO_ENTRIES >> 2) // width))
     peaks = np.zeros(len(ms))
     # the columns below ``live`` are in play
     live, worst = len(ms), 0.0
-    for start in range(0, x.size, block):
-        steering = _factored_steering(x[start:start + block], n, b)
+    for start in range(0, theta.size, block):
+        at = slice(start, start + block)
+        if whole:
+            lo, hi = low[at], high[at]
+        else:
+            # a grid whose tables exceed the memo's: built block by block
+            lo = _exp_table(beta_d, theta[at], base)
+            hi = _exp_table(base * beta_d, theta[at], rows_q)
+        steering = (hi[:, :, None] * lo[:, None, :]).reshape(len(lo), width)[:, :n]
         done = 0
         while done < live:
             stop = min(max(2, 2 * done), live)
@@ -691,15 +762,6 @@ def _sideband_peaks(schedule: ArraySchedule, m_max: int, theta: np.ndarray) -> d
             done = stop
             live = done + int(np.count_nonzero(bounds[done:live] > worst))
     return dict(zip(ms[:live].tolist(), peaks[:live].tolist()))
-
-
-def _factored_steering(x: np.ndarray, n: int, b: int) -> np.ndarray:
-    """e^(j k x) for every x and element k < n: the steering matrix of phase
-    steps x, built as e^(j b q x) * e^(j r x) with k = b q + r.  At
-    b = ceil(sqrt(n)) each angle takes about 2 sqrt(n) exponentials."""
-    high = np.exp(1j * np.multiply.outer(x, b * np.arange(-(-n // b))))
-    low = np.exp(1j * np.multiply.outer(x, np.arange(b)))
-    return (high[:, :, None] * low[:, None, :]).reshape(x.size, -1)[:, :n]
 
 
 def envelope_dft_coefficients(

@@ -47,6 +47,7 @@ from switchbeam.formats import (
     schedule_from_doc,
     schedule_to_doc,
 )
+from switchbeam.modulation import SymbolPlan, simulate_constellation
 from switchbeam.schedule_design import design_schedule, steering_onset
 
 ZETA_PEAK_4PATH = 9.0 / pi**2
@@ -1012,19 +1013,26 @@ class TestSharedSteering:
         expected = 20.0 * np.log10(max(peaks) / ref)
         assert sideband_level(schedule, 25) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("spacing_wl", [0.5, 0.2])
-    @pytest.mark.parametrize("path_count", [4, 8])
-    def test_sideband_peaks_match_a_long_double_steering(self, path_count, spacing_wl):
-        cfg = reference_config(n_elements=256, path_count=path_count, spacing_wl=spacing_wl)
+    @pytest.mark.parametrize("n, path_count, spacing_wl", [
+        (256, 4, 0.5), (256, 4, 0.2), (256, 8, 0.5), (256, 8, 0.2),
+        (300, 4, 0.5), (300, 8, 0.2), (1024, 8, 0.5),
+    ])
+    def test_sideband_peaks_match_a_long_double_steering(self, n, path_count, spacing_wl):
+        # 300 and 1024 exceed 16**2 elements: the last row of the high
+        # steering table (phase step 16 beta d) is partial
+        cfg = reference_config(n_elements=n, path_count=path_count, spacing_wl=spacing_wl)
         schedule = design_schedule(cfg, np.deg2rad(20.0), 10 ** -0.6)
         theta = np.deg2rad(np.arange(-90.0, 90.025, 0.05))
         peaks = harmonic_analysis._sideband_peaks(schedule, 25, theta)
         ms = [m for m in range(-25, 26) if m != 0]
         x = np.longdouble(cfg.wavenumber * cfg.element_spacing) * np.sin(theta.astype(np.longdouble))
-        steering = np.exp(1j * np.multiply.outer(x, np.arange(256)))
-        assert steering.dtype == np.clongdouble
         rows = harmonic_analysis._rows(schedule, ms).astype(np.clongdouble)
-        exact = dict(zip(ms, np.max(np.abs(steering @ rows.T), axis=0)))
+        exact = np.zeros(len(ms), dtype=np.longdouble)
+        for start in range(0, x.size, 512):
+            steering = np.exp(1j * np.multiply.outer(x[start:start + 512], np.arange(n)))
+            assert steering.dtype == np.clongdouble
+            np.maximum(exact, np.max(np.abs(steering @ rows.T), axis=0), out=exact)
+        exact = dict(zip(ms, exact))
         worst = max(p for m, p in peaks.items() if m != 1)
         assert len(peaks) < len(ms)
         for m in ms:
@@ -1035,9 +1043,24 @@ class TestSharedSteering:
                 assert exact[m] <= worst + 1e-15 * exact[1]
 
     def test_sideband_level_blocks_the_grid_under_the_cap(self, peak_schedule, monkeypatch):
+        # a block takes the smaller of the scan block (a quarter of the memo
+        # cap over a 16-wide steering: 64 angles here) and the cap's block
+        # (997 entries over 50 harmonics: 19 angles); with the lowered memo
+        # cap the factor tables are built block by block, so their sizes
+        # show the blocks
         whole = sideband_level(peak_schedule, 25)
+        blocks = []
+        build = harmonic_analysis._exp_table
+        monkeypatch.setattr(harmonic_analysis, "_exp_table",
+                            lambda beta_d, theta, count: blocks.append(theta.size)
+                            or build(beta_d, theta, count))
+        monkeypatch.setattr(harmonic_analysis, "_STEERING_MEMO_ENTRIES", 1 << 12)
+        assert sideband_level(peak_schedule, 25) == pytest.approx(whole, rel=1e-12)
+        assert max(blocks) == 64
+        blocks.clear()
         monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", 997)
         assert sideband_level(peak_schedule, 25) == pytest.approx(whole, rel=1e-12)
+        assert max(blocks) == 19 and len(blocks) == 2 * -(-3601 // 19)
 
     @pytest.mark.parametrize("analysis", [compute_spectrum, sideband_level])
     def test_harmonics_above_the_cap_are_rejected(self, peak_schedule, monkeypatch, analysis):
@@ -1067,6 +1090,186 @@ class TestSharedSteering:
         radiation_pattern(peak_schedule, [1], theta)
         with pytest.raises(ValueError, match="cap"):
             radiation_pattern(peak_schedule, [1], np.linspace(-1.0, 1.0, 101))
+
+
+def clear_steering_memo():
+    """Empty the module's steering memo, so the next scan builds cold."""
+    harmonic_analysis._phase_tables.clear()
+
+
+#: The angle grids of ``radiation_pattern`` in the benchmark (0.25 degrees)
+#: and of ``sideband_level`` by default (0.05 degrees), and a coarse one.
+PATTERN_THETA = np.deg2rad(np.arange(-90.0, 90.125, 0.25))
+SIDEBAND_THETA = np.deg2rad(np.arange(-90.0, 90.025, 0.05))
+GRIDS = {"pattern": PATTERN_THETA, "sideband": SIDEBAND_THETA, "coarse": COARSE_THETA}
+
+#: The ``sideband_level`` step, in degrees, that scans each of these grids.
+SIDEBAND_STEPS = {"pattern": 0.25, "sideband": 0.05, "coarse": 1.0}
+
+
+@st.composite
+def steered_schedules(draw):
+    """A designed schedule of 1 to 300 elements at 0.5 or 0.37 wavelength, or
+    its ``dataclasses.replace`` copy (no ``onset_step``: the Gram route)."""
+    cfg = reference_config(n_elements=draw(st.integers(1, 300)),
+                           path_count=draw(st.sampled_from([4, 8])),
+                           spacing_wl=draw(st.sampled_from([0.5, 0.37])))
+    schedule = design_schedule(cfg, np.deg2rad(draw(st.floats(-60.0, 60.0))),
+                               draw(st.floats(1e-3, 1.0)))
+    return dataclasses.replace(schedule) if draw(st.booleans()) else schedule
+
+
+def steering_bytes(schedule, grid: str) -> bytes:
+    """Every steering-dependent result of one schedule on one grid, as bytes."""
+    theta = GRIDS[grid]
+    table = radiation_pattern(schedule, [1, -3, 5, -7], theta)
+    plans = [SymbolPlan(z, a, float(np.angle(z)), abs(z)) for z, a in
+             ((1 + 1j, 0.5), (-0.5 + 0.25j, 0.2), (0.1j, 1.0))]
+    constellation = simulate_constellation(plans, schedule.config, schedule.steer_angle)
+    parts = [*table.levels_db.values(), [table.reference],
+             array_factor(schedule, -3, theta), [array_factor(schedule, 1, 0.4)],
+             [sideband_level(schedule, 7, SIDEBAND_STEPS[grid])],
+             constellation.received, [constellation.evm_rms_percent]]
+    return b"".join(np.asarray(part).tobytes() for part in parts)
+
+
+def warm_steering_memo(config, grid: str) -> None:
+    """Fill the memo with the tables of an array of ``config`` on one grid."""
+    schedule = design_schedule(config, THETA_20, 0.5)
+    radiation_pattern(schedule, [1], GRIDS[grid])
+    sideband_level(schedule, 3, SIDEBAND_STEPS[grid])
+
+
+class TestSteeringMemo:
+    @settings(max_examples=15, deadline=None)
+    @given(steered_schedules(), st.sampled_from(sorted(GRIDS)), st.integers(1, 64),
+           st.integers(1, 300))
+    @example(design_schedule(reference_config(256, 8), THETA_20, 0.4), "pattern", 1, 128)
+    def test_results_keep_their_bytes_whatever_the_memo_holds(self, schedule, grid, wider,
+                                                              narrower):
+        cfg = schedule.config
+        clear_steering_memo()
+        cold = steering_bytes(schedule, grid)
+        # a wider array on the same grid and spacing, then a narrower one
+        for n in (cfg.n_elements + wider, min(narrower, cfg.n_elements)):
+            clear_steering_memo()
+            warm_steering_memo(dataclasses.replace(cfg, n_elements=n), grid)
+            assert steering_bytes(schedule, grid) == cold
+        assert steering_bytes(schedule, grid) == cold
+        clear_steering_memo()
+        results = [None, None]
+
+        def worker(k):
+            results[k] = steering_bytes(schedule, grid)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert results == [cold, cold]
+
+    def test_threads_sharing_the_memo_get_its_bits(self):
+        # more threads than cores, each scanning arrays that widen or narrow
+        # the tables the others read
+        schedules = [design_schedule(reference_config(n, 8), THETA_20, 0.4) for n in (3, 64, 17)]
+        expected = []
+        for schedule in schedules:
+            clear_steering_memo()
+            expected.append(steering_bytes(schedule, "coarse"))
+        mismatches = []
+
+        def worker(k):
+            for i in range(40):
+                j = (k + i) % len(schedules)
+                if steering_bytes(schedules[j], "coarse") != expected[j]:
+                    mismatches.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_slices_of_a_wide_table_equal_fresh_builds(self):
+        beta_d = pi
+        for theta in (PATTERN_THETA, SIDEBAND_THETA):
+            clear_steering_memo()
+            wide = harmonic_analysis._phase_table(beta_d, theta, 256)
+            for count in (1, 5, 16, 32, 64, 128):
+                fresh = harmonic_analysis._exp_table(beta_d, theta, count)
+                narrow = harmonic_analysis._phase_table(beta_d, theta, count)
+                assert narrow.tobytes() == fresh.tobytes() == wide[:, :count].tobytes()
+            assert len(harmonic_analysis._phase_tables) == 1
+
+    def test_memo_stays_bounded(self):
+        huge = np.linspace(-1.5, 1.5, 10**5)
+        for n in (1, 2, 5, 17, 64, 256, 300, 2048):
+            schedule = design_schedule(reference_config(n, 4), THETA_20, 0.5)
+            for theta in (PATTERN_THETA, COARSE_THETA, SIDEBAND_THETA, huge):
+                if theta.size * n <= harmonic_analysis.MAX_STEERING_ENTRIES:
+                    radiation_pattern(schedule, [1, -3], theta)
+                    array_factor(schedule, 5, theta)
+            for step in (1.0, 0.25, 0.05, 0.01):
+                sideband_level(schedule, 3, step)
+        tables = list(harmonic_analysis._phase_tables.values())
+        assert 0 < len(tables) <= 4
+        for table in tables:
+            assert table.size <= harmonic_analysis._STEERING_MEMO_ENTRIES
+            assert not table.flags.writeable
+
+    def test_no_caller_can_write_into_the_memo(self, peak_schedule):
+        clear_steering_memo()
+        radiation_pattern(peak_schedule, [1], PATTERN_THETA)
+        steering = harmonic_analysis._steering(peak_schedule.config, PATTERN_THETA)
+        assert np.shares_memory(steering, next(iter(harmonic_analysis._phase_tables.values())))
+        with pytest.raises(ValueError, match="read-only"):
+            steering[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            steering.flags.writeable = True
+
+    def test_guards_run_on_a_warm_memo(self, peak_schedule, monkeypatch):
+        radiation_pattern(peak_schedule, [1], PATTERN_THETA)
+        bad = PATTERN_THETA.copy()
+        bad[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            radiation_pattern(peak_schedule, [1], bad)
+        with pytest.raises(ValueError, match="finite"):
+            array_factor(peak_schedule, 1, bad)
+        monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", PATTERN_THETA.size * 5 - 1)
+        with pytest.raises(ValueError, match="cap"):
+            radiation_pattern(peak_schedule, [1], PATTERN_THETA)
+        with pytest.raises(ValueError, match="cap"):
+            array_factor(peak_schedule, 1, PATTERN_THETA)
+
+    def test_scalar_angles_stay_off_the_memo(self):
+        clear_steering_memo()
+        cfg = reference_config(16, 8)
+        schedule = design_schedule(cfg, THETA_20, 0.5)
+        array_factor(schedule, 1, 0.3)
+        plans = [SymbolPlan(1 + 1j, 0.5, pi / 4, 1.0)]
+        simulate_constellation(plans, cfg, 0.3)
+        assert harmonic_analysis._phase_tables == {}
+
+    def test_sideband_scan_holds_no_steering_matrix(self):
+        # the whole 3601 x 256 steering matrix alone would be 14.1 MiB
+        schedule = design_schedule(reference_config(256, path_count=8), THETA_20, 0.5)
+        sideband_level(schedule, 25)
+        fresh = dataclasses.replace(schedule)
+        tracemalloc.start()
+        try:
+            sideband_level(fresh, 25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 # ------------------------------------------- designed schedules: the lag sum
