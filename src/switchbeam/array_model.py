@@ -12,8 +12,9 @@ amplitude weight; pulse timing alone sets each element's amplitude.
 Pulse widths and onsets are fractions of the modulation period (onsets in
 [0, 1)); a schedule holds no seconds.  Every type is immutable and every
 function is pure, so everything here is safe to share across threads and to
-evaluate in parallel sweeps.  (``harmonic_analysis`` caches on a schedule the
-coefficients of its last pass, a pure function of its immutable fields.)
+evaluate in parallel sweeps.  (A designed schedule stores its pulse table and
+builds ``elements`` from it on first read, and ``harmonic_analysis`` caches the
+coefficients of its last pass on a schedule: pure functions of its fields.)
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ MAX_WIDTH_NORM = 1.0 / 3.0
 MAX_ELEMENTS = 1 << 11
 
 
-def wrap_unit(x: float) -> float:
-    """Reduce a normalized time into [0, 1), guarding the x % 1.0 == 1.0 corner."""
+def wrap_unit(x):
+    """Reduce normalized times into [0, 1), guarding the x % 1.0 == 1.0 corner."""
     r = x % 1.0
-    return r - 1.0 if r >= 1.0 else r
+    return r - (r >= 1.0)
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,8 @@ class ArrayConfig:
             raise ValueError("element_spacing must be positive")
         if self.carrier_freq <= 0 or self.pulse_freq <= 0:
             raise ValueError("frequencies must be positive")
+        if not isfinite(self.wavenumber * self.element_spacing):
+            raise ValueError(f"element_spacing {self.element_spacing!r} m overflows beta*d")
         if self.path_count not in (4, 8):
             raise ValueError("path_count must be 4 or 8")
 
@@ -174,7 +177,9 @@ class ArraySchedule:
     that element n is element 0 shifted by n * delta.  The constructor does
     not take it, and ``dataclasses.replace``, documents and every other
     schedule carry ``None``; it takes no part in equality or ``repr``.
-    A pickle holds the fields alone, not the coefficient rows cached on it.
+    ``design_schedule`` also stores its read-only pulse table, which analysis
+    reads, and ``elements`` is built from it on first read.  Pickles and copies
+    hold the fields alone, not the table or the coefficient rows cached on it.
     """
 
     config: ArrayConfig
@@ -186,6 +191,18 @@ class ArraySchedule:
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
 
+    def __getattr__(self, name):
+        # only names missing from the instance get here, among them the
+        # elements of a designed schedule before their first read
+        if name != "elements" or "_pulse_table" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        onsets, widths, _ = (column.tolist() for column in self._pulse_table)
+        phases = self._path_phases
+        object.__setattr__(self, "elements", tuple(
+            ElementSchedule(n, [(p, PulseTrain(w, *on)) for p, w, on in zip(phases, *row)])
+            for n, row in enumerate(zip(widths, onsets))))
+        return self.elements
+
     def __getstate__(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -194,20 +211,34 @@ def validate(schedule: ArraySchedule) -> list[str]:
     """Check every schedule invariant and return the violations found.
 
     An empty list means the schedule is well formed.  Each violation names
-    the element, path, and rule; violations are data, not failures.
+    the element, path, and rule (a designed schedule's stored table is
+    checked as a whole, by rule); violations are data, not failures.
     """
     out = list(schedule.config.violations())
     cfg = schedule.config
 
     if not 0 < schedule.duty_ratio <= 1:
         out.append(f"schedule: duty_ratio {schedule.duty_ratio!r} outside (0, 1]")
+    expected_width = schedule.duty_ratio / 3.0
+    if "_pulse_table" in vars(schedule):
+        onsets, widths, _ = schedule._pulse_table
+        gap = (onsets[..., 1] - onsets[..., 0]) % 1.0
+        disjoint = (gap >= widths) & (1.0 - gap >= widths)
+        broken = {
+            "pulse table is not elements x paths": widths.shape != (cfg.n_elements, cfg.path_count),
+            "trains do not share a common width": (widths != widths.flat[0]).any(),
+            "width exceeds T_p/3": widths.max() > MAX_WIDTH_NORM + 1e-12,
+            "width does not equal duty_ratio*T_p/3": np.abs(widths - expected_width).max() > 1e-12,
+            "phases not distinct": len(set(schedule._path_phases)) != widths.shape[1],
+            "positive and negative pulses overlap": not disjoint.all(),
+        }
+        return out + [f"schedule: {rule}" for rule, hit in broken.items() if hit]
     if len(schedule.elements) != cfg.n_elements:
         out.append(
             f"schedule: {len(schedule.elements)} element schedules for "
             f"{cfg.n_elements} configured elements"
         )
 
-    expected_width = schedule.duty_ratio / 3.0
     for element in schedule.elements:
         tag = f"element {element.element_index}"
         if len(element.paths) != cfg.path_count:
@@ -246,6 +277,12 @@ def pulse_table(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                        for p, t in e.paths] + [(0.0,) * 5] * (k - len(e.paths))
                       for e in elements], dtype=float).reshape(len(elements), k, 5)
     return table[..., :2], table[..., 2], np.exp(1j * table[..., 3]) * table[..., 4]
+
+
+def _schedule_table(schedule: ArraySchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pulse table ``design_schedule`` stored, else that of the elements."""
+    table = vars(schedule).get("_pulse_table")
+    return pulse_table(schedule.elements) if table is None else table
 
 
 def _check_disjoint(elements) -> None:
@@ -306,27 +343,11 @@ def envelope_filtered_samples(element: ElementSchedule, samples_per_period: int)
     return out
 
 
-def envelope_segments(element: ElementSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """Piecewise-constant form of the combined envelope on [0, 1).
-
-    Returns
-    -------
-    (breaks, values)
-        ``breaks`` is the sorted array of segment start times (the first is
-        not necessarily 0); segment ``i`` spans ``[breaks[i], breaks[i+1])``
-        (wrapping at 1) and the envelope equals ``values[i]`` throughout.
-    """
-    _check_disjoint((element,))
-    edges, values = (row[0] for row in _segments(pulse_table((element,))))
-    last = edges < np.append(edges[1:], np.inf)
-    return edges[last], values[last]
-
-
 def _segments(table) -> tuple[np.ndarray, np.ndarray]:
-    """``envelope_segments`` of every element of a pulse table, as padded
-    rows: the element's wrapped pulse edges, sorted, equal edges left in
-    place and +inf after the last, and at the last edge of each run of equal
-    edges the envelope's value up to the next edge (0 at other entries).
+    """The piecewise-constant envelope of every element of a pulse table, as
+    padded rows: the element's wrapped pulse edges, sorted, equal edges left
+    in place and +inf after the last, and at the last edge of each run of
+    equal edges the envelope's value up to the next edge (0 elsewhere).
 
     The zero-width paths that pad ragged path counts add no edge, but an
     element without paths keeps its padding path's edges at 0 (one segment

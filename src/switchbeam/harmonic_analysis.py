@@ -6,6 +6,7 @@ coefficients are the path sum with each path rotated by its carrier phase.
 The internals read a schedule only as its pulse table
 (``array_model.pulse_table``: per path, its two onsets, width and carrier
 rotation, ragged path counts padded with zero-rotation paths) and its config.
+A designed schedule's table is the one it stores: its elements are never built.
 ``_coefficients`` evaluates that closed form for a table in broadcasts over
 elements and paths, with its exponentials once per distinct |m| (the -|m|
 rows reuse them exactly) and, for a table of one width, one width
@@ -66,9 +67,9 @@ from .array_model import (
     ArraySchedule,
     ElementSchedule,
     _check_disjoint,
+    _schedule_table,
     _segments,
     envelope_filtered_samples,
-    pulse_table,
 )
 
 #: Power ratios below this (relative to the total) are clamped to zero in
@@ -148,7 +149,7 @@ def _rows(schedule: ArraySchedule, ms) -> np.ndarray:
     at = [index.get(key) for key in keys]
     if matrix is not None and None not in at:
         return matrix if at == list(range(len(matrix))) else matrix[at]
-    matrix = _coefficients(pulse_table(schedule.elements), m)
+    matrix = _coefficients(_schedule_table(schedule), m)
     matrix.flags.writeable = False
     memo = ({key: i for i, key in enumerate(keys)}, matrix)
     object.__setattr__(schedule, "_coefficient_memo", memo)
@@ -329,14 +330,14 @@ def total_power(schedule: ArraySchedule) -> float:
 
 
 def _power_table(schedule: ArraySchedule):
-    """The schedule's pulse table, checked as the power pass needs it."""
-    if len(schedule.elements) != schedule.config.n_elements:
-        raise ValueError(
-            f"schedule has {len(schedule.elements)} element schedules for "
-            f"{schedule.config.n_elements} configured elements"
-        )
-    _check_disjoint(schedule.elements)
-    return pulse_table(schedule.elements)
+    """The schedule's pulse table, checked as the power pass needs it (a
+    stored one passed ``validate`` in ``design_schedule``)."""
+    if "_pulse_table" not in vars(schedule):
+        if len(schedule.elements) != schedule.config.n_elements:
+            raise ValueError(f"schedule has {len(schedule.elements)} element schedules for "
+                             f"{schedule.config.n_elements} configured elements")
+        _check_disjoint(schedule.elements)
+    return _schedule_table(schedule)
 
 
 def _total_powers(config: ArrayConfig, table) -> list[float]:
@@ -483,7 +484,7 @@ def _lag_total_power(schedule: ArraySchedule) -> float:
     width less a distance, so narrow pulses lose no relative precision here,
     while the Gram pass's segment lengths carry ~1e-16 / alpha.
     """
-    onsets, widths, rotation = pulse_table(schedule.elements[:1])
+    onsets, widths, rotation = (column[:1] for column in _schedule_table(schedule))
     weights = np.stack((rotation, -rotation), axis=-1).ravel()
     # the weight product of every pulse pair (p, q) and its onset offset
     products = (weights[:, None] * weights.conj()[None, :]).real.ravel()

@@ -24,19 +24,11 @@ here is in periods; a schedule carries no seconds.
 
 from __future__ import annotations
 
-from math import pi, sin
+from math import isfinite, pi, sin
 
 import numpy as np
 
-from .array_model import (
-    ArrayConfig,
-    ArraySchedule,
-    ElementSchedule,
-    PulseTrain,
-    pulse_table,
-    validate,
-    wrap_unit,
-)
+from .array_model import ArrayConfig, ArraySchedule, _schedule_table, validate, wrap_unit
 
 #: Carrier phases of the in-phase, quadrature and opposed paths, in radians.
 FOUR_PATH_PHASES = (0.0, -pi / 2, -pi, -3 * pi / 2)
@@ -52,7 +44,8 @@ def steering_onset(n: int, steer_angle: float, config: ArrayConfig) -> float:
     """Positive-pulse onset (normalized by the period) that steers element n.
 
     Chosen so the first-harmonic contributions of all elements add in phase
-    toward ``steer_angle``.  Element indices are 0-based.
+    toward ``steer_angle``.  Element indices are 0-based; an array of them
+    gives an array of onsets.
     """
     if not abs(steer_angle) < pi / 2:
         raise ValueError("steer_angle must lie strictly inside (-pi/2, pi/2)")
@@ -80,9 +73,11 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
     Returns
     -------
     ArraySchedule
-        Its ``onset_step`` is the per-element steering step
-        ``beta_d * sin(steer_angle) / (2 pi)`` in periods: every element's
-        envelope is element 0's shifted by its index times this step.
+        It stores its read-only pulse table, which analysis reads, and builds
+        its ``elements`` on their first read.  Its ``onset_step`` is the
+        per-element steering step ``beta_d * sin(steer_angle) / (2 pi)`` in
+        periods: every element's envelope is element 0's shifted by its
+        index times this step.
     """
     if not 0 < duty_ratio <= 1:
         raise ValueError("duty_ratio must lie in (0, 1]")
@@ -90,23 +85,26 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
     if config_problems:
         raise ValueError("invalid config: " + "; ".join(config_problems))
 
-    width_norm = duty_ratio / 3.0
-    elements = []
-    for n in range(config.n_elements):
-        t1 = steering_onset(n, steer_angle, config)
-        base_onsets = (t1, t1 + QUADRATURE_SHIFT, t1 + PBO_SHIFT, t1 + PBO_SHIFT + QUADRATURE_SHIFT)
-        phases = list(FOUR_PATH_PHASES)
-        onsets = list(base_onsets)
-        if config.path_count == 8:
-            phases += [p - pi / 4 for p in FOUR_PATH_PHASES]
-            onsets += [on + EIGHT_PATH_SHIFT for on in base_onsets]
-        paths = tuple(
-            (phase, PulseTrain(width_norm, onset, onset + 0.5))
-            for phase, onset in zip(phases, onsets)
-        )
-        elements.append(ElementSchedule(n, paths))
+    # the last element's steering product is the largest: if it is finite,
+    # so is every onset, and numpy never sees an overflow
+    if not isfinite(steering_onset(config.n_elements - 1, steer_angle, config)):
+        raise ValueError("pulse train timings must be finite")
+    t1 = steering_onset(np.arange(config.n_elements), steer_angle, config)
+    onsets = np.stack((t1, t1 + QUADRATURE_SHIFT, t1 + PBO_SHIFT,
+                       t1 + PBO_SHIFT + QUADRATURE_SHIFT), axis=1)
+    phases = FOUR_PATH_PHASES
+    if config.path_count == 8:
+        onsets = np.concatenate((onsets, onsets + EIGHT_PATH_SHIFT), axis=1)
+        phases += tuple(p - pi / 4 for p in FOUR_PATH_PHASES)
+    # the positive pulse at each onset, the negative half a period later
+    onsets = np.stack((wrap_unit(onsets), wrap_unit(onsets + 0.5)), axis=2)
+    widths = np.full(onsets.shape[:2], duty_ratio / 3.0)
+    rotation = np.broadcast_to(np.exp(1j * np.array(phases)), widths.shape)
+    onsets.flags.writeable = widths.flags.writeable = False
 
-    schedule = ArraySchedule(config, duty_ratio, steer_angle, tuple(elements))
+    schedule = ArraySchedule(config, duty_ratio, steer_angle)
+    del vars(schedule)["elements"]  # built from the table on the first read
+    vars(schedule).update(_pulse_table=(onsets, widths, rotation), _path_phases=phases)
     problems = validate(schedule)
     if problems:  # construction bug, not user error
         raise RuntimeError("designed schedule fails validation: " + "; ".join(problems))
@@ -118,7 +116,7 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
 def _designed_tables(peak: ArraySchedule, duty_ratios):
     """``pulse_table`` of ``design_schedule`` at every duty ratio, bit for bit:
     the designed peak schedule's table with every width ``duty_ratio / 3``."""
-    onsets, widths, rotation = pulse_table(peak.elements)
+    onsets, widths, rotation = _schedule_table(peak)
     for duty_ratio in duty_ratios:
         if not 0 < duty_ratio <= 1:
             raise ValueError("duty_ratio must lie in (0, 1]")

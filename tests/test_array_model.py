@@ -9,14 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import THETA_20, reference_config
-from scalar_reference import combined_coefficient, path_coefficient, synthesize_envelope
+from scalar_reference import (
+    combined_coefficient,
+    envelope_segments,
+    path_coefficient,
+    synthesize_envelope,
+)
 from switchbeam.array_model import (
     ArrayConfig,
     ArraySchedule,
     ElementSchedule,
     PulseTrain,
     envelope_filtered_samples,
-    envelope_segments,
     pulse_table,
     validate,
     wrap_unit,
@@ -34,6 +38,12 @@ class TestPulseTrain:
         # Python's (-1e-18) % 1.0 rounds to 1.0; the wrap must stay in [0, 1)
         assert wrap_unit(-1e-18) == 0.0
         assert 0.0 <= wrap_unit(0.999999999999999999) < 1.0
+
+    def test_wrap_unit_of_an_array_wraps_each_entry_as_a_float_would(self):
+        times = [-1e-18, 0.999999999999999999, 1.75, -0.25, 0.0, -3.5]
+        wrapped = wrap_unit(np.array(times))
+        assert wrapped.dtype == float
+        assert wrapped.tobytes() == np.array([wrap_unit(t) for t in times]).tobytes()
 
     def test_disjoint_pulse_detection(self):
         assert PulseTrain(0.2, 0.0, 0.5).pulses_disjoint()
@@ -86,6 +96,11 @@ class TestArrayConfig:
         with pytest.raises(ValueError):
             ArrayConfig(**base)
 
+    def test_rejects_a_spacing_whose_beta_d_overflows(self):
+        # 1e306 m is finite, but 2 pi d / wavelength is not
+        with pytest.raises(ValueError, match=r"element_spacing 1e\+306 m overflows beta\*d"):
+            ArrayConfig(5, 1e306, 77e9, 1e9)
+
     def test_accepts_numpy_integer_counts(self):
         cfg = ArrayConfig(np.int64(5), 2e-3, 77e9, 1e9, path_count=np.int32(8))
         assert cfg == ArrayConfig(5, 2e-3, 77e9, 1e9, path_count=8)
@@ -122,6 +137,26 @@ class TestValidate:
             peak_schedule, elements=(patched,) + peak_schedule.elements[1:]
         )
         assert any("phases not distinct" in v for v in validate(schedule))
+
+    @pytest.mark.parametrize("corrupt, rules", [
+        (lambda on, w, r, ph: (on[:-1], w[:-1], r[:-1], ph), ["not elements x paths"]),
+        (lambda on, w, r, ph: (on, w + np.eye(*w.shape) * 1e-13, r, ph), ["common width"]),
+        (lambda on, w, r, ph: (on, np.full_like(w, 0.35), r, ph),
+         ["width exceeds T_p/3", "does not equal duty_ratio"]),
+        (lambda on, w, r, ph: (on, w * 0.9, r, ph), ["does not equal duty_ratio"]),
+        (lambda on, w, r, ph: (on, w, r, (0.0,) + ph[1:-1] + (0.0,)), ["phases not distinct"]),
+        (lambda on, w, r, ph: (np.stack((on[..., 0], on[..., 0] + 0.1), axis=2), w, r, ph),
+         ["pulses overlap"]),
+    ], ids=["shape", "common", "wide", "alpha", "phases", "overlap"])
+    def test_stored_table_is_checked_as_a_whole(self, corrupt, rules):
+        schedule = design_schedule(reference_config(6), THETA_20, 0.9)
+        onsets, widths, rotation = schedule._pulse_table
+        *table, phases = corrupt(onsets, widths, rotation, schedule._path_phases)
+        vars(schedule).update(_pulse_table=tuple(table), _path_phases=phases)
+        problems = validate(schedule)
+        assert len(problems) == len(rules)
+        assert all(rule in problem for rule, problem in zip(rules, problems))
+        assert "elements" not in vars(schedule)
 
     def test_element_count_mismatch_is_flagged(self, peak_schedule):
         schedule = dataclasses.replace(peak_schedule, elements=peak_schedule.elements[:-1])

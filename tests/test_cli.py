@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from switchbeam import array_model, cli, harmonic_analysis, schedule_design
+from switchbeam import array_model, cli
 from switchbeam.array_model import MAX_ELEMENTS, pulse_table
 from switchbeam.cli import main
 
@@ -266,6 +266,25 @@ class TestNonFiniteInput:
         assert code == 2 and out == ""
         assert "finite" in json.loads(err)["error"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_onsets_exit_two_without_numpy_warnings(self, capsys):
+        # n * beta_d * sin(theta) overflows at the last elements
+        code, out, err = run(capsys, "design", "--elements", "2048", "--spacing-wl", "1e305")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "pulse train timings must be finite"}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["pattern", "verify"])
+    def test_document_spacing_overflowing_beta_d_exits_two(self, capsys, tmp_path, command):
+        code, out, _ = run(capsys, "design", *DESIGN_20)
+        doc = json.loads(out)
+        doc["config"]["spacing_wavelengths"] = 1e308
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--schedule", str(path))
+        assert code == 2 and out == ""
+        assert "element_spacing" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("command, text, line", [
         (["qam"], "nan,1\n", 1),
         (["qam", "--predistort", "off"], "i,q\n0.5,0.5\nnan,1\n", 3),
@@ -386,15 +405,14 @@ class TestVerify:
         assert "all checks passed" in out
 
     def test_oracle_does_not_read_the_pulse_table(self, capsys, monkeypatch):
-        # the analytic coefficients read the schedule through pulse_table and
-        # the DFT oracle reads the paths, so a flattening that widens every
-        # pulse by 0.1% must fail the oracle check
+        # the analytic coefficients of a loaded schedule read it through
+        # array_model.pulse_table and the DFT oracle reads the paths, so a
+        # flattening that widens every pulse by 0.1% must fail the oracle check
         def widened(elements):
             onsets, widths, rotation = pulse_table(elements)
             return onsets, widths * 1.001, rotation
 
-        for module in (array_model, harmonic_analysis, schedule_design):
-            monkeypatch.setattr(module, "pulse_table", widened)
+        monkeypatch.setattr(array_model, "pulse_table", widened)
         code, out, _ = run(capsys, "verify", "--elements", "8", "--paths", "8",
                            "--alpha-db", "-6")
         assert code == 1

@@ -15,14 +15,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALPHA_GRID, THETA_20, reference_config
-from scalar_reference import combined_coefficient, path_coefficient, synthesize_envelope
+from scalar_reference import (
+    combined_coefficient,
+    envelope_segments,
+    path_coefficient,
+    synthesize_envelope,
+)
 from switchbeam.array_model import (
     MAX_ELEMENTS,
     ArraySchedule,
     _segments,
     ElementSchedule,
     PulseTrain,
-    envelope_segments,
     pulse_table,
 )
 from switchbeam import harmonic_analysis

@@ -1,6 +1,9 @@
 """Schedule construction rules and their harmonic-suppression guarantees."""
 
+import copy
 import dataclasses
+import pickle
+import warnings
 from math import pi
 
 import numpy as np
@@ -9,9 +12,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALPHA_GRID, THETA_20, reference_config
-from scalar_reference import combined_coefficient
-from switchbeam.array_model import pulse_table
-from switchbeam.harmonic_analysis import array_factor, coefficient_matrix
+from scalar_reference import combined_coefficient, design_elements
+from switchbeam import circuit_model, modulation
+from switchbeam.array_model import ArraySchedule, pulse_table, validate
+from switchbeam.circuit_model import pbo_sweep
+from switchbeam.harmonic_analysis import (
+    array_factor,
+    coefficient_matrix,
+    compute_spectrum,
+    harmonic_efficiency,
+    radiation_pattern,
+    sideband_level,
+    total_power,
+)
+from switchbeam.modulation import SymbolPlan, simulate_constellation
 from switchbeam.schedule_design import (
     EIGHT_PATH_SHIFT,
     PBO_SHIFT,
@@ -239,3 +253,131 @@ class TestDesignedTables:
         with pytest.raises(ValueError, match=r"duty_ratio must lie in \(0, 1\]"):
             list(_designed_tables(design_schedule(reference_config(), THETA_20, 1.0),
                                   [0.5, duty]))
+
+
+def reference_schedule(config, steer_angle, duty_ratio, onset_step=None):
+    """The schedule of ``design_elements``, optionally with a designed step."""
+    schedule = ArraySchedule(config, duty_ratio, steer_angle,
+                             design_elements(config, steer_angle, duty_ratio))
+    object.__setattr__(schedule, "onset_step", onset_step)
+    return schedule
+
+
+def analysis_bytes(schedule) -> bytes:
+    """Spectrum, powers and a pattern of one schedule, as bytes."""
+    spectrum = compute_spectrum(schedule, 9)
+    pattern = radiation_pattern(schedule, [1, -3, 5], np.linspace(-1.5, 1.5, 61))
+    parts = [[spectrum.total_power, *spectrum.powers.values(), total_power(schedule),
+              harmonic_efficiency(schedule), sideband_level(schedule, 9)],
+             *(c.per_element for c in spectrum.coefficients.values()),
+             *pattern.levels_db.values()]
+    return b"".join(np.asarray(part).tobytes() for part in parts)
+
+
+class TestStoredTable:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_elements=st.integers(1, 299),
+        path_count=st.sampled_from([4, 8]),
+        spacing_wl=st.floats(0.1, 1.0),
+        theta=st.floats(-1.5, 1.5),
+        alpha=st.floats(0.01, 1.0),
+    )
+    def test_table_is_the_reference_designs_table(
+        self, n_elements, path_count, spacing_wl, theta, alpha
+    ):
+        cfg = reference_config(n_elements, path_count, spacing_wl)
+        schedule = design_schedule(cfg, theta, alpha)
+        elements = design_elements(cfg, theta, alpha)
+        for got, want in zip(schedule._pulse_table, pulse_table(elements), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert "elements" not in vars(schedule)
+        assert schedule.elements == elements
+
+    @pytest.mark.parametrize("path_count", [4, 8])
+    def test_elements_view_keeps_equality_hash_repr_and_pickle(self, path_count):
+        cfg = reference_config(7, path_count, 0.37)
+        schedule = design_schedule(cfg, -0.4, 0.3)
+        reference = reference_schedule(cfg, -0.4, 0.3, schedule.onset_step)
+        assert pickle.dumps(schedule) == pickle.dumps(reference)
+        assert "elements" in vars(schedule)
+        assert schedule == reference and hash(schedule) == hash(reference)
+        assert repr(schedule) == repr(reference)
+        assert validate(schedule) == [] == validate(dataclasses.replace(schedule))
+
+    def test_stored_table_is_read_only(self):
+        onsets, widths, rotation = design_schedule(reference_config(), THETA_20, 0.5)._pulse_table
+        for column in (onsets, widths, rotation):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0] = 0.5
+
+    @pytest.mark.parametrize("analyse", [
+        lambda s: compute_spectrum(s, 25),
+        lambda s: sideband_level(s, 9),
+        lambda s: radiation_pattern(s, [1, -3, 5, -7], np.linspace(-1.5, 1.5, 181)),
+        total_power,
+        harmonic_efficiency,
+    ], ids=["spectrum", "sideband", "pattern", "total_power", "efficiency"])
+    def test_analysis_never_builds_the_elements(self, analyse):
+        schedule = design_schedule(reference_config(16, 8), THETA_20, 0.4)
+        analyse(schedule)
+        assert "elements" not in vars(schedule)
+
+    def test_sweeps_never_build_the_elements(self, monkeypatch):
+        designed = []
+
+        def recorded(*args):
+            designed.append(design_schedule(*args))
+            return designed[-1]
+
+        for module in (circuit_model, modulation):
+            monkeypatch.setattr(module, "design_schedule", recorded)
+        cfg = reference_config(8, 8)
+        pbo_sweep(cfg, None, THETA_20, [1.0, 0.5, 0.1])
+        plans = [SymbolPlan(1 + 1j, 0.5, pi / 4, 1.0), SymbolPlan(-0.5j, 0.2, -pi / 2, 0.5)]
+        simulate_constellation(plans, cfg, THETA_20)
+        assert len(designed) == 2
+        assert all("elements" not in vars(schedule) for schedule in designed)
+
+    def test_replaced_copy_takes_the_element_route(self):
+        cfg = reference_config(12, 8)
+        schedule = design_schedule(cfg, THETA_20, 0.5)
+        analysis_bytes(schedule)
+        narrowed = dataclasses.replace(schedule, duty_ratio=0.25)
+        assert narrowed.onset_step is None
+        assert set(vars(narrowed)) <= {f.name for f in dataclasses.fields(narrowed)}
+        reference = dataclasses.replace(reference_schedule(cfg, THETA_20, 0.5), duty_ratio=0.25)
+        assert analysis_bytes(narrowed) == analysis_bytes(reference)
+
+    @pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.copy,
+                                       copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_clones_carry_the_fields_alone(self, clone):
+        cfg = reference_config(10, 4, 0.45)
+        schedule = design_schedule(cfg, -0.3, 0.6)
+        analysis_bytes(schedule)
+        copied = clone(schedule)
+        assert set(vars(copied)) <= {f.name for f in dataclasses.fields(copied)}
+        assert copied.onset_step == schedule.onset_step
+        reference = reference_schedule(cfg, -0.3, 0.6, schedule.onset_step)
+        assert copied == reference
+        assert analysis_bytes(copied) == analysis_bytes(reference) == analysis_bytes(schedule)
+
+    @pytest.mark.parametrize("theta, duty, message", [
+        (pi / 2, 1.0, "steer_angle must lie strictly inside"),
+        (float("nan"), 1.0, "steer_angle must lie strictly inside"),
+        (THETA_20, 0.0, r"duty_ratio must lie in \(0, 1\]"),
+        (THETA_20, float("nan"), r"duty_ratio must lie in \(0, 1\]"),
+    ])
+    def test_rejections_keep_their_messages(self, theta, duty, message):
+        with pytest.raises(ValueError, match=message):
+            design_schedule(reference_config(), theta, duty)
+
+    def test_overflowing_onsets_raise_before_numpy_warns(self):
+        # finite beta_d, but n * beta_d * sin(theta) overflows at the last
+        # elements
+        cfg = reference_config(2048, spacing_wl=1e305)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="pulse train timings must be finite"):
+                design_schedule(cfg, THETA_20, 1.0)
