@@ -24,7 +24,7 @@ here is in periods; a schedule carries no seconds.
 
 from __future__ import annotations
 
-from math import isfinite, pi, sin
+from math import pi, sin
 
 import numpy as np
 
@@ -45,12 +45,16 @@ def steering_onset(n: int, steer_angle: float, config: ArrayConfig) -> float:
 
     Chosen so the first-harmonic contributions of all elements add in phase
     toward ``steer_angle``.  Element indices are 0-based; an array of them
-    gives an array of onsets.
+    gives an array of onsets.  An overflowing phase raises ValueError.
     """
     if not abs(steer_angle) < pi / 2:
         raise ValueError("steer_angle must lie strictly inside (-pi/2, pi/2)")
     beta_d = config.wavenumber * config.element_spacing
-    return wrap_unit(0.5 * (n * beta_d * sin(steer_angle) / pi - 0.5))
+    with np.errstate(over="ignore"):
+        phase = n * beta_d * sin(steer_angle)
+    if not np.isfinite(phase).all():
+        raise ValueError("pulse train timings must be finite")
+    return wrap_unit(0.5 * (phase / pi - 0.5))
 
 
 #: Offset of the opposed-phase pair, in periods: k/|m| with m = -3, k = -1.
@@ -85,10 +89,6 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
     if config_problems:
         raise ValueError("invalid config: " + "; ".join(config_problems))
 
-    # the last element's steering product is the largest: if it is finite,
-    # so is every onset, and numpy never sees an overflow
-    if not isfinite(steering_onset(config.n_elements - 1, steer_angle, config)):
-        raise ValueError("pulse train timings must be finite")
     t1 = steering_onset(np.arange(config.n_elements), steer_angle, config)
     onsets = np.stack((t1, t1 + QUADRATURE_SHIFT, t1 + PBO_SHIFT,
                        t1 + PBO_SHIFT + QUADRATURE_SHIFT), axis=1)

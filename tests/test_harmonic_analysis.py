@@ -481,6 +481,19 @@ def spaced_schedules(draw):
     return dataclasses.replace(schedule, config=config)
 
 
+@st.composite
+def sideband_schedules(draw):
+    """A designed schedule of 1 to 300 elements, 4 or 8 paths, at 0.1 to 1
+    wavelength, or its ``dataclasses.replace`` copy (analysed from its
+    elements)."""
+    cfg = reference_config(n_elements=draw(st.integers(1, 300)),
+                           path_count=draw(st.sampled_from([4, 8])),
+                           spacing_wl=draw(st.floats(0.1, 1.0)))
+    schedule = design_schedule(cfg, np.deg2rad(draw(st.floats(-70.0, 70.0))),
+                               draw(st.floats(1e-3, 1.0)))
+    return dataclasses.replace(schedule) if draw(st.booleans()) else schedule
+
+
 #: Trains for the byte tests: phases whose rotations hold signed zeros or
 #: exact signs, widths down to 1e-12, and now and then both pulses at one
 #: onset, so that a path adds exact zeros.
@@ -1046,25 +1059,115 @@ class TestSharedSteering:
                 # a skipped harmonic could not have been the worst
                 assert exact[m] <= worst + 1e-15 * exact[1]
 
-    def test_sideband_level_blocks_the_grid_under_the_cap(self, peak_schedule, monkeypatch):
-        # a block takes the smaller of the scan block (a quarter of the memo
-        # cap over a 16-wide steering: 64 angles here) and the cap's block
-        # (997 entries over 50 harmonics: 19 angles); with the lowered memo
-        # cap the factor tables are built block by block, so their sizes
-        # show the blocks
-        whole = sideband_level(peak_schedule, 25)
-        blocks = []
-        build = harmonic_analysis._exp_table
-        monkeypatch.setattr(harmonic_analysis, "_exp_table",
-                            lambda beta_d, theta, count: blocks.append(theta.size)
-                            or build(beta_d, theta, count))
-        monkeypatch.setattr(harmonic_analysis, "_STEERING_MEMO_ENTRIES", 1 << 12)
-        assert sideband_level(peak_schedule, 25) == pytest.approx(whole, rel=1e-12)
-        assert max(blocks) == 64
-        blocks.clear()
-        monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", 997)
-        assert sideband_level(peak_schedule, 25) == pytest.approx(whole, rel=1e-12)
-        assert max(blocks) == 19 and len(blocks) == 2 * -(-3601 // 19)
+    @pytest.mark.parametrize("memo, max_entries", [
+        (1 << 12, 1 << 22), (1 << 12, 997), (1 << 8, 1 << 22),
+    ])
+    def test_sideband_working_arrays_stay_under_the_cap(self, monkeypatch, memo, max_entries):
+        # the cap is a quarter of the memo's, or MAX_STEERING_ENTRIES if lower;
+        # a block sized by its chunk fills it with the 16-wide table (17
+        # elements: Q = 2, so a chunk of two columns spans 4 < 16 products),
+        # and the lowered memo cap makes the tables be built block by block
+        schedule = design_schedule(reference_config(17, 8), THETA_20, 0.5)
+        whole = sideband_level(schedule, 25)
+        cap = min(max_entries, memo >> 2)
+        sizes = []
+        build, einsum = harmonic_analysis._exp_table, np.einsum
+
+        def table(beta_d, theta, count):
+            sizes.append(theta.size * count)
+            return build(beta_d, theta, count)
+
+        def fields(subscripts, inner, high):
+            out = einsum(subscripts, inner, high)
+            sizes.extend((inner.size, high.size, out.size))
+            return out
+
+        monkeypatch.setattr(harmonic_analysis, "_exp_table", table)
+        monkeypatch.setattr(np, "einsum", fields)
+        monkeypatch.setattr(harmonic_analysis, "_STEERING_MEMO_ENTRIES", memo)
+        monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", max_entries)
+        assert sideband_level(schedule, 25) == whole
+        assert cap - 16 < max(sizes) <= cap
+
+    @pytest.mark.parametrize("memo", [harmonic_analysis._STEERING_MEMO_ENTRIES, 1 << 12])
+    def test_first_pass_covers_m1_and_the_top_bound_over_the_whole_grid(self, monkeypatch,
+                                                                        memo):
+        # the lowered memo cap splits the grid into blocks of 64 angles
+        schedule = design_schedule(reference_config(64, 8), THETA_20, 0.5)
+        ms = [m for m in range(-25, 26) if m not in (0, 1)]
+        top = ms[int(np.argmax(np.sum(np.abs(coefficient_matrix(schedule, ms)), axis=1)))]
+        chunks = []
+        einsum = np.einsum
+
+        def fields(subscripts, inner, high):
+            chunks.append(inner.shape[:2])  # angles x columns
+            return einsum(subscripts, inner, high)
+
+        monkeypatch.setattr(np, "einsum", fields)
+        monkeypatch.setattr(harmonic_analysis, "_STEERING_MEMO_ENTRIES", memo)
+        peaks = harmonic_analysis._sideband_peaks(schedule, 25, SIDEBAND_THETA)
+        # two columns over all 3601 angles; the top-bound peak then rules out
+        # the other 48 harmonics, none of them evaluated
+        assert {columns for _, columns in chunks} == {2}
+        assert sum(angles for angles, _ in chunks) == SIDEBAND_THETA.size
+        assert len(chunks) == -(-SIDEBAND_THETA.size // (memo >> 6))
+        assert sorted(peaks) == sorted([1, top])
+
+    @pytest.mark.parametrize("n", [5, 17, 64, 256])
+    def test_peaks_keep_their_bits_in_blocks_of_any_size(self, monkeypatch, n):
+        # the grid ends on the beam, so that the m = 1 peak lies in the last
+        # block: 2, 4, 8 or 16 angles of 7
+        schedule = design_schedule(reference_config(n, 8), THETA_20, 0.5)
+        theta = THETA_20 + np.linspace(-0.05, 0.0, 7)
+        whole = harmonic_analysis._sideband_peaks(schedule, 7, theta)
+        for memo in (1 << 6, 1 << 7, 1 << 8, 1 << 9):
+            monkeypatch.setattr(harmonic_analysis, "_STEERING_MEMO_ENTRIES", memo)
+            assert harmonic_analysis._sideband_peaks(schedule, 7, theta) == whole
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(sideband_schedules(), spaced_schedules()), st.integers(2, 25),
+           st.integers(1, 40))
+    def test_scan_matches_formed_steering_with_the_bits_of_any_memo(self, schedule, m_max,
+                                                                   wider):
+        cfg = schedule.config
+        ms = [1] + [m for m in range(-m_max, m_max + 1) if m not in (0, 1)]
+        beta_d = cfg.wavenumber * cfg.element_spacing
+        steering = np.exp(1j * beta_d * np.outer(np.sin(SIDEBAND_THETA),
+                                                  np.arange(cfg.n_elements)))
+        exact = np.max(np.abs(steering @ coefficient_matrix(schedule, ms).T), axis=0)
+        clear_steering_memo()
+        cold = harmonic_analysis._sideband_peaks(schedule, m_max, SIDEBAND_THETA)
+        worst = max(p for m, p in cold.items() if m != 1)
+        scale = max(exact)
+        assert abs(cold[1] - exact[0]) <= 1e-14 * scale
+        assert abs(worst - max(exact[1:])) <= 1e-14 * scale
+        # warm, then with a wider array's tables in the memo, then with the
+        # tables built block by block under a low cap
+        assert harmonic_analysis._sideband_peaks(schedule, m_max, SIDEBAND_THETA) == cold
+        clear_steering_memo()
+        warm_steering_memo(dataclasses.replace(cfg, n_elements=cfg.n_elements + wider),
+                           "sideband")
+        assert harmonic_analysis._sideband_peaks(schedule, m_max, SIDEBAND_THETA) == cold
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harmonic_analysis, "_STEERING_MEMO_ENTRIES", 1 << 10)
+            assert harmonic_analysis._sideband_peaks(schedule, m_max, SIDEBAND_THETA) == cold
+
+    @pytest.mark.parametrize("analysis, m_max", [
+        (compute_spectrum, 2.5), (sideband_level, 3.0), (compute_spectrum, "7"),
+        (sideband_level, None),
+    ])
+    def test_non_integer_m_max_is_rejected(self, peak_schedule, analysis, m_max):
+        with pytest.raises(ValueError, match="m_max must be an integer"):
+            analysis(peak_schedule, m_max)
+
+    def test_no_sideband_reads_the_floor(self, peak_schedule, monkeypatch):
+        monkeypatch.setattr(harmonic_analysis, "_sideband_peaks",
+                            lambda schedule, m_max, theta: {1: 2.0, -3: 0.0, 5: 0.0})
+        assert sideband_level(peak_schedule, 5) == DB_FLOOR
+
+    def test_numpy_integer_m_max_is_accepted(self, peak_schedule):
+        assert sideband_level(peak_schedule, np.int64(7)) == sideband_level(peak_schedule, 7)
+        assert compute_spectrum(peak_schedule, np.int32(3)).powers.keys() == set(range(-3, 4))
 
     @pytest.mark.parametrize("analysis", [compute_spectrum, sideband_level])
     def test_harmonics_above_the_cap_are_rejected(self, peak_schedule, monkeypatch, analysis):

@@ -56,6 +56,16 @@ class TestSteeringOnset:
         with pytest.raises(ValueError):
             steering_onset(0, pi / 2, reference_config())
 
+    @pytest.mark.parametrize("n", [2047, np.arange(2048)])
+    def test_overflowing_phase_raises_before_numpy_warns(self, n):
+        # finite beta_d, but n * beta_d * sin(theta) overflows; it used to
+        # give NaN
+        cfg = reference_config(2048, spacing_wl=1e305)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="pulse train timings must be finite"):
+                steering_onset(n, THETA_20, cfg)
+
     def test_designed_onset_maximizes_first_harmonic(self):
         # brute-force oracle: slide element 1's whole schedule and watch the
         # first-harmonic response at the steering angle
