@@ -352,7 +352,9 @@ def _segments(table) -> tuple[np.ndarray, np.ndarray]:
     The zero-width paths that pad ragged path counts add no edge, but an
     element without paths keeps its padding path's edges at 0 (one segment
     of value 0).  Values add the pulse terms onto zero path by path, the
-    positive pulse first, as a loop of ``+=`` would.
+    positive pulse first, as a loop of ``+=`` would.  A time d past an onset
+    is in the pulse if ``d - floor(d) < width``: the bits of ``d % 1.0``
+    (both round d - floor(d) once), which numpy computes three times slower.
     """
     onsets, widths, rotation = table
     n, k = widths.shape
@@ -369,6 +371,7 @@ def _segments(table) -> tuple[np.ndarray, np.ndarray]:
     weights = np.stack((rotation, -rotation), axis=2)
     values = np.zeros(edges.shape, dtype=complex)
     for p, side in np.ndindex(k, 2):
-        inside = ((mids - onsets[:, p, side, None]) % 1.0) < widths[:, p, None]
+        d = mids - onsets[:, p, side, None]
+        inside = (d - np.floor(d)) < widths[:, p, None]
         values = values + weights[:, p, side, None] * inside
     return edges, values

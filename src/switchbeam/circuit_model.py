@@ -168,17 +168,19 @@ def pbo_sweep(
     Every zeta_harm equals ``harmonic_efficiency`` of that alpha's designed
     schedule, bit for bit; the peak schedule's tables (``_designed_tables``)
     are evaluated in one batched pass, block by block, so memory does not
-    grow with the grid.
+    grow with the grid, and each distinct alpha once.
     """
     alphas = [float(a) for a in alpha_grid]
     if any(not 0 < a <= 1 for a in alphas):
         raise ValueError("alpha grid values must lie in (0, 1]")
 
     peak = design_schedule(config, steer_angle, 1.0)
-    zeta_peak, *zetas = _harmonic_efficiencies(config, _designed_tables(peak, [1.0] + alphas))
+    distinct = list(dict.fromkeys([1.0] + alphas))
+    zetas = dict(zip(distinct, _harmonic_efficiencies(config, _designed_tables(peak, distinct))))
     rows = []
-    for alpha, zeta_harm in zip(alphas, zetas):
-        pbo_db = 10.0 * math.log10(alpha * zeta_harm / zeta_peak)
+    for alpha in alphas:
+        zeta_harm = zetas[alpha]
+        pbo_db = 10.0 * math.log10(alpha * zeta_harm / zetas[1.0])
         zeta_circ = eta = None
         if params is not None:
             zeta_circ = circuit_efficiency(params, 2 * alpha / 3)

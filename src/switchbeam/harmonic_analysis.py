@@ -362,20 +362,24 @@ def _grams(table, count: int) -> np.ndarray:
     midpoint (``searchsorted(breaks, mid, side="right") - 1``, -1 wrapping to
     the last segment) and takes ``np.sum`` of ``va * conj(vb) * lengths``:
 
-    * merge: each row joins both elements' padded edge rows (``_segments``)
-      with 0 and 1 and sorts them.  The last entry of each run of equal
-      edges is a break of the union; an element's value on the segment from
-      it sits at (its edges counted up to there - 1) mod its finite edges.
+    * merge: each row lays both elements' padded edge rows (``_segments``)
+      and 0, 1 and inf into one block row and sorts it.  The last entry of
+      each run of equal entries is a break of the union; each one below 1.0
+      starts a segment whose ``hi`` is the next entry.
+    * counts: a's edges count in a low bit field and b's in a high one of
+      one running sum, from the offsets of a and b in a value table whose
+      column 0 holds each element's last value (the wrap before its first
+      edge).  A run's end counts all its equal edges, in any order.
     * edges one ulp apart: the midpoint can round onto the upper edge, and
-      ``searchsorted`` on it then counts that edge too, so the count is taken
-      at ``hi`` whenever ``0.5 * (lo + hi) == hi``.
+      ``searchsorted`` on it then counts that edge too, so the counts are
+      taken at the end of the next run whenever ``0.5 * (lo + hi) == hi``.
     * sum: numpy's pairwise summation depends on the length, so the rows are
-      summed with ``np.sum(..., axis=1)`` in groups of equal segment count.
+      summed with ``np.add.reduce`` in groups of equal segment count.
     * temporary elision: on operands of 256 KiB or more numpy would evaluate
       ``va * np.conj(vb) * lengths`` in place with the operands swapped, and
       a complex multiply that uses FMA rounds the imaginary part of the
       swapped product differently, so the products are explicit
-      ``np.multiply`` calls.
+      ``np.multiply`` calls (the loop's own swap from 16384 segments on).
     * diagonal: the loop stored each integral above the diagonal and its
       conjugate below and on it, and so does the Gram matrix here.  With
       FMA the diagonal's imaginary parts are rounding residues, not zeros.
@@ -385,52 +389,58 @@ def _grams(table, count: int) -> np.ndarray:
     diagonal can change; the Gram matrix keeps the loop's bits all the same.
     """
     edges, values = _segments(table)
-    finite = np.sum(np.isfinite(edges), axis=1)
-    n = len(edges) // count
+    n, width = len(edges) // count, edges.shape[1]
+    last = values[np.arange(len(edges)), np.sum(np.isfinite(edges), axis=1) - 1]
+    lookup = np.concatenate([last[:, None], values], axis=1).ravel()
     upper_i, upper_j = np.triu_indices(n)
     n_rows = count * len(upper_i)
     grams = np.zeros(count * n * n, dtype=complex)
-    # a row merges two padded edge rows with 0 and 1
-    step = max(1, GRAM_BLOCK // (2 * edges.shape[1] + 2))
+    # a row merges two padded edge rows with 0, 1 and inf
+    step = max(1, GRAM_BLOCK // (2 * width + 2))
     for start in range(0, n_rows, step):
         schedule, pair = np.divmod(np.arange(start, min(start + step, n_rows)), len(upper_i))
         i, j = upper_i[pair], upper_j[pair]
         a, b = schedule * n + i, schedule * n + j
-        integrals = _pair_integrals(a, b, edges, values, finite)
+        integrals = _pair_integrals(a, b, edges, lookup)
         grams[a * n + j] = integrals
         grams[b * n + i] = np.conj(integrals)
     return grams.reshape(count, n, n)
 
 
-def _pair_integrals(a, b, edges, values, finite) -> np.ndarray:
+def _pair_integrals(a, b, edges, lookup) -> np.ndarray:
     """Integral over one period of E_a(t) * conj(E_b(t)) for every row (a, b),
-    ``finite`` being each element's number of finite edges."""
+    ``lookup`` being the flat value table of ``_grams``."""
     width = edges.shape[1]
-    merged = np.concatenate([edges[a], edges[b], np.tile([0.0, 1.0, np.inf], (len(a), 1))], 1)
-    order = np.argsort(merged, axis=1)
-    merged = np.take_along_axis(merged, order, axis=1)
-    # the union: the last entry of each run (the inf end sorts last and
-    # closes every run), with the running counts of a's and b's edges up to
-    # it; these need no stable sort, as ties within a run are all counted
-    row, at = np.nonzero(merged[:, :-1] < merged[:, 1:])
-    seen_a = np.cumsum(order < width, axis=1)[row, at]
-    seen_b = np.cumsum(order < 2 * width, axis=1)[row, at] - seen_a
-    union = merged[row, at]
-    # every break but a row's last (1.0) starts a segment
-    starts = np.flatnonzero(union < 1.0)
-    row, lo, hi = row[starts], union[starts], union[starts + 1]
-    # edges <= mid: those up to lo, or up to hi when mid rounds onto it
-    at = starts + (0.5 * (lo + hi) == hi)
-    ea, eb = a[row], b[row]
-    va = values[ea, (seen_a[at] - 1) % finite[ea]]
-    vb = values[eb, (seen_b[at] - 1) % finite[eb]]
+    cols = 2 * width + 3
+    merged = np.empty((len(a), cols))
+    merged[:, :width], merged[:, width:-3], merged[:, -3:] = edges[a], edges[b], (0.0, 1.0, np.inf)
+    order = merged.argsort(axis=1, kind="stable")  # merges the sorted rows fastest
+    merged = merged.take(order + np.arange(0, merged.size, cols)[:, None]).ravel()
+    # a's edges count in the low field, b's in the high one; each row's first
+    # entry moves the sum from the previous row's end to its ``lookup`` offsets
+    shift = (lookup.size - 1).bit_length()
+    tags = np.repeat(np.array([1, 1 << shift, 0], "i4" if shift < 16 else "i8"), [width, width, 3])
+    offset = (a + (b << shift)) * (width + 1)
+    counts = tags[order]
+    counts[:, 0] += offset
+    counts[1:, 0] -= offset[:-1] + (width + (width << shift))
+    counts = counts.cumsum(dtype=tags.dtype)
+    # the last entry of each run of equal entries (a row's inf end closes
+    # every run); each one below 1.0 starts a segment that ends at the next
+    ends = (merged[:-1] < merged[1:]).nonzero()[0]
+    starts = (merged[ends] < 1.0).nonzero()[0]
+    at = ends[starts]
+    lo, hi = merged[at], merged[at + 1]
+    # edges <= mid: up to lo, or up to the next run's end if mid rounds onto hi
+    seen = counts[ends[starts + (0.5 * (lo + hi) == hi)]]
+    va, vb = lookup[seen & ((1 << shift) - 1)], lookup[seen >> shift]
     products = np.multiply(np.multiply(va, np.conj(vb)), hi - lo)
-    segments = np.bincount(row, minlength=len(a))
-    offsets = np.cumsum(segments) - segments
+    segments = np.bincount(at // cols, minlength=len(a))
+    offsets = segments.cumsum() - segments
     out = np.empty(len(a), dtype=complex)
-    for n in np.unique(segments):
-        same = np.flatnonzero(segments == n)
-        out[same] = np.sum(products[offsets[same, None] + np.arange(n)], axis=1)
+    for n in set(segments.tolist()):
+        same = (segments == n).nonzero()[0]
+        out[same] = np.add.reduce(products[offsets[same, None] + np.arange(n)], axis=1)
     return out
 
 

@@ -342,6 +342,20 @@ class TestEnvelopeSegments:
         idx = np.searchsorted(breaks, t, side="right") - 1
         np.testing.assert_allclose(env, values[idx], atol=1e-15)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(-1.0, 2.0, exclude_min=True, exclude_max=True),
+        st.floats(2.0**52, 1e308).flatmap(lambda x: st.sampled_from([x, -x])),
+        st.floats(-(2.0**-54), 0.0, exclude_max=True),  # 1 + x rounds to 1.0
+        st.floats(allow_nan=True, allow_infinity=True),
+    ), min_size=1, max_size=40))
+    @example([-0.0, 0.0, float("nan"), -(2.0**-54), -5e-324, float("inf"), -float("inf")])
+    def test_floor_wrap_has_the_bits_of_the_float_remainder(self, xs):
+        # _segments tests a time against a pulse as d - floor(d) < width
+        x = np.array(xs)
+        with np.errstate(invalid="ignore"):
+            assert (x - np.floor(x)).tobytes() == (x % 1.0).tobytes()
+
     def test_single_pulse_energy(self):
         element = ElementSchedule(0, ((0.0, PulseTrain(0.2, 0.1, 0.6)),))
         breaks, values = envelope_segments(element)

@@ -16,7 +16,7 @@ from switchbeam.circuit_model import (
     power_breakdown,
     total_drain_efficiency,
 )
-from switchbeam import harmonic_analysis
+from switchbeam import circuit_model, harmonic_analysis
 from switchbeam.formats import read_fixture_csv
 from switchbeam.harmonic_analysis import harmonic_efficiency
 from switchbeam.schedule_design import design_schedule
@@ -247,6 +247,23 @@ class TestPboSweepBatch:
         # one schedule per block, and Gram blocks of a few rows
         monkeypatch.setattr(harmonic_analysis, "GRAM_BLOCK", 1)
         assert pbo_sweep(cfg, None, THETA_20, alphas) == whole
+
+    def test_each_distinct_alpha_is_evaluated_once(self, monkeypatch):
+        # a grid that ends at 0 dB, the peak's own alpha, with repeats
+        grid = [10 ** (k / 10) for k in range(-10, 1)]
+        alphas = grid + [0.5, 0.5, 10 ** -0.3, 1.0]
+        batch, sizes = circuit_model._harmonic_efficiencies, []
+
+        def counted(config, tables):
+            tables = list(tables)
+            sizes.append(len(tables))
+            return batch(config, tables)
+
+        monkeypatch.setattr(circuit_model, "_harmonic_efficiencies", counted)
+        rows = pbo_sweep(reference_config(), None, THETA_20, alphas)
+        assert sizes == [len(grid) + 1]
+        assert [row.alpha for row in rows] == alphas
+        assert rows[-4] == rows[-3] and rows[-2] == rows[7] and rows[-1] == rows[10]
 
     def test_designs_one_schedule_for_the_whole_grid(self, design_calls):
         alphas = [10 ** (k / 100) for k in range(-100, 1)]

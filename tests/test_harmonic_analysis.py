@@ -944,6 +944,55 @@ class TestTotalPowerBatch:
         assert all(same_bits(g, e) for g, e in zip(grams, expected))
         assert [p.hex() for p in totals] == [loop_total_power(s).hex() for s in schedules]
 
+    def test_midpoint_rounding_onto_the_upper_edge(self):
+        # edges one ulp apart, the lower with an odd last bit: their midpoint
+        # rounds onto the upper edge, which both passes must count there
+        lo = float(np.nextafter(0.25, 1.0))
+        hi = float(np.nextafter(lo, 1.0))
+        schedule = ArraySchedule(reference_config(n_elements=2), 1.0, 0.0, (
+            ElementSchedule(0, ((0.3, PulseTrain(0.2, lo, lo + 0.5)),)),
+            ElementSchedule(1, ((-1.1, PulseTrain(1e-3, hi, hi + 0.5)),)),
+        ))
+        breaks = np.unique(np.concatenate([envelope_segments(e)[0] for e in schedule.elements]))
+        assert np.any(0.5 * (breaks[:-1] + breaks[1:]) == breaks[1:])
+        assert same_bits(batch_grams([schedule])[0], loop_gram(schedule))
+        assert total_power(schedule).hex() == loop_total_power(schedule).hex()
+
+    def test_rows_wider_than_a_16_bit_count_field(self, monkeypatch):
+        # 8192 paths pad both elements to 32768 edges, and b's offset in the
+        # value table (2 x 32769 entries) overflows an int32 running sum
+        # with fixed 16-bit fields.  The paths share 64 timings, so runs of
+        # 128 equal edges leave a few hundred segments per pair: from 16384
+        # segments (256 KiB) on, numpy would reorder the pair loop's own
+        # products in place (see ``_grams``)
+        rng = np.random.default_rng(8192)
+        widths, onsets = rng.uniform(1e-6, 1e-2, 64).tolist(), rng.uniform(0.0, 1.0, 64).tolist()
+        phases = rng.uniform(-pi, pi, 8192).tolist()
+        wide = ElementSchedule(0, tuple(
+            (phase, PulseTrain(width, onset, onset + 0.5))
+            for phase, width, onset in zip(phases, widths * 128, onsets * 128)))
+        narrow = ElementSchedule(1, tuple(
+            (phase, PulseTrain(0.1, onset, onset + 0.5))
+            for phase, onset in [(0.0, 0.05), (1.0, 0.3), (2.0, 0.61), (-1.0, 0.9)]))
+        schedule = ArraySchedule(reference_config(n_elements=2), 1.0, 0.0, (wide, narrow))
+        # the batched pass and total_power share one _segments pass, and the
+        # total is loop_total_power's sum over the one loop Gram matrix: at
+        # this width each _segments pass takes seconds
+        segments, memo = harmonic_analysis._segments, {}
+
+        def once(table):
+            key = b"".join(column.tobytes() for column in table)
+            if key not in memo:
+                memo[key] = segments(table)
+            return memo[key]
+
+        monkeypatch.setattr(harmonic_analysis, "_segments", once)
+        expected = loop_gram(schedule)
+        assert same_bits(batch_grams([schedule])[0], expected)
+        kernel = harmonic_analysis._coupling_kernel(schedule.config)
+        assert total_power(schedule).hex() == float(np.sum(kernel * expected).real).hex()
+        assert len(memo) == 1
+
     def test_element_count_must_match_the_config(self, peak_schedule):
         short = dataclasses.replace(peak_schedule, elements=peak_schedule.elements[:3])
         with pytest.raises(ValueError, match="3 element schedules for 5 configured"):
