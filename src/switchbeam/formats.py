@@ -118,20 +118,20 @@ def schedule_from_doc(doc: dict) -> ArraySchedule:
         c = doc["config"]
         config = config_from_wavelengths(
             _doc_int(c, "elements"),
-            float(c["spacing_wavelengths"]),
-            float(c["f0_hz"]),
-            float(c["fp_hz"]),
+            _doc_float(c, "spacing_wavelengths"),
+            _doc_float(c, "f0_hz"),
+            _doc_float(c, "fp_hz"),
             _doc_int(c, "paths"),
         )
         elements = []
         for e in doc["elements"]:
             paths = tuple(
                 (
-                    math.radians(float(p["phase_deg"])),
+                    math.radians(_doc_float(p, "phase_deg")),
                     PulseTrain(
-                        float(p["width_norm"]),
-                        float(p["onset_pos_norm"]),
-                        float(p["onset_neg_norm"]),
+                        _doc_float(p, "width_norm"),
+                        _doc_float(p, "onset_pos_norm"),
+                        _doc_float(p, "onset_neg_norm"),
                     ),
                 )
                 for p in e["paths"]
@@ -144,8 +144,8 @@ def schedule_from_doc(doc: dict) -> ArraySchedule:
             )
         return ArraySchedule(
             config=config,
-            duty_ratio=float(doc["alpha"]),
-            steer_angle=math.radians(float(doc["theta_deg"])),
+            duty_ratio=_doc_float(doc, "alpha"),
+            steer_angle=math.radians(_doc_float(doc, "theta_deg")),
             elements=tuple(elements),
         )
     except (KeyError, TypeError, OverflowError) as exc:
@@ -158,6 +158,14 @@ def _doc_int(obj: dict, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _doc_float(obj: dict, key: str) -> float:
+    """A document number: a JSON integer or float, which float() would not check."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def canonical_schedule(schedule: ArraySchedule, theta_deg: float | None = None) -> ArraySchedule:

@@ -68,7 +68,6 @@ from .array_model import (
     ArrayConfig,
     ArraySchedule,
     ElementSchedule,
-    _check_disjoint,
     _schedule_table,
     _segments,
     envelope_filtered_samples,
@@ -328,18 +327,7 @@ def total_power(schedule: ArraySchedule) -> float:
     integrated in blocks of one vectorized pass (``_grams``), with the bits of
     a loop that integrates one pair at a time.
     """
-    return _total_powers(schedule.config, _power_table(schedule))[0]
-
-
-def _power_table(schedule: ArraySchedule):
-    """The schedule's pulse table, checked as the power pass needs it (a
-    stored one passed ``validate`` in ``design_schedule``)."""
-    if "_pulse_table" not in vars(schedule):
-        if len(schedule.elements) != schedule.config.n_elements:
-            raise ValueError(f"schedule has {len(schedule.elements)} element schedules for "
-                             f"{schedule.config.n_elements} configured elements")
-        _check_disjoint(schedule.elements)
-    return _schedule_table(schedule)
+    return _total_powers(schedule.config, _schedule_table(schedule))[0]
 
 
 def _total_powers(config: ArrayConfig, table) -> list[float]:
@@ -446,7 +434,7 @@ def _pair_integrals(a, b, edges, lookup) -> np.ndarray:
 
 def harmonic_efficiency(schedule: ArraySchedule) -> float:
     """Fraction of the total radiated power carried by the m = 1 harmonic."""
-    return _harmonic_efficiencies(schedule.config, [_power_table(schedule)])[0]
+    return _harmonic_efficiencies(schedule.config, [_schedule_table(schedule)])[0]
 
 
 def _harmonic_efficiencies(config: ArrayConfig, tables) -> list[float]:

@@ -85,10 +85,6 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
     """
     if not 0 < duty_ratio <= 1:
         raise ValueError("duty_ratio must lie in (0, 1]")
-    config_problems = config.violations()
-    if config_problems:
-        raise ValueError("invalid config: " + "; ".join(config_problems))
-
     t1 = steering_onset(np.arange(config.n_elements), steer_angle, config)
     onsets = np.stack((t1, t1 + QUADRATURE_SHIFT, t1 + PBO_SHIFT,
                        t1 + PBO_SHIFT + QUADRATURE_SHIFT), axis=1)
@@ -105,9 +101,9 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
     schedule = ArraySchedule(config, duty_ratio, steer_angle)
     del vars(schedule)["elements"]  # built from the table on the first read
     vars(schedule).update(_pulse_table=(onsets, widths, rotation), _path_phases=phases)
-    problems = validate(schedule)
-    if problems:  # construction bug, not user error
-        raise RuntimeError("designed schedule fails validation: " + "; ".join(problems))
+    problems = validate(schedule)  # the config's: the table is valid by construction
+    if problems:
+        raise ValueError("invalid config: " + "; ".join(problems))
     beta_d = config.wavenumber * config.element_spacing
     object.__setattr__(schedule, "onset_step", beta_d * sin(steer_angle) / (2 * pi))
     return schedule

@@ -138,26 +138,6 @@ class TestValidate:
         )
         assert any("phases not distinct" in v for v in validate(schedule))
 
-    @pytest.mark.parametrize("corrupt, rules", [
-        (lambda on, w, r, ph: (on[:-1], w[:-1], r[:-1], ph), ["not elements x paths"]),
-        (lambda on, w, r, ph: (on, w + np.eye(*w.shape) * 1e-13, r, ph), ["common width"]),
-        (lambda on, w, r, ph: (on, np.full_like(w, 0.35), r, ph),
-         ["width exceeds T_p/3", "does not equal duty_ratio"]),
-        (lambda on, w, r, ph: (on, w * 0.9, r, ph), ["does not equal duty_ratio"]),
-        (lambda on, w, r, ph: (on, w, r, (0.0,) + ph[1:-1] + (0.0,)), ["phases not distinct"]),
-        (lambda on, w, r, ph: (np.stack((on[..., 0], on[..., 0] + 0.1), axis=2), w, r, ph),
-         ["pulses overlap"]),
-    ], ids=["shape", "common", "wide", "alpha", "phases", "overlap"])
-    def test_stored_table_is_checked_as_a_whole(self, corrupt, rules):
-        schedule = design_schedule(reference_config(6), THETA_20, 0.9)
-        onsets, widths, rotation = schedule._pulse_table
-        *table, phases = corrupt(onsets, widths, rotation, schedule._path_phases)
-        vars(schedule).update(_pulse_table=tuple(table), _path_phases=phases)
-        problems = validate(schedule)
-        assert len(problems) == len(rules)
-        assert all(rule in problem for rule, problem in zip(rules, problems))
-        assert "elements" not in vars(schedule)
-
     def test_element_count_mismatch_is_flagged(self, peak_schedule):
         schedule = dataclasses.replace(peak_schedule, elements=peak_schedule.elements[:-1])
         assert any("element schedules" in v for v in validate(schedule))

@@ -197,6 +197,15 @@ class TestUnwritableOutput:
         assert target in json.loads(err)["error"]
 
 
+def set_number(field, value):
+    """A document edit setting ``field`` of the document, its config or one
+    path to ``value``."""
+    def edit(doc):
+        holders = (doc, doc["config"], doc["elements"][1]["paths"][2])
+        next(h for h in holders if field in h)[field] = value
+    return edit
+
+
 class TestMalformedScheduleDocument:
     @pytest.mark.parametrize("command", ["verify", "pattern"])
     @pytest.mark.parametrize("edit, message", [
@@ -213,6 +222,12 @@ class TestMalformedScheduleDocument:
         (lambda doc: doc["elements"].__delitem__(slice(3, None)),
          "3 element schedules for 5 configured elements"),
         (lambda doc: doc.update(elements=[]), "0 element schedules for 5 configured elements"),
+    ] + [
+        # float() would take these and verify the schedule
+        (set_number(field, value), f"{field} must be a number, got {value!r}")
+        for field in ("alpha", "theta_deg", "spacing_wavelengths", "f0_hz", "fp_hz",
+                      "phase_deg", "onset_pos_norm", "onset_neg_norm", "width_norm")
+        for value in (True, "0.333333333333333")
     ])
     def test_exits_two_with_json_error(self, capsys, tmp_path, command, edit, message):
         sched = tmp_path / "s.json"

@@ -860,7 +860,7 @@ def pair_integral(seg_a, seg_b) -> complex:
     # mids before the first breakpoint belong to the wrapped last segment
     va = vals_a[idx_a]
     vb = vals_b[idx_b]
-    return complex(np.sum(va * np.conj(vb) * lengths))
+    return complex(np.sum(np.multiply(np.multiply(va, np.conj(vb)), lengths)))
 
 
 def loop_gram(schedule) -> np.ndarray:
@@ -961,16 +961,16 @@ class TestTotalPowerBatch:
     def test_rows_wider_than_a_16_bit_count_field(self, monkeypatch):
         # 8192 paths pad both elements to 32768 edges, and b's offset in the
         # value table (2 x 32769 entries) overflows an int32 running sum
-        # with fixed 16-bit fields.  The paths share 64 timings, so runs of
-        # 128 equal edges leave a few hundred segments per pair: from 16384
-        # segments (256 KiB) on, numpy would reorder the pair loop's own
-        # products in place (see ``_grams``)
+        # with fixed 16-bit fields.  Each path has its own timing, so a pair
+        # has over 16384 segments (256 KiB of products), where numpy's
+        # temporary elision would reorder an implicit product in place (see
+        # ``_grams``): both passes spell their products out
         rng = np.random.default_rng(8192)
-        widths, onsets = rng.uniform(1e-6, 1e-2, 64).tolist(), rng.uniform(0.0, 1.0, 64).tolist()
-        phases = rng.uniform(-pi, pi, 8192).tolist()
+        widths, onsets, phases = (rng.uniform(lo, hi, 8192).tolist()
+                                  for lo, hi in [(1e-6, 1e-2), (0.0, 1.0), (-pi, pi)])
         wide = ElementSchedule(0, tuple(
             (phase, PulseTrain(width, onset, onset + 0.5))
-            for phase, width, onset in zip(phases, widths * 128, onsets * 128)))
+            for phase, width, onset in zip(phases, widths, onsets)))
         narrow = ElementSchedule(1, tuple(
             (phase, PulseTrain(0.1, onset, onset + 0.5))
             for phase, onset in [(0.0, 0.05), (1.0, 0.3), (2.0, 0.61), (-1.0, 0.9)]))
@@ -993,10 +993,15 @@ class TestTotalPowerBatch:
         assert total_power(schedule).hex() == float(np.sum(kernel * expected).real).hex()
         assert len(memo) == 1
 
-    def test_element_count_must_match_the_config(self, peak_schedule):
-        short = dataclasses.replace(peak_schedule, elements=peak_schedule.elements[:3])
-        with pytest.raises(ValueError, match="3 element schedules for 5 configured"):
-            total_power(short)
+    def test_overlapping_train_is_rejected(self, peak_schedule):
+        element = peak_schedule.elements[2]
+        (phase, train), *rest = element.paths
+        wide = dataclasses.replace(train, onset_neg_norm=train.onset_pos_norm + 0.2)
+        elements = list(peak_schedule.elements)
+        elements[2] = dataclasses.replace(element, paths=((phase, wide), *rest))
+        loaded = dataclasses.replace(peak_schedule, elements=elements)
+        with pytest.raises(ValueError, match="element 2: pulses within one train overlap"):
+            total_power(loaded)
 
     def test_traced_memory_stays_bounded(self):
         schedule = design_schedule(reference_config(256, path_count=8), THETA_20, 0.5)
@@ -1008,6 +1013,25 @@ class TestTotalPowerBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("analyse", [
+    lambda s: coefficient_matrix(s, [1, -3]),
+    lambda s: compute_spectrum(s, 9),
+    lambda s: harmonic_power(s, 1),
+    total_power,
+    harmonic_efficiency,
+    lambda s: array_factor(s, 1, np.linspace(-1.0, 1.0, 5)),
+    lambda s: radiation_pattern(s, [1, -3], np.linspace(-1.0, 1.0, 5)),
+    lambda s: sideband_level(s, 9),
+], ids=["coefficient_matrix", "compute_spectrum", "harmonic_power", "total_power",
+        "harmonic_efficiency", "array_factor", "radiation_pattern", "sideband_level"])
+@pytest.mark.parametrize("count", [3, 6])
+def test_element_count_must_match_the_config(analyse, count, peak_schedule):
+    elements = (peak_schedule.elements * 2)[:count]
+    schedule = dataclasses.replace(peak_schedule, elements=elements)
+    with pytest.raises(ValueError, match=f"{count} element schedules for 5 configured"):
+        analyse(schedule)
 
 
 class TestSharedSteering:

@@ -143,7 +143,8 @@ class TestDesignSchedule:
 
     def test_rejects_config_failing_validation(self):
         bad = reference_config(f0=5e9, fp=1e9)
-        with pytest.raises(ValueError, match="ratio"):
+        with pytest.raises(ValueError, match="^invalid config: config: carrier/pulse frequency "
+                                             "ratio 5 below 10$"):
             design_schedule(bad, THETA_20, 1.0)
 
 
@@ -302,6 +303,8 @@ class TestStoredTable:
         for got, want in zip(schedule._pulse_table, pulse_table(elements), strict=True):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+        # so the element rules that validate skips for a stored table hold
+        assert validate(ArraySchedule(cfg, alpha, theta, elements)) == []
         assert "elements" not in vars(schedule)
         assert schedule.elements == elements
 
