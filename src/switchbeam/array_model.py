@@ -20,7 +20,7 @@ coefficients of its last pass on a schedule: pure functions of its fields.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from math import ceil, floor, inf, isfinite, pi
+from math import ceil, degrees, floor, inf, isfinite, pi
 
 import numpy as np
 
@@ -189,6 +189,8 @@ class ArraySchedule:
     onset_step: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not (isfinite(self.duty_ratio) and isfinite(self.steer_angle)):
+            raise ValueError("duty ratio and steer angle must be finite")
         object.__setattr__(self, "elements", tuple(self.elements))
 
     def __getattr__(self, name):
@@ -221,6 +223,8 @@ def validate(schedule: ArraySchedule) -> list[str]:
     if "_pulse_table" in vars(schedule):
         # designed: one width, duty_ratio/3 <= T_p/3, distinct phases, pulses T_p/2 apart
         return out
+    if not abs(schedule.steer_angle) < pi / 2:
+        out.append(f"schedule: steer angle {degrees(schedule.steer_angle):.6g} deg outside (-90, 90)")
     expected_width = schedule.duty_ratio / 3.0
     if len(schedule.elements) != cfg.n_elements:
         out.append(
@@ -280,17 +284,12 @@ def _schedule_table(schedule: ArraySchedule) -> tuple[np.ndarray, np.ndarray, np
     return pulse_table(schedule.elements)
 
 
-def _check_disjoint(elements) -> None:
-    """Raise ValueError if the two pulses of any train overlap."""
-    for element in elements:
-        if not all(t.pulses_disjoint() for _, t in element.paths):
-            raise ValueError(f"element {element.element_index}: pulses within one train overlap")
-
-
 def _train_pulses(element: ElementSchedule):
     """Onset, width and weight of every pulse, read from the paths, not from
-    ``pulse_table``: the filtered samples are the table's independent check."""
-    _check_disjoint((element,))
+    ``pulse_table``: the filtered samples are the table's independent check.
+    Raises ValueError if the two pulses of any train overlap."""
+    if not all(t.pulses_disjoint() for _, t in element.paths):
+        raise ValueError(f"element {element.element_index}: pulses within one train overlap")
     for phase, train in element.paths:
         rotation = np.exp(1j * phase)
         yield train.onset_pos_norm, train.width_norm, rotation

@@ -95,6 +95,16 @@ def _check_duty(duty: float) -> None:
         raise ValueError(f"duty must lie in (0, {MAX_DUTY!r}]")
 
 
+def _loss_terms(params: CircuitParams, duty: float) -> tuple[float, float, float, float]:
+    """ON output and ON draw per unit duty, OFF leakage and dynamic loss, in watts:
+    one loss model, so a lossy breakdown's ratio is ``circuit_efficiency`` bit for bit."""
+    _check_duty(duty)
+    v = params.supply_voltage
+    return (params.peak_voltage**2 / (2 * params.load_resistance), v * params.bias_current,
+            (1 - duty) * v**2 / params.switch_resistance,
+            params.pulse_freq * v**2 * params.switch_capacitance)
+
+
 def power_breakdown(params: CircuitParams, duty: float) -> PowerBreakdown:
     """Period-averaged power components at a given ON-time fraction.
 
@@ -102,14 +112,8 @@ def power_breakdown(params: CircuitParams, duty: float) -> PowerBreakdown:
     period, so at most 2/3).  The dynamic term is a per-period cost and does
     not scale with duty.
     """
-    _check_duty(duty)
-    v = params.supply_voltage
-    return PowerBreakdown(
-        on_output=duty * params.peak_voltage**2 / (2 * params.load_resistance),
-        on_dc=duty * v * params.bias_current,
-        leakage=(1 - duty) * v**2 / params.switch_resistance,
-        dynamic=params.pulse_freq * v**2 * params.switch_capacitance,
-    )
+    out, dc, leak, dyn = _loss_terms(params, duty)
+    return PowerBreakdown(on_output=duty * out, on_dc=duty * dc, leakage=leak, dynamic=dyn)
 
 
 def circuit_efficiency(params: CircuitParams, duty: float) -> float:
@@ -120,11 +124,7 @@ def circuit_efficiency(params: CircuitParams, duty: float) -> float:
     (infinite switch resistance, zero switch capacitance) the duty cancels
     exactly and the efficiency reduces to ``v_pk^2 / (2 R_L V_DD I_DD)``.
     """
-    _check_duty(duty)
-    out = params.peak_voltage**2 / (2 * params.load_resistance)
-    dc = params.supply_voltage * params.bias_current
-    leak = (1 - duty) * params.supply_voltage**2 / params.switch_resistance
-    dyn = params.pulse_freq * params.supply_voltage**2 * params.switch_capacitance
+    out, dc, leak, dyn = _loss_terms(params, duty)
     if leak == 0.0 and dyn == 0.0:
         return out / dc
     return duty * out / (duty * dc + leak + dyn)

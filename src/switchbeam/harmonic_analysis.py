@@ -172,18 +172,6 @@ def _harmonic_indices(ms) -> np.ndarray:
     return m
 
 
-def _distinct(values: np.ndarray):
-    """Sorted distinct entries of ``values`` and the index of each entry among
-    them, as ``np.unique(values, return_inverse=True)`` in fewer numpy calls."""
-    if values.size <= 1:
-        return values.ravel(), np.zeros(values.shape, dtype=np.intp)
-    s = np.sort(values, axis=None)
-    new = np.ones(s.size, dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=new[1:])
-    s = s[new]
-    return s, np.searchsorted(s, values)
-
-
 def _coefficients(table, ms) -> np.ndarray:
     """``coefficient_matrix`` of a pulse table: one column per table row.
 
@@ -218,7 +206,7 @@ def _coefficients(table, ms) -> np.ndarray:
     rows = max(1, COEFFICIENT_BLOCK // max(1, n * k))
     for start in range(0, m.size, rows):
         block = order[start:start + rows]
-        mags, at = _distinct(np.abs(m[block]))
+        mags, at = np.unique(np.abs(m[block]), return_inverse=True)
         w = 2 * pi * mags[:, None]
         # 1/(jw) is (0, -1/w); m = 0 gets 0, its coefficient being exactly 0
         inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0)

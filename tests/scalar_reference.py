@@ -15,7 +15,6 @@ import numpy as np
 from switchbeam.array_model import (
     ElementSchedule,
     PulseTrain,
-    _check_disjoint,
     _segments,
     _train_pulses,
     pulse_table,
@@ -100,7 +99,7 @@ def envelope_segments(element: ElementSchedule) -> tuple[np.ndarray, np.ndarray]
         not necessarily 0); segment ``i`` spans ``[breaks[i], breaks[i+1])``
         (wrapping at 1) and the envelope equals ``values[i]`` throughout.
     """
-    _check_disjoint((element,))
+    list(_train_pulses(element))  # raises if a train's pulses overlap
     edges, values = (row[0] for row in _segments(pulse_table((element,))))
     last = edges < np.append(edges[1:], np.inf)
     return edges[last], values[last]

@@ -146,6 +146,20 @@ class TestValidate:
         schedule = dataclasses.replace(peak_schedule, duty_ratio=1.4)
         assert any("duty_ratio" in v for v in validate(schedule))
 
+    @pytest.mark.parametrize("degrees, flagged", [
+        (-89.9, False), (0.0, False), (89.9, False), (90.0, True), (95.0, True), (-120.0, True),
+    ])
+    def test_steer_angle_outside_the_half_plane_is_flagged(self, peak_schedule, degrees, flagged):
+        problems = validate(dataclasses.replace(peak_schedule, steer_angle=math.radians(degrees)))
+        assert problems == ([f"schedule: steer angle {degrees:.6g} deg outside (-90, 90)"]
+                            if flagged else [])
+
+    @pytest.mark.parametrize("field", ["duty_ratio", "steer_angle"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duty_ratio_or_steer_angle_is_rejected(self, peak_schedule, field, value):
+        with pytest.raises(ValueError, match="duty ratio and steer angle must be finite"):
+            dataclasses.replace(peak_schedule, **{field: value})
+
 
 class TestPulseTable:
     def test_layout_and_padding(self):

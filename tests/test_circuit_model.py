@@ -7,6 +7,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import THETA_20, reference_config
 from switchbeam.circuit_model import (
@@ -131,6 +133,25 @@ class TestCircuitEfficiency:
             assert circuit_efficiency(params, duty) == pytest.approx(
                 parts.on_output / parts.dc_total, rel=1e-12
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        supply=st.floats(0.1, 10.0),
+        bias=st.floats(1e-4, 1.0),
+        swing=st.floats(0.01, 1.0),
+        load=st.floats(1.0, 1e3),
+        switch_r=st.one_of(st.just(math.inf), st.floats(1.0, 1e8)),
+        switch_c=st.one_of(st.just(0.0), st.floats(1e-16, 1e-9)),
+        fp=st.floats(1e6, 1e11),
+        duty=st.floats(0.0, 2 / 3, exclude_min=True),
+    )
+    def test_breakdown_ratio_is_the_efficiency(self, supply, bias, swing, load, switch_r,
+                                               switch_c, fp, duty):
+        params = CircuitParams(supply, bias, swing * supply, load, switch_r, switch_c, fp)
+        parts = power_breakdown(params, duty)
+        # a lossy cell: in the loss-free branch the duty cancels
+        assume(parts.leakage != 0.0 or parts.dynamic != 0.0)
+        assert parts.on_output / parts.dc_total == circuit_efficiency(params, duty)
 
     def test_strictly_decreasing_in_pulse_frequency(self):
         base = load_reference_params("circuit_params_200mhz.json").to_dict()

@@ -228,6 +228,11 @@ class TestMalformedScheduleDocument:
         for field in ("alpha", "theta_deg", "spacing_wavelengths", "f0_hz", "fp_hz",
                       "phase_deg", "onset_pos_norm", "onset_neg_norm", "width_norm")
         for value in (True, "0.333333333333333")
+    ] + [
+        # json reads and writes NaN and Infinity; a schedule takes neither
+        (set_number(field, value), "duty ratio and steer angle must be finite")
+        for field in ("alpha", "theta_deg")
+        for value in (math.nan, math.inf)
     ])
     def test_exits_two_with_json_error(self, capsys, tmp_path, command, edit, message):
         sched = tmp_path / "s.json"
@@ -350,6 +355,27 @@ class TestEfficiency:
         for row in rows:
             assert abs(float(row["delta_pp_ideal_4path"])) < 5.0
 
+    @pytest.mark.parametrize("params_name, series", [
+        ("circuit_params_200mhz.json", "model_200mhz"),
+        ("circuit_params_2ghz.json", "model_2ghz"),
+    ])
+    def test_compare_column_reads_the_named_column(self, capsys, params_name, series):
+        # the fitted parameter sets reproduce their model curves (criterion 6)
+        argv = ["efficiency", "--circuit", reference_path(params_name),
+                "--compare", reference_path("circuit_drain_efficiency.csv"), "--series", series]
+        code, out, _ = run(capsys, *argv, "--compare-column", "zeta_circ")
+        assert code == 0
+        rows = csv_rows(out)
+        assert len(rows) == 11
+        for row in rows:
+            assert abs(float(row[f"delta_pp_{series}"])) <= 1e-9
+        code, out, _ = run(capsys, *argv, "--compare-column", "eta")
+        assert code == 0
+        for row in csv_rows(out):
+            # the printed cells carry 15 digits, the delta their unrounded difference
+            delta = 100.0 * float(row["eta"]) - float(row[f"ref_{series}"])
+            assert float(row[f"delta_pp_{series}"]) == pytest.approx(delta, rel=0, abs=1e-9)
+
     def test_malformed_circuit_file_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"supply_voltage\": 1.2}")
@@ -462,6 +488,20 @@ class TestVerify:
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert checks["harmonic suppression"]["passed"] is False
         assert "m=-3" in checks["harmonic suppression"]["detail"]
+
+    def test_steer_angle_beyond_endfire_fails_validation(self, capsys, tmp_path):
+        # design rejects the angle, so the document is edited by hand
+        sched = tmp_path / "s.json"
+        assert main(["design", "--out", str(sched)]) == 0
+        doc = json.loads(sched.read_text())
+        doc["theta_deg"] = 95
+        sched.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, out, _ = run(capsys, "verify", "--schedule", str(sched), "--json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["schedule validation"]["passed"] is False
+        assert "steer angle 95 deg outside (-90, 90)" in checks["schedule validation"]["detail"]
 
     def test_coarse_sampling_uses_relaxed_tolerance(self, capsys):
         code, out, _ = run(capsys, "verify", "--samples", "256", "--json")
