@@ -28,7 +28,9 @@ class CircuitParams:
     ``switch_resistance`` models OFF-state leakage (may be ``math.inf`` for a
     leak-free cell) and ``switch_capacitance`` the dynamic switching loss
     (may be 0 for a loss-free cell).  The voltage swing cannot exceed the
-    supply.
+    supply, and the efficiency at ``MAX_DUTY`` must be finite and positive,
+    which holds only if every loss term there is finite: the efficiency at
+    any duty is then a number, and its ratio to the peak is defined.
     """
 
     supply_voltage: float
@@ -51,6 +53,12 @@ class CircuitParams:
             raise ValueError("switch_capacitance must be nonnegative")
         if self.peak_voltage > self.supply_voltage:
             raise ValueError("peak_voltage cannot exceed supply_voltage")
+        try:
+            peak = circuit_efficiency(self, MAX_DUTY)
+        except (OverflowError, ZeroDivisionError):  # v**2 overflows, or the ON draw underflows
+            peak = math.nan
+        if not 0 < peak < math.inf:
+            raise ValueError(f"efficiency at peak duty must be finite and positive, got {peak!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -90,15 +98,11 @@ class PowerBreakdown:
         return self.on_dc + self.leakage + self.dynamic
 
 
-def _check_duty(duty: float) -> None:
-    if not 0 < duty <= MAX_DUTY:
-        raise ValueError(f"duty must lie in (0, {MAX_DUTY!r}]")
-
-
 def _loss_terms(params: CircuitParams, duty: float) -> tuple[float, float, float, float]:
     """ON output and ON draw per unit duty, OFF leakage and dynamic loss, in watts:
     one loss model, so a lossy breakdown's ratio is ``circuit_efficiency`` bit for bit."""
-    _check_duty(duty)
+    if not 0 < duty <= MAX_DUTY:
+        raise ValueError(f"duty must lie in (0, {MAX_DUTY!r}]")
     v = params.supply_voltage
     return (params.peak_voltage**2 / (2 * params.load_resistance), v * params.bias_current,
             (1 - duty) * v**2 / params.switch_resistance,
@@ -171,9 +175,6 @@ def pbo_sweep(
     grow with the grid, and each distinct alpha once.
     """
     alphas = [float(a) for a in alpha_grid]
-    if any(not 0 < a <= 1 for a in alphas):
-        raise ValueError("alpha grid values must lie in (0, 1]")
-
     peak = design_schedule(config, steer_angle, 1.0)
     distinct = list(dict.fromkeys([1.0] + alphas))
     zetas = dict(zip(distinct, _harmonic_efficiencies(config, _designed_tables(peak, distinct))))

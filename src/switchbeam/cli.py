@@ -29,6 +29,7 @@ from .formats import (
 )
 from .harmonic_analysis import (
     MAX_STEERING_ENTRIES,
+    _check_harmonic_count,
     coefficient_matrix,
     envelope_dft_coefficients,
     oracle_tolerance,
@@ -286,8 +287,7 @@ def _nan_high(x: float) -> float:
 
 def cmd_verify(args) -> int:
     schedule = _schedule_from_args(args)
-    if args.m_max < 1:
-        raise ValueError("--m-max must be at least 1")
+    _check_harmonic_count(schedule.config, args.m_max, 1)
     # below this count the oracle tolerance is 1 or more, which an all-zero
     # estimate meets
     least = next(n for n in range(1, MAX_SAMPLES + 1) if oracle_tolerance(n) < 1)
@@ -298,10 +298,6 @@ def cmd_verify(args) -> int:
         )
     if args.m_max >= args.samples // 2:
         raise ValueError("--m-max must be below half the sample count")
-    if (2 * args.m_max + 1) * schedule.config.n_elements > MAX_STEERING_ENTRIES:
-        raise ValueError(
-            f"harmonics x elements exceeds {MAX_STEERING_ENTRIES} coefficients; lower --m-max"
-        )
 
     checks = []
 

@@ -113,7 +113,8 @@ def _doc_degrees(angle_deg: float) -> float:
 
 
 def schedule_from_doc(doc: dict) -> ArraySchedule:
-    """Rebuild an ArraySchedule from its document form."""
+    """Rebuild an ArraySchedule from its document form.  A document may hold
+    a wrong number of elements: ``validate`` reports it and analysis rejects it."""
     try:
         c = doc["config"]
         config = config_from_wavelengths(
@@ -137,11 +138,6 @@ def schedule_from_doc(doc: dict) -> ArraySchedule:
                 for p in e["paths"]
             )
             elements.append(ElementSchedule(_doc_int(e, "index"), paths))
-        if len(elements) != config.n_elements:
-            raise ValueError(
-                f"malformed schedule document: {len(elements)} element schedules for "
-                f"{config.n_elements} configured elements"
-            )
         return ArraySchedule(
             config=config,
             duty_ratio=_doc_float(doc, "alpha"),

@@ -508,7 +508,8 @@ def _template_powers(schedule: ArraySchedule, a0: np.ndarray, ms) -> np.ndarray:
 def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> HarmonicSpectrum:
     """Tabulate coefficients and powers for |m| <= m_max.
 
-    Powers below ``POWER_CLAMP_REL`` of the total are clamped to zero.  A
+    Powers below ``POWER_CLAMP_REL`` of the total are clamped to zero; the
+    efficiency divides the unclamped m = 1 power.  A
     designed schedule (``onset_step`` set) takes its powers from the lag sums
     over element 0 (``_lag_total_power``, ``_template_powers``): the total
     agrees with ``total_power()`` to ~1e-15 relative and each harmonic's
@@ -530,7 +531,7 @@ def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> Har
         tabulated = _template_powers(schedule, matrix[:, 0], ms)
     coefficients = {m: HarmonicCoefficient(m, a) for m, a in zip(ms, matrix)}
     powers = {m: 0.0 if p < POWER_CLAMP_REL * total else float(p) for m, p in zip(ms, tabulated)}
-    efficiency = powers[1] / total if total > 0 else 0.0
+    efficiency = float(tabulated[m_max + 1]) / total if total > 0 else 0.0
     return HarmonicSpectrum(coefficients, powers, total, efficiency)
 
 

@@ -45,12 +45,12 @@ def amplitude_of_alpha(alpha: float) -> float:
     return sin(alpha * pi / 3) / sin(pi / 3)
 
 
-def _response(alpha: float, circuit: CircuitParams | None) -> float:
+def _response(alpha: float, circuit: CircuitParams | None, peak: float | None) -> float:
+    """Delivered amplitude at ``alpha``; ``peak`` is the circuit's efficiency at ``MAX_DUTY``."""
     amp = amplitude_of_alpha(alpha)
     if circuit is None:
         return amp
-    droop = circuit_efficiency(circuit, MAX_DUTY * alpha) / circuit_efficiency(circuit, MAX_DUTY)
-    return amp * np.sqrt(droop)
+    return amp * np.sqrt(circuit_efficiency(circuit, MAX_DUTY * alpha) / peak)
 
 
 def predistort_alpha(target_amplitude: float, circuit: CircuitParams | None = None) -> float:
@@ -59,18 +59,19 @@ def predistort_alpha(target_amplitude: float, circuit: CircuitParams | None = No
     Inverts ``amplitude_of_alpha`` by bisection to within ``ROOT_TOL``.  With
     ``circuit`` given, the circuit-efficiency droop (square-rooted into the
     amplitude domain) is folded into the response before inversion, which
-    always yields a duty ratio at least as large as the ideal one.
+    always yields a duty ratio at least as large as the ideal one.  The
+    response at alpha = 1 is exactly 1 (``CircuitParams`` keeps the peak
+    efficiency finite and positive), so a target of 1 needs no bisection.
     """
     if not 0 < target_amplitude <= 1:
         raise ValueError("target amplitude must lie in (0, 1]")
-    if target_amplitude >= _response(1.0, circuit):
-        if target_amplitude > _response(1.0, circuit):
-            raise ValueError("target unreachable: response at alpha=1 falls short")
+    if target_amplitude == 1.0:
         return 1.0
+    peak = None if circuit is None else circuit_efficiency(circuit, MAX_DUTY)
     lo, hi = 1e-12, 1.0
     while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
-        if _response(mid, circuit) < target_amplitude:
+        if _response(mid, circuit, peak) < target_amplitude:
             lo = mid
         else:
             hi = mid

@@ -138,6 +138,20 @@ class TestValidate:
         )
         assert any("phases not distinct" in v for v in validate(schedule))
 
+    def test_overlapping_pulses_are_flagged(self, peak_schedule):
+        element = peak_schedule.elements[2]
+        phase, train = element.paths[1]
+        # the negative pulse starts a tenth of a period into the positive one
+        overlapping = dataclasses.replace(train, onset_neg_norm=train.onset_pos_norm + 0.1)
+        patched = dataclasses.replace(
+            element, paths=element.paths[:1] + ((phase, overlapping),) + element.paths[2:]
+        )
+        schedule = ArraySchedule(
+            peak_schedule.config, peak_schedule.duty_ratio, peak_schedule.steer_angle,
+            peak_schedule.elements[:2] + (patched,) + peak_schedule.elements[3:],
+        )
+        assert validate(schedule) == ["element 2 path 1: positive and negative pulses overlap"]
+
     def test_element_count_mismatch_is_flagged(self, peak_schedule):
         schedule = dataclasses.replace(peak_schedule, elements=peak_schedule.elements[:-1])
         assert any("element schedules" in v for v in validate(schedule))

@@ -87,6 +87,11 @@ class TestCircuitParams:
         params = load_reference_params(name)
         assert params.to_dict() == {k: float(v) for k, v in doc.items() if k != "notes"}
 
+    def test_rejects_a_loss_free_cell_whose_on_draw_underflows(self):
+        # 0.1 V x 5e-324 A rounds to 0 W
+        with pytest.raises(ValueError, match="^efficiency at peak duty must be finite and positive"):
+            lossfree_params(supply_voltage=0.1, peak_voltage=0.1, bias_current=5e-324)
+
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match=(
             "^circuit params missing fields: bias_current, peak_voltage, load_resistance, "
@@ -239,6 +244,11 @@ class TestPboSweep:
     def test_rejects_alpha_outside_unit_interval(self):
         with pytest.raises(ValueError):
             pbo_sweep(reference_config(), None, THETA_20, [1.2])
+
+    @pytest.mark.parametrize("alpha", [1.2, 0.0, -0.5, math.nan])
+    def test_alpha_is_checked_as_a_designed_duty_ratio(self, alpha):
+        with pytest.raises(ValueError, match=r"^duty_ratio must lie in \(0, 1\]$"):
+            pbo_sweep(reference_config(), None, THETA_20, [0.5, alpha])
 
 
 class TestPboSweepBatch:

@@ -1,14 +1,23 @@
 """Command-line interface: formats, round trips, exit codes, determinism."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
+import re
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from switchbeam import array_model, cli
+from switchbeam import array_model, cli, harmonic_analysis
 from switchbeam.array_model import MAX_ELEMENTS, pulse_table
+from switchbeam.circuit_model import CircuitParams
 from switchbeam.cli import main
 
 DESIGN_20 = ["--elements", "5", "--spacing-wl", "0.5", "--f0", "77e9",
@@ -256,9 +265,10 @@ class TestAllocationCaps:
 
     def test_harmonics_times_elements(self, capsys, monkeypatch):
         # 51 harmonics x 5 elements is one above the lowered cap
-        monkeypatch.setattr(cli, "MAX_STEERING_ENTRIES", 51 * 5 - 1)
+        monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", 51 * 5 - 1)
         code, _, err = run(capsys, "verify", "--m-max", "25")
-        assert code == 2 and "--m-max" in json.loads(err)["error"]
+        assert code == 2
+        assert "51 harmonics x 5 elements exceed the coefficient cap" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("grid", [
         ["--alpha-db-min", "-10", "--alpha-db-step", "1e-4"],  # 100001 points
@@ -397,6 +407,62 @@ class TestEfficiency:
         code, out, err = run(capsys, "efficiency", "--circuit", str(bad))
         assert code == 2 and out == ""
         assert "malformed circuit params" in json.loads(err)["error"]
+
+
+def circuit_file(directory: Path, name: str, field: str, value: float) -> str:
+    """A reference circuit file with one field set to ``value``."""
+    with open(reference_path(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    path = directory / f"{field}.json"
+    path.write_text(json.dumps({**doc, field: value}))
+    return str(path)
+
+
+def circuit_argv(command: str, path: str) -> list[str]:
+    if command == "efficiency":
+        return ["efficiency", "--circuit", path]
+    return ["qam", "--constellation", reference_path("qam16.csv"),
+            "--predistort", "circuit", "--circuit", path]
+
+
+class TestExtremeCircuitFiles:
+    """A finite but extreme circuit file ends in exit 0 with finite numbers or
+    in exit 2 with the JSON error, never in a traceback."""
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("efficiency", "supply_voltage", 1e300),
+        ("qam", "peak_voltage", 1e-300),
+        ("qam", "load_resistance", 1e308),
+        ("qam", "switch_resistance", 5e-324),
+        ("qam", "switch_capacitance", 1e300),
+    ])
+    def test_exits_two(self, capsys, tmp_path, command, field, value):
+        path = circuit_file(tmp_path, "circuit_params_200mhz.json", field, value)
+        code, out, err = run(capsys, *circuit_argv(command, path))
+        assert code == 2 and out == ""
+        assert "efficiency at peak duty must be finite and positive" in json.loads(err)["error"]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(["circuit_params_200mhz.json", "circuit_params_2ghz.json"]),
+        field=st.sampled_from([f.name for f in dataclasses.fields(CircuitParams)]),
+        value=st.one_of(
+            st.sampled_from([0.0, -0.0, -1.0, 5e-324, 2.2e-308, 1e-300, 1e300, 1e308, -1e308]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_any_finite_field_value(self, name, field, value):
+        with tempfile.TemporaryDirectory() as directory:
+            path = circuit_file(Path(directory), name, field, value)
+            for command in ("efficiency", "qam"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(circuit_argv(command, path))
+                assert code in (0, 2)
+                if code == 2:
+                    assert out.getvalue() == "" and list(json.loads(err.getvalue())) == ["error"]
+                else:
+                    assert not re.search("nan|inf", out.getvalue(), re.IGNORECASE)
 
 
 class TestQam:

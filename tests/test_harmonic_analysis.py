@@ -28,6 +28,7 @@ from switchbeam.array_model import (
     ElementSchedule,
     PulseTrain,
     pulse_table,
+    validate,
 )
 from switchbeam import harmonic_analysis
 from switchbeam.harmonic_analysis import (
@@ -257,6 +258,15 @@ class TestSpectrum:
         assert spectrum.efficiency == pytest.approx(
             spectrum.powers[1] / spectrum.total_power, rel=1e-12
         )
+
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-12, 1e-6])
+    def test_efficiency_divides_the_unclamped_first_harmonic(self, alpha):
+        # at 0.5 wavelength the coupling kernel is the identity, and pulses this
+        # narrow do not overlap: P_1 = N |A_1,0|**2 and P_total = N * 8 * alpha / 3;
+        # at alpha = 1e-17, P_1 is below POWER_CLAMP_REL of the total
+        schedule = design_schedule(reference_config(), THETA_20, alpha)
+        expected = abs(coefficient_matrix(schedule, [1])[0, 0]) ** 2 * 3 / (8 * alpha)
+        assert compute_spectrum(schedule).efficiency == pytest.approx(expected, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("m_max", [0, -1])
     def test_rejects_m_max_below_one(self, peak_schedule, m_max):
@@ -1032,6 +1042,15 @@ def test_element_count_must_match_the_config(analyse, count, peak_schedule):
     schedule = dataclasses.replace(peak_schedule, elements=elements)
     with pytest.raises(ValueError, match=f"{count} element schedules for 5 configured"):
         analyse(schedule)
+
+
+def test_short_document_loads_and_is_rejected_in_analysis(peak_schedule):
+    doc = json.loads(dump_json(schedule_to_doc(peak_schedule)))
+    del doc["elements"][3:]
+    schedule = schedule_from_doc(doc)
+    assert "schedule: 3 element schedules for 5 configured elements" in validate(schedule)
+    with pytest.raises(ValueError, match="3 element schedules for 5 configured elements"):
+        coefficient_matrix(schedule, [1])
 
 
 class TestSharedSteering:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import THETA_20, reference_config
 from switchbeam.array_model import C_VACUUM, ArrayConfig
-from switchbeam.circuit_model import CircuitParams
+from switchbeam.circuit_model import MAX_DUTY, CircuitParams, circuit_efficiency
 from switchbeam.harmonic_analysis import array_factor
 from switchbeam import modulation
 from switchbeam.modulation import (
@@ -103,6 +103,30 @@ class TestPredistortAlpha:
 
     def test_circuit_mode_full_scale_is_still_unity(self):
         assert predistort_alpha(1.0, droopy_params()) == 1.0
+
+    def test_full_scale_skips_the_bisection(self, monkeypatch):
+        params = droopy_params()
+
+        def no_response(*args):
+            raise AssertionError("response evaluated for a full-scale target")
+
+        monkeypatch.setattr(modulation, "_response", no_response)
+        assert predistort_alpha(1.0) == 1.0
+        assert predistort_alpha(1.0, params) == 1.0
+
+    def test_peak_efficiency_is_evaluated_once(self, monkeypatch):
+        params = droopy_params()
+        duties = []
+
+        def counted(circuit, duty):
+            duties.append(duty)
+            return circuit_efficiency(circuit, duty)
+
+        monkeypatch.setattr(modulation, "circuit_efficiency", counted)
+        predistort_alpha(0.5, params)
+        assert duties.count(MAX_DUTY) == 1
+        # one evaluation per bisection step besides
+        assert len(duties) > 30
 
 
 class TestPlanConstellation:
