@@ -43,11 +43,11 @@ a module-level memo keeps a few read-only tables of exact exponentials
 e^(j beta d sin(theta) k), each the widest built so far for its phase step
 and grid (``_phase_table``): a pattern reads its steering from it, bit for
 bit, and so does an ``array_factor`` over an array of angles.  The sideband
-level forms no steering: its fields are sums over q of e^(j 16 q x) G[q],
-G[q] a matrix product with e^(j r x), r < 16, from two memo tables that do
-not depend on N.  m = 1 and the largest triangle bound, sum over n of
-|A[m, n]|, cover the whole grid first, and every harmonic whose bound
-cannot exceed the strongest peak found is skipped.
+level forms no steering: over its one 0.05-degree grid, its fields are sums
+over q of e^(j 16 q x) G[q], G[q] a matrix product with e^(j r x), r < 16,
+from two ``_phase_table`` tables.  m = 1 and the largest triangle bound,
+sum over n of |A[m, n]|, cover the whole grid first, and every harmonic
+whose bound cannot exceed the strongest peak found is skipped.
 
 A DFT-based estimator over the envelope, which reads the element's paths and
 not the pulse table, is an independent numerical oracle for the analytic
@@ -98,14 +98,16 @@ GRAM_BLOCK = 1 << 12
 #: complex entries are 64 MiB.
 MAX_STEERING_ENTRIES = 1 << 22
 
-#: Most theta points ``sideband_level`` scans: a step of ~1.7e-4 degrees.
-_MAX_THETA_POINTS = 1 << 20
-
 #: Most entries (theta points x elements) of a table in the steering memo,
 #: which holds at most four: 2**18 complex entries are 4 MiB and hold the
 #: 721 x 256 table of a 0.25-degree pattern.  ``sideband_level`` forms its
 #: steering in blocks of at most a quarter of this.
 _STEERING_MEMO_ENTRIES = 1 << 18
+
+#: The angles ``sideband_level`` scans, read-only: -90 to 90 degrees in
+#: steps of 0.05 degrees, 3601 in all.
+_SIDEBAND_THETA = np.deg2rad(np.arange(-90.0, 90.0 + 0.05 / 2, 0.05))
+_SIDEBAND_THETA.flags.writeable = False
 
 
 def _sinc(x) -> np.ndarray:
@@ -657,20 +659,19 @@ def radiation_pattern(
     return PatternTable(theta, levels, reference)
 
 
-def sideband_level(schedule: ArraySchedule, m_max: int, theta_step_deg: float = 0.05) -> float:
+def sideband_level(schedule: ArraySchedule, m_max: int) -> float:
     """Strongest undesired harmonic's pattern peak relative to m = 1, in dB.
 
-    Compares the peak over a dense theta grid of every harmonic m != 1 with
-    |m| <= m_max, an integer of at least 2, against the m = 1 peak, which
-    must be positive.  The grid holds at most ``_MAX_THETA_POINTS`` angles,
-    counted before it is built.
+    Compares the peak over ``_SIDEBAND_THETA`` (3601 angles, 0.05 degrees
+    apart) of every harmonic m != 1 with |m| <= m_max, an integer of at
+    least 2, against the m = 1 peak, which must be positive.
 
     * Fields: with x = beta d sin(theta), element n = 16 q + r gets
-      e^(j 16 q x) e^(j r x) from the memo tables of phase steps 16 beta d
-      (exact, 16 being a power of two) and beta d, shared by every N on one
-      grid.  A field is sum over q of e^(j 16 q x) G[q], with
-      G[q] = sum over r of e^(j r x) A[m, 16 q + r] one matrix product:
-      no theta x N steering is formed.
+      e^(j 16 q x) e^(j r x) from the ``_phase_table`` tables of phase steps
+      16 beta d (exact, 16 being a power of two) and beta d, which the memo
+      shares across N (the first up to N = 1152).  A field is sum over q of
+      e^(j 16 q x) G[q], with G[q] = sum over r of e^(j r x) A[m, 16 q + r]
+      one matrix product: no theta x N steering is formed.
     * Pruning: harmonic m's bound, sum over n of |A[m, n]|, is at least its
       peak.  m = 1 and the top bound go first over the whole grid, then the
       rest by descending bound; one is dropped once its bound times
@@ -683,15 +684,7 @@ def sideband_level(schedule: ArraySchedule, m_max: int, theta_step_deg: float = 
       depend neither on the memo nor on the block size.
     """
     m_max = _check_harmonic_count(schedule.config, m_max, 2)
-    if not (isfinite(theta_step_deg) and theta_step_deg > 0):
-        raise ValueError("theta_step_deg must be finite and positive")
-    # np.arange's own point count, taken before the grid exists
-    stop = 90.0 + theta_step_deg / 2
-    if not (stop + 90.0) / theta_step_deg <= _MAX_THETA_POINTS:
-        raise ValueError(f"theta grid exceeds the cap of {_MAX_THETA_POINTS} points; "
-                         "raise theta_step_deg")
-    theta = np.deg2rad(np.arange(-90.0, stop, theta_step_deg))
-    peaks = _sideband_peaks(schedule, m_max, theta)
+    peaks = _sideband_peaks(schedule, m_max, _SIDEBAND_THETA)
     ref = peaks.pop(1)
     if ref == 0.0:
         raise ValueError("sideband reference (the m = 1 peak) must be positive")
@@ -722,10 +715,7 @@ def _sideband_peaks(schedule: ArraySchedule, m_max: int, theta: np.ndarray) -> d
     columns = np.zeros((len(ms), rows_q * base), dtype=complex)
     columns[:, :n] = rows[order]
     beta_d = config.wavenumber * config.element_spacing
-    # a grid whose tables exceed the memo's gets them block by block
-    whole = theta.size * max(base, rows_q) <= _STEERING_MEMO_ENTRIES
-    if whole:
-        low, high = _phase_table(beta_d, theta, base), _phase_table(16 * beta_d, theta, rows_q)
+    low, high = _phase_table(beta_d, theta, base), _phase_table(16 * beta_d, theta, rows_q)
     cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
     peaks = np.zeros(len(ms))
     # the columns below ``live`` are in play
@@ -738,11 +728,7 @@ def _sideband_peaks(schedule: ArraySchedule, m_max: int, theta: np.ndarray) -> d
         for start in range(0, theta.size, block):
             # a last block of one angle takes the angle before it again
             at = slice(max(0, min(start, theta.size - 2)), start + block)
-            if whole:
-                lo, hi = low[at], high[at]
-            else:
-                lo = _exp_table(beta_d, theta[at], base)
-                hi = _exp_table(16 * beta_d, theta[at], rows_q)
+            lo, hi = low[at], high[at]
             inner = (lo @ chunk).reshape(len(lo), stop - done, rows_q)
             fields = np.abs(np.einsum("tcq,tq->tc", inner, hi))
             np.maximum(peaks[done:stop], fields.max(axis=0), out=peaks[done:stop])

@@ -350,27 +350,9 @@ class TestSidebandLevel:
         schedule = ArraySchedule(cfg, 1.0, 0.0, (element,))
         assert sideband_level(schedule, 7) >= -10.0
 
-    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
-    def test_rejects_a_theta_step_that_is_not_finite_and_positive(self, peak_schedule, step):
-        # -0.1 used to give an empty grid and a false -150 dB "no sidebands"
-        with pytest.raises(ValueError, match="theta_step_deg must be finite and positive"):
-            sideband_level(peak_schedule, 25, step)
-
     def test_rejects_tiny_m_max(self, peak_schedule):
         with pytest.raises(ValueError):
             sideband_level(peak_schedule, 1)
-
-    @pytest.mark.parametrize("step", [1e-6, 1e-9, 5e-324])
-    def test_theta_grid_is_capped_before_it_is_built(self, peak_schedule, step):
-        # 1e-9 used to fail in numpy allocating 1.31 TiB, 1e-6 to allocate 1.4 GB
-        with pytest.raises(ValueError, match="theta grid exceeds the cap of 1048576 points"):
-            sideband_level(peak_schedule, 25, step)
-
-    def test_theta_cap_admits_a_grid_of_its_size(self, peak_schedule, monkeypatch):
-        monkeypatch.setattr(harmonic_analysis, "_MAX_THETA_POINTS", 3601)
-        sideband_level(peak_schedule, 25, 0.05)
-        with pytest.raises(ValueError, match="cap of 3601 points"):
-            sideband_level(peak_schedule, 25, 0.0499)
 
     def test_silent_schedule_is_rejected(self):
         # elements without paths radiate nothing: no m = 1 peak to compare
@@ -627,7 +609,8 @@ def analysis_bytes(schedule, call) -> bytes:
             parts = [c.per_element for c in spectrum.coefficients.values()]
             parts += [list(spectrum.powers.values()), [spectrum.total_power, spectrum.efficiency]]
         elif name == "sideband":
-            parts = [[sideband_level(schedule, arg, 1.0)]]
+            peaks = harmonic_analysis._sideband_peaks(schedule, arg, COARSE_THETA)
+            parts = [list(peaks), list(peaks.values())]
         elif name == "pattern":
             table = radiation_pattern(schedule, arg, COARSE_THETA)
             parts = [*table.levels_db.values(), [table.reference]]
@@ -1078,13 +1061,14 @@ class TestSharedSteering:
     def test_sideband_level_agrees_with_per_harmonic_loop(self, n_elements, path_count, alpha):
         cfg = reference_config(n_elements=n_elements, path_count=path_count)
         schedule = design_schedule(cfg, np.deg2rad(-41.0), alpha)
-        step, m_max = 0.1, 25
-        theta = np.deg2rad(np.arange(-90.0, 90.0 + step / 2, step))
+        m_max = 25
+        theta = np.deg2rad(np.arange(-90.0, 90.05, 0.1))
         ref = np.max(np.abs(loop_array_factor(schedule, 1, theta)))
         worst = max(np.max(np.abs(loop_array_factor(schedule, m, theta)))
                     for m in range(-m_max, m_max + 1) if m not in (0, 1))
-        expected = 20.0 * np.log10(worst / ref)
-        assert sideband_level(schedule, m_max, step) == pytest.approx(expected, rel=1e-12)
+        peaks = harmonic_analysis._sideband_peaks(schedule, m_max, theta)
+        level = 20.0 * np.log10(max(p for m, p in peaks.items() if m != 1) / peaks[1])
+        assert level == pytest.approx(20.0 * np.log10(worst / ref), rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(spaced_schedules(), st.integers(2, 40))
@@ -1156,25 +1140,21 @@ class TestSharedSteering:
     ])
     def test_sideband_working_arrays_stay_under_the_cap(self, monkeypatch, memo, max_entries):
         # the cap is a quarter of the memo's, or MAX_STEERING_ENTRIES if lower;
-        # a block sized by its chunk fills it with the 16-wide table (17
-        # elements: Q = 2, so a chunk of two columns spans 4 < 16 products),
-        # and the lowered memo cap makes the tables be built block by block
+        # a block sized by its chunk fills it with its slice of the 16-wide
+        # table (17 elements: Q = 2, so a chunk of two columns spans 4 < 16
+        # products)
         schedule = design_schedule(reference_config(17, 8), THETA_20, 0.5)
         whole = sideband_level(schedule, 25)
         cap = min(max_entries, memo >> 2)
         sizes = []
-        build, einsum = harmonic_analysis._exp_table, np.einsum
-
-        def table(beta_d, theta, count):
-            sizes.append(theta.size * count)
-            return build(beta_d, theta, count)
+        einsum = np.einsum
 
         def fields(subscripts, inner, high):
             out = einsum(subscripts, inner, high)
-            sizes.extend((inner.size, high.size, out.size))
+            # the block's angles x 16 entries of the low table, then the rest
+            sizes.extend((len(inner) * 16, inner.size, high.size, out.size))
             return out
 
-        monkeypatch.setattr(harmonic_analysis, "_exp_table", table)
         monkeypatch.setattr(np, "einsum", fields)
         monkeypatch.setattr(harmonic_analysis, "_STEERING_MEMO_ENTRIES", memo)
         monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", max_entries)
@@ -1234,7 +1214,7 @@ class TestSharedSteering:
         assert abs(cold[1] - exact[0]) <= 1e-14 * scale
         assert abs(worst - max(exact[1:])) <= 1e-14 * scale
         # warm, then with a wider array's tables in the memo, then with the
-        # tables built block by block under a low cap
+        # tables built for the call under a low memo cap
         assert harmonic_analysis._sideband_peaks(schedule, m_max, SIDEBAND_THETA) == cold
         clear_steering_memo()
         warm_steering_memo(dataclasses.replace(cfg, n_elements=cfg.n_elements + wider),
@@ -1297,13 +1277,10 @@ def clear_steering_memo():
 
 
 #: The angle grids of ``radiation_pattern`` in the benchmark (0.25 degrees)
-#: and of ``sideband_level`` by default (0.05 degrees), and a coarse one.
+#: and of ``sideband_level`` (0.05 degrees), and a coarse one.
 PATTERN_THETA = np.deg2rad(np.arange(-90.0, 90.125, 0.25))
 SIDEBAND_THETA = np.deg2rad(np.arange(-90.0, 90.025, 0.05))
 GRIDS = {"pattern": PATTERN_THETA, "sideband": SIDEBAND_THETA, "coarse": COARSE_THETA}
-
-#: The ``sideband_level`` step, in degrees, that scans each of these grids.
-SIDEBAND_STEPS = {"pattern": 0.25, "sideband": 0.05, "coarse": 1.0}
 
 
 @st.composite
@@ -1327,7 +1304,7 @@ def steering_bytes(schedule, grid: str) -> bytes:
     constellation = simulate_constellation(plans, schedule.config, schedule.steer_angle)
     parts = [*table.levels_db.values(), [table.reference],
              array_factor(schedule, -3, theta), [array_factor(schedule, 1, 0.4)],
-             [sideband_level(schedule, 7, SIDEBAND_STEPS[grid])],
+             list(harmonic_analysis._sideband_peaks(schedule, 7, theta).values()),
              constellation.received, [constellation.evm_rms_percent]]
     return b"".join(np.asarray(part).tobytes() for part in parts)
 
@@ -1336,7 +1313,7 @@ def warm_steering_memo(config, grid: str) -> None:
     """Fill the memo with the tables of an array of ``config`` on one grid."""
     schedule = design_schedule(config, THETA_20, 0.5)
     radiation_pattern(schedule, [1], GRIDS[grid])
-    sideband_level(schedule, 3, SIDEBAND_STEPS[grid])
+    harmonic_analysis._sideband_peaks(schedule, 3, GRIDS[grid])
 
 
 class TestSteeringMemo:
@@ -1416,8 +1393,8 @@ class TestSteeringMemo:
                 if theta.size * n <= harmonic_analysis.MAX_STEERING_ENTRIES:
                     radiation_pattern(schedule, [1, -3], theta)
                     array_factor(schedule, 5, theta)
-            for step in (1.0, 0.25, 0.05, 0.01):
-                sideband_level(schedule, 3, step)
+            for theta in (COARSE_THETA, PATTERN_THETA, SIDEBAND_THETA):
+                harmonic_analysis._sideband_peaks(schedule, 3, theta)
         tables = list(harmonic_analysis._phase_tables.values())
         assert 0 < len(tables) <= 4
         for table in tables:
@@ -1457,9 +1434,12 @@ class TestSteeringMemo:
         simulate_constellation(plans, cfg, 0.3)
         assert harmonic_analysis._phase_tables == {}
 
-    def test_sideband_scan_holds_no_steering_matrix(self):
-        # the whole 3601 x 256 steering matrix alone would be 14.1 MiB
-        schedule = design_schedule(reference_config(256, path_count=8), THETA_20, 0.5)
+    @pytest.mark.parametrize("n, mib", [(256, 4), (2048, 16)])
+    def test_sideband_scan_holds_no_steering_matrix(self, n, mib):
+        # the whole 3601 x 256 steering matrix alone would be 14.1 MiB, and
+        # 3601 x 2048 would be 113 MiB; at 2048 the high table (3601 x 128,
+        # 7 MiB) exceeds the memo's cap and is built for the call
+        schedule = design_schedule(reference_config(n, path_count=8), THETA_20, 0.5)
         sideband_level(schedule, 25)
         fresh = dataclasses.replace(schedule)
         tracemalloc.start()
@@ -1468,7 +1448,29 @@ class TestSteeringMemo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        assert peak <= mib * 2**20
+
+    def test_sideband_grid_is_fixed_and_read_only(self):
+        grid = harmonic_analysis._SIDEBAND_THETA
+        assert grid.size == 3601
+        assert grid.tobytes() == np.deg2rad(np.arange(-90.0, 90.0 + 0.05 / 2, 0.05)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.0
+
+    @pytest.mark.parametrize("n", [1200, 2048])
+    def test_sideband_level_keeps_its_bits_above_the_memo_cap(self, monkeypatch, n):
+        # 3601 x ceil(n / 16) high-table entries exceed the memo's cap, so
+        # that table is built for each call; the 16-wide one is memoized
+        schedule = design_schedule(reference_config(n, 8), THETA_20, 0.5)
+        clear_steering_memo()
+        cold = sideband_level(schedule, 25)
+        assert sideband_level(schedule, 25) == cold
+        # with the tables of a 1152-element array, the widest the memo keeps
+        clear_steering_memo()
+        warm_steering_memo(reference_config(1152, 8), "sideband")
+        assert sideband_level(schedule, 25) == cold
+        monkeypatch.setattr(harmonic_analysis, "_STEERING_MEMO_ENTRIES", 1 << 10)
+        assert sideband_level(schedule, 25) == cold
 
 
 # ------------------------------------------- designed schedules: the lag sum

@@ -1,4 +1,7 @@
-"""The package's public names."""
+"""The package's public names, and README's example of them."""
+
+import re
+from pathlib import Path
 
 import switchbeam
 
@@ -40,3 +43,17 @@ def test_all_is_pinned():
         "validate",
     ]
     assert all(hasattr(switchbeam, name) for name in switchbeam.__all__)
+
+
+def test_readme_library_use_prints_its_commented_figures(capsys):
+    # each print's comment gives the figure it prints, to that many decimals
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    figures = re.findall(r"^print\(.*#\s*(-?\d+(?:\.(\d+))?)", code, re.M)
+    exec(compile(code, "README.md", "exec"), {})
+    printed = [float(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(figures) == 3
+    assert len(printed) == len(figures)
+    for value, (figure, decimals) in zip(printed, figures):
+        assert round(value, len(decimals)) == float(figure)
