@@ -354,6 +354,27 @@ class TestSidebandLevel:
         with pytest.raises(ValueError):
             sideband_level(peak_schedule, 1)
 
+    @pytest.mark.parametrize("extra", [((0.05,), {}), ((), {"theta_step_deg": 0.05})],
+                             ids=["positional", "keyword"])
+    def test_takes_no_theta_step(self, peak_schedule, extra):
+        # the grid is fixed at 0.05 degrees: no step, by position or by name
+        args, kwargs = extra
+        with pytest.raises(TypeError):
+            sideband_level(peak_schedule, 25, *args, **kwargs)
+
+    @pytest.mark.parametrize("n_elements, path_count", [(4, 4), (17, 8), (64, 8)])
+    def test_agrees_with_per_harmonic_loop_on_its_grid(self, n_elements, path_count):
+        # the 0.05-degree grid over +-90 degrees, built here as a plain loop would
+        theta = np.deg2rad(np.arange(-90.0, 90.0 + 0.05 / 2, 0.05))
+        cfg = reference_config(n_elements=n_elements, path_count=path_count)
+        schedule = design_schedule(cfg, np.deg2rad(-41.0), 0.5)
+        m_max = 25
+        ref = np.max(np.abs(loop_array_factor(schedule, 1, theta)))
+        worst = max(np.max(np.abs(loop_array_factor(schedule, m, theta)))
+                    for m in range(-m_max, m_max + 1) if m not in (0, 1))
+        expected = 20.0 * np.log10(worst / ref)
+        assert sideband_level(schedule, m_max) == pytest.approx(expected, rel=1e-12)
+
     def test_silent_schedule_is_rejected(self):
         # elements without paths radiate nothing: no m = 1 peak to compare
         # against, not a -150 dB "no sidebands"
