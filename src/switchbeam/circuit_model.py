@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .array_model import ArrayConfig
-from .harmonic_analysis import _harmonic_efficiencies
+from .harmonic_analysis import _harmonic_efficiencies, harmonic_efficiency
 from .schedule_design import _designed_tables, design_schedule
 
 #: Two pulses per period, each at most a third of the period wide.
@@ -170,14 +170,16 @@ def pbo_sweep(
     Circuit columns are ``None`` when no circuit parameters are supplied.
     The cell duty corresponding to a duty-cycle ratio alpha is ``2*alpha/3``.
     Every zeta_harm equals ``harmonic_efficiency`` of that alpha's designed
-    schedule, bit for bit; the peak schedule's tables (``_designed_tables``)
-    are evaluated in one batched pass, block by block, so memory does not
-    grow with the grid, and each distinct alpha once.
+    schedule, bit for bit.  zeta_harm(1) is ``harmonic_efficiency`` of the
+    designed peak schedule; every other distinct alpha is evaluated once, on
+    the peak's table with narrowed pulses (``_designed_tables``), in one
+    batched pass, block by block, so memory does not grow with the grid.
     """
     alphas = [float(a) for a in alpha_grid]
     peak = design_schedule(config, steer_angle, 1.0)
-    distinct = list(dict.fromkeys([1.0] + alphas))
-    zetas = dict(zip(distinct, _harmonic_efficiencies(config, _designed_tables(peak, distinct))))
+    others = [alpha for alpha in dict.fromkeys(alphas) if alpha != 1.0]
+    zetas = {1.0: harmonic_efficiency(peak)}
+    zetas.update(zip(others, _harmonic_efficiencies(config, _designed_tables(peak, others))))
     rows = []
     for alpha in alphas:
         zeta_harm = zetas[alpha]

@@ -13,9 +13,13 @@ rows reuse them exactly) and, for a table of one width, one width
 exponential per |m|; the paths are then added in order.  Its complex
 products are spelled out in real arithmetic as scalar complex code rounds
 them, so both give identical bits; numpy's vectorized complex multiply does
-not.  Harmonic indices must be integers with |m| <= 2**53.  A schedule
-keeps the read-only matrix of its last such pass, keyed by harmonic
-(``_rows``): after ``compute_spectrum``, ``sideband_level`` and
+not.  Harmonic indices must be integers with |m| <= 2**53.  A designed
+schedule (one with an ``onset_step``) runs element n's pulses s_n periods
+after element 0's, so ``_template_rows`` evaluates element 0's row of the
+table alone and turns it by e^(-j 2 pi m s_n), s_n read from the table:
+element 0 keeps its bits, the others agree to ~1e-14 of the largest |A|.
+A schedule keeps the read-only matrix of its last coefficient pass, keyed by
+harmonic (``_rows``): after ``compute_spectrum``, ``sideband_level`` and
 ``radiation_pattern`` index it.
 
 The array is uniform, so radiated harmonic powers follow from the spatial
@@ -123,12 +127,15 @@ def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
     """Combined coefficients of all elements at every harmonic in ``ms``.
 
     Returns a fresh ``(len(ms), n_elements)`` complex array equal, bit for
-    bit, to a scalar path-by-path sum at each entry.  Each harmonic index
-    must be an integer of magnitude at most 2**53, else ValueError.
-    Harmonics are evaluated in blocks of at most ``COEFFICIENT_BLOCK``
-    pulse-table entries.  The schedule keeps the rows of its last coefficient
-    pass (``_rows``), and a request they cover is copied out of them, with
-    the same bits.
+    bit, to a scalar path-by-path sum at each entry, save on a designed
+    schedule: there element 0's column is, and every other is element 0's
+    turned by that element's delay (``_template_rows``), ~1e-14 of the
+    largest |A| off the sum; ``dataclasses.replace(schedule)`` gives the
+    sum's bits.  Each harmonic index must be an integer of magnitude at most
+    2**53, else ValueError.  Harmonics are evaluated in blocks of at most
+    ``COEFFICIENT_BLOCK`` pulse-table entries.  The schedule keeps the rows
+    of its last coefficient pass (``_rows``), and a request they cover is
+    copied out of them, with the same bits.
     """
     rows = _rows(schedule, ms)
     return rows if rows.flags.writeable else rows.copy()
@@ -138,9 +145,11 @@ def _rows(schedule: ArraySchedule, ms) -> np.ndarray:
     """``coefficient_matrix`` of ``ms``, read-only or fresh, through the
     schedule's memo: the read-only matrix of its last coefficient pass, keyed
     by harmonic.  A request the memo covers is indexed out of it (or is the
-    memo, if it asks for its rows in order); any other runs ``_coefficients``
-    once and its matrix replaces the memo.  Each entry of ``_coefficients``
-    depends on its harmonic and element alone, so the bits are the same.
+    memo, if it asks for its rows in order); any other runs one pass and its
+    matrix replaces the memo.  Each entry of a pass depends on its harmonic
+    and element alone, so the bits are the same.  The pass is
+    ``_template_rows`` for a designed schedule (``onset_step`` set) and
+    ``_coefficients`` of the whole table for any other.
     The memo is a private attribute, not a field: equality, hash, repr and
     ``dataclasses.replace`` do not see it.  It is read and replaced as one
     (index, matrix) pair, so threads racing on one schedule at most repeat a
@@ -152,7 +161,8 @@ def _rows(schedule: ArraySchedule, ms) -> np.ndarray:
     at = [index.get(key) for key in keys]
     if matrix is not None and None not in at:
         return matrix if at == list(range(len(matrix))) else matrix[at]
-    matrix = _coefficients(_schedule_table(schedule), m)
+    table = _schedule_table(schedule)
+    matrix = _coefficients(table, m) if schedule.onset_step is None else _template_rows(table, m)
     matrix.flags.writeable = False
     memo = ({key: i for i, key in enumerate(keys)}, matrix)
     object.__setattr__(schedule, "_coefficient_memo", memo)
@@ -242,6 +252,41 @@ def _coefficients(table, ms) -> np.ndarray:
     return out
 
 
+def _template_rows(table, ms) -> np.ndarray:
+    """``coefficient_matrix`` of a designed schedule's pulse table, from one
+    ``_coefficients`` pass over element 0's row of the table.
+
+    Element n runs element 0's pulses s_n periods later, so
+    A[m, n] = A[m, 0] e^(-j 2 pi ((|m| s_n) mod 1)), conjugated for m < 0.
+    s_n is read from the table, (onsets[n, 0, 0] - onsets[0, 0, 0]) mod 1,
+    not taken as n * ``onset_step``, whose rounding grows with m * n.
+    Column 0 keeps the bits of ``_coefficients``; the others agree with
+    ``_coefficients`` of the whole table to ~1e-14 of the largest |A| for
+    |m| <= 101, each path's onsets having been rounded on their own.
+    Harmonics go by |m| in blocks of at most ``COEFFICIENT_BLOCK`` entries,
+    with one exponential per distinct |m| and element.
+    """
+    a0 = _coefficients(tuple(column[:1] for column in table), ms)[:, 0]
+    onsets = table[0]
+    shift = (onsets[1:, 0, 0] - onsets[0, 0, 0]) % 1.0
+    m = np.asarray(ms, dtype=float)
+    out = np.empty((m.size, len(onsets)), dtype=complex)
+    out[:, 0] = a0
+    order = np.argsort(np.abs(m), kind="stable")
+    rows = max(1, COEFFICIENT_BLOCK // len(onsets))
+    for start in range(0, m.size, rows):
+        block = order[start:start + rows]
+        mags, at = np.unique(np.abs(m[block]), return_inverse=True)
+        turn = np.exp(-2j * pi * (np.multiply.outer(mags, shift) % 1.0))[at]
+        # conjugated for m < 0, and multiplied in real arithmetic, so that an
+        # entry's bits do not depend on its place in the block
+        t_r, t_i = turn.real, np.where((m[block] < 0)[:, None], -turn.imag, turn.imag)
+        a_r, a_i = a0.real[block, None], a0.imag[block, None]
+        out.real[block, 1:] = a_r * t_r - a_i * t_i
+        out.imag[block, 1:] = a_r * t_i + a_i * t_r
+    return out
+
+
 def coefficient_vector(schedule: ArraySchedule, m: int) -> np.ndarray:
     """Combined coefficients of all elements at harmonic m."""
     return coefficient_matrix(schedule, [m])[0]
@@ -261,9 +306,10 @@ class HarmonicSpectrum:
     the tabulated powers can only fall short of it (truncation loses power,
     never creates it).  For a designed schedule the total and the powers are
     lag sums, which agree with ``total_power()`` to ~1e-15 relative and with
-    ``harmonic_power()`` to ~1e-14 of the total, not bit for bit; the
-    coefficients are bit for bit those of ``coefficient_matrix``, each
-    ``per_element`` a read-only row of one matrix.
+    ``harmonic_power()`` to ~1e-14 of the total, not bit for bit.  The
+    coefficients are bit for bit those of ``coefficient_matrix`` (on a
+    designed schedule, its template rows), each ``per_element`` a read-only
+    row of one matrix.
     """
 
     coefficients: dict[int, HarmonicCoefficient]
@@ -515,9 +561,10 @@ def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> Har
     designed schedule (``onset_step`` set) takes its powers from the lag sums
     over element 0 (``_lag_total_power``, ``_template_powers``): the total
     agrees with ``total_power()`` to ~1e-15 relative and each harmonic's
-    power with ``harmonic_power()`` to ~1e-14 of the total, not bit for bit,
-    while its coefficients stay bit for bit.  Every other schedule gets
-    ``total_power()`` and the powers of ``harmonic_power()``.
+    power with ``harmonic_power()`` to ~1e-14 of the total, not bit for bit.
+    Its coefficients are the template rows of ``coefficient_matrix``; the
+    powers read only element 0's, which keep their bits.  Every other
+    schedule gets ``total_power()`` and the powers of ``harmonic_power()``.
     """
     m_max = _check_harmonic_count(schedule.config, m_max, 1)
     ms = range(-m_max, m_max + 1)

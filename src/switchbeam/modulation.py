@@ -18,7 +18,7 @@ import numpy as np
 
 from .array_model import ArrayConfig
 from .circuit_model import MAX_DUTY, CircuitParams, circuit_efficiency
-from .harmonic_analysis import _coefficients, _steering, array_factor
+from .harmonic_analysis import _coefficients, _steering
 from .schedule_design import _designed_tables, design_schedule
 
 #: Bisection width at which the pre-distortion root is accepted.
@@ -122,23 +122,24 @@ def simulate_constellation(
 ) -> ConstellationResult:
     """Drive each plan through the designed array and measure the EVM.
 
-    One schedule is designed, at the peak; its ``array_factor`` at the
-    steering angle is the reference.  Each duty's field there is the same
-    product on the peak's table with narrowed pulses (``_designed_tables``),
-    normalized and rotated by the carrier phase.  The quadrature drive makes
+    One schedule is designed, at the peak.  Each duty's m = 1 field at the
+    steering angle is the steering product on the peak's table with its
+    pulses narrowed (``_designed_tables``), every element's coefficient from
+    the whole table: the bits of ``array_factor`` on a schedule that
+    ``dataclasses.replace`` rebuilt from the design.  The field at duty 1.0
+    is the reference, so a duty of 1.0 gets magnitude 1.0 exactly.  Each
+    magnitude is rotated by the carrier phase; the quadrature drive makes
     the phase exact, so only the magnitude law distorts.  EVM is the RMS
     error over the normalized reference constellation's RMS, in percent.
     """
     if not plans:
         raise ValueError("no symbol plans to simulate")
     peak = design_schedule(config, steer_angle, 1.0)
-    reference = abs(array_factor(peak, 1, steer_angle))
     phase = _steering(config, np.asarray(steer_angle, dtype=float))
-    duties = list(dict.fromkeys(plan.duty_ratio for plan in plans))
-    magnitude = {}
-    for duty, table in zip(duties, _designed_tables(peak, duties)):
-        field = phase @ _coefficients(table, [1])[0]
-        magnitude[duty] = abs(complex(field[0])) / reference
+    duties = list(dict.fromkeys([1.0] + [plan.duty_ratio for plan in plans]))
+    fields = [abs(complex((phase @ _coefficients(table, [1])[0])[0]))
+              for table in _designed_tables(peak, duties)]
+    magnitude = {duty: field / fields[0] for duty, field in zip(duties, fields)}
     received = np.array([magnitude[p.duty_ratio] * np.exp(1j * p.carrier_phase) for p in plans])
     ideal = np.array([p.magnitude_target * np.exp(1j * p.carrier_phase) for p in plans])
     evm = 100.0 * np.sqrt(np.mean(np.abs(received - ideal) ** 2) / np.mean(np.abs(ideal) ** 2))

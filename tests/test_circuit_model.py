@@ -290,9 +290,14 @@ class TestPboSweepBatch:
             sizes.append(len(tables))
             return batch(config, tables)
 
+        peaks = []
+        single = circuit_model.harmonic_efficiency
         monkeypatch.setattr(circuit_model, "_harmonic_efficiencies", counted)
+        monkeypatch.setattr(circuit_model, "harmonic_efficiency",
+                            lambda schedule: peaks.append(schedule.duty_ratio) or single(schedule))
         rows = pbo_sweep(reference_config(), None, THETA_20, alphas)
-        assert sizes == [len(grid) + 1]
+        # the peak alone, then every other distinct alpha in one batch
+        assert peaks == [1.0] and sizes == [len(grid)]
         assert [row.alpha for row in rows] == alphas
         assert rows[-4] == rows[-3] and rows[-2] == rows[7] and rows[-1] == rows[10]
 

@@ -24,6 +24,7 @@ from scalar_reference import (
 from switchbeam.array_model import (
     MAX_ELEMENTS,
     ArraySchedule,
+    _schedule_table,
     _segments,
     ElementSchedule,
     PulseTrain,
@@ -418,6 +419,14 @@ def loop_coefficients(schedule, ms):
     ).reshape(len(ms), len(schedule.elements))
 
 
+def assert_template_rows(fast, exact):
+    """A designed schedule's template rows against the general route's over
+    the same table: element 0's column bit for bit, every other entry within
+    1e-12 of the largest |A|."""
+    assert fast[:, 0].tobytes() == exact[:, 0].tobytes()
+    assert np.max(np.abs(fast - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
 def reference_coefficients(table, ms):
     """Reference: ``coefficient_matrix`` of a pulse table as one broadcast over
     every harmonic, element and path, three exponentials per entry and the
@@ -535,7 +544,10 @@ class TestCoefficientMatrix:
         cfg = reference_config(n_elements=9, path_count=path_count)
         schedule = design_schedule(cfg, np.deg2rad(-37.5), alpha)
         ms = range(-101, 102)
-        assert np.array_equal(coefficient_matrix(schedule, ms), loop_coefficients(schedule, ms))
+        # the general route over the designed table keeps the scalar bits
+        general = coefficient_matrix(dataclasses.replace(schedule), ms)
+        assert np.array_equal(general, loop_coefficients(schedule, ms))
+        assert_template_rows(coefficient_matrix(schedule, ms), general)
 
     @settings(max_examples=60, deadline=None)
     @given(loaded_schedules(), st.lists(st.integers(-60, 60), min_size=1, max_size=12))
@@ -568,7 +580,9 @@ class TestCoefficientMatrix:
         schedule = design_schedule(cfg, np.deg2rad(-37.5), 0.3)
         ms = list(range(-101, 102)) + [1, -1, 0]
         expected = reference_coefficients(pulse_table(schedule.elements), ms)
-        assert coefficient_matrix(schedule, ms).tobytes() == expected.tobytes()
+        general = coefficient_matrix(dataclasses.replace(schedule), ms)
+        assert general.tobytes() == expected.tobytes()
+        assert_template_rows(coefficient_matrix(schedule, ms), expected)
 
     def test_empty_harmonic_list(self, peak_schedule):
         assert coefficient_matrix(peak_schedule, []).shape == (0, 5)
@@ -686,7 +700,8 @@ class TestCoefficientMemo:
     def test_writes_into_results_never_reach_the_memo(self):
         schedule = design_schedule(reference_config(9, path_count=8), THETA_20, 0.4)
         ms = range(-5, 6)
-        expected = coefficient_matrix(dataclasses.replace(schedule), ms).tobytes()
+        fresh = design_schedule(reference_config(9, path_count=8), THETA_20, 0.4)
+        expected = coefficient_matrix(fresh, ms).tobytes()
         spectrum = compute_spectrum(schedule, 5)
         with pytest.raises(ValueError, match="read-only"):
             spectrum.coefficients[1].per_element[0] = 0.0
@@ -734,7 +749,8 @@ class TestCoefficientMemo:
         # one request another's rows
         schedule = design_schedule(reference_config(16, path_count=8), THETA_20, 0.4)
         requests = [range(-5, 6), [1, -3, 5], [7, 0, -7], [2, 4, 4, -9]]
-        expected = [coefficient_matrix(dataclasses.replace(schedule), ms) for ms in requests]
+        expected = [coefficient_matrix(design_schedule(reference_config(16, path_count=8),
+                                                       THETA_20, 0.4), ms) for ms in requests]
         mismatches = []
 
         def worker(k):
@@ -1577,11 +1593,16 @@ class TestLagTotalPower:
         general = dataclasses.replace(designed)
         fast, exact = compute_spectrum(designed, 25), compute_spectrum(general, 25)
         assert relative_gap(fast.total_power, exact.total_power) <= 1e-14
-        for m, coefficient in exact.coefficients.items():
-            assert np.array_equal(fast.coefficients[m].per_element, coefficient.per_element)
-        # the powers come from the lag sum (TestTemplatePowers), not bit for bit
-        for m, power in exact.powers.items():
-            assert abs(fast.powers[m] - power) <= 1e-13 * exact.total_power
+        ms = list(exact.coefficients)
+        rows = [np.array([s.coefficients[m].per_element for m in ms]) for s in (fast, exact)]
+        assert_template_rows(*rows)
+        # the powers come from the lag sum (TestTemplatePowers), not bit for
+        # bit, over element 0's coefficients, whose bits they keep
+        powers = harmonic_analysis._template_powers(designed, rows[1][:, 0], ms)
+        for m, power in zip(ms, powers):
+            assert fast.powers[m] in (0.0, float(power))
+            assert abs(fast.powers[m] - exact.powers[m]) <= 1e-13 * exact.total_power
+        assert fast.efficiency == float(powers[ms.index(1)]) / fast.total_power
 
     def test_designed_schedule_skips_the_gram_pass(self, monkeypatch):
         schedule = design_schedule(reference_config(16, path_count=8), THETA_20, 0.5)
@@ -1674,3 +1695,51 @@ class TestDesignedStructure:
         copy = dataclasses.replace(peak_schedule, elements=peak_schedule.elements)
         assert copy == peak_schedule and repr(copy) == repr(peak_schedule)
         assert dump_json(schedule_to_doc(copy)) == dump_json(schedule_to_doc(peak_schedule))
+
+
+class TestTemplateRows:
+    """A designed schedule's coefficients from element 0's column and each
+    element's delay, against the general route over the same table."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, MAX_ELEMENTS), st.sampled_from([4, 8]), st.floats(0.2, 1.0),
+           st.floats(-80.0, 80.0), st.floats(1e-3, 1.0))
+    @example(MAX_ELEMENTS, 8, 1.0, 80.0, 1.0)
+    @example(MAX_ELEMENTS, 4, 0.2, -3.0, 0.1)
+    def test_agree_with_the_general_route(self, n, path_count, spacing_wl, theta_deg, alpha):
+        cfg = reference_config(n_elements=n, path_count=path_count, spacing_wl=spacing_wl)
+        designed = design_schedule(cfg, np.deg2rad(theta_deg), alpha)
+        ms = range(-101, 102)
+        general = harmonic_analysis._coefficients(_schedule_table(designed), ms)
+        assert_template_rows(coefficient_matrix(designed, ms), general)
+
+    @pytest.mark.parametrize("n, path_count, theta_deg, alpha", [
+        (9, 4, -37.5, 0.1), (33, 8, 23.4, 10 ** -0.3), (64, 8, 59.3, 1.0),
+    ])
+    def test_agree_with_the_dft_oracle(self, n, path_count, theta_deg, alpha):
+        designed = design_schedule(reference_config(n, path_count, 0.6), np.deg2rad(theta_deg),
+                                   alpha)
+        ms = range(-25, 26)
+        matrix = coefficient_matrix(designed, ms)
+        for i in sorted({0, 1, n // 2, n - 1}):
+            exact = matrix[:, i]
+            estimate = envelope_dft_coefficients(designed.elements[i], 2**14, 25)
+            worst = max(abs(estimate[m] - a) for m, a in zip(ms, exact))
+            assert worst / np.max(np.abs(exact)) < oracle_tolerance(2**14)
+
+    def test_coefficient_passes_see_element_zero_alone(self, monkeypatch):
+        # harmonic_efficiency and total_power take the Gram pass, which reads
+        # the whole table; every analysis through the row memo reads one row
+        schedule = design_schedule(reference_config(32, path_count=8), THETA_20, 0.4)
+        sizes = []
+        real = harmonic_analysis._coefficients
+        monkeypatch.setattr(harmonic_analysis, "_coefficients",
+                            lambda table, ms: sizes.append(len(table[1])) or real(table, ms))
+        compute_spectrum(schedule, 25)
+        sideband_level(schedule, 30)
+        radiation_pattern(schedule, [1, -3, 5, -41], COARSE_THETA)
+        array_factor(schedule, -45, 0.3)
+        harmonic_power(schedule, 47)
+        coefficient_vector(schedule, 49)
+        coefficient_matrix(schedule, [0, 51, -51])
+        assert len(sizes) == 7 and set(sizes) == {1}

@@ -34,14 +34,19 @@ def qam_points(order: int) -> list[complex]:
 
 
 def loop_constellation(plans, config, steer_angle):
-    """Reference: one designed schedule and one array_factor per distinct duty
-    ratio, the received points and their EVM."""
-    reference = abs(array_factor(design_schedule(config, steer_angle, 1.0), 1, steer_angle))
+    """Reference: one designed schedule per distinct duty ratio, rebuilt by
+    ``dataclasses.replace`` so that every element's coefficient comes from the
+    whole table, and its array_factor; the received points and their EVM."""
+
+    def field(duty):
+        schedule = dataclasses.replace(design_schedule(config, steer_angle, duty))
+        return abs(array_factor(schedule, 1, steer_angle))
+
+    reference = field(1.0)
     magnitudes = {}
     for plan in plans:
         if plan.duty_ratio not in magnitudes:
-            schedule = design_schedule(config, steer_angle, plan.duty_ratio)
-            magnitudes[plan.duty_ratio] = abs(array_factor(schedule, 1, steer_angle)) / reference
+            magnitudes[plan.duty_ratio] = field(plan.duty_ratio) / reference
     received = np.array([magnitudes[p.duty_ratio] * np.exp(1j * p.carrier_phase) for p in plans])
     ideal = np.array([p.magnitude_target * np.exp(1j * p.carrier_phase) for p in plans])
     evm = 100.0 * np.sqrt(np.mean(np.abs(received - ideal) ** 2) / np.mean(np.abs(ideal) ** 2))
@@ -240,6 +245,16 @@ class TestSimulateConstellationOnOneDesign:
         received, evm = loop_constellation(plans, cfg, np.deg2rad(-27.0))
         assert result.received.tobytes() == received.tobytes()
         assert result.evm_rms_percent.hex() == evm.hex()
+
+    @pytest.mark.parametrize("n_elements, path_count, theta_deg", [
+        (1, 4, 0.0), (5, 8, -27.0), (64, 8, 59.3), (257, 4, 11.0),
+    ])
+    def test_duty_one_is_the_reference_exactly(self, n_elements, path_count, theta_deg):
+        cfg = reference_config(n_elements, path_count, 0.7)
+        # the peak symbol after a backed-off one, at carrier phase 0
+        plans = [SymbolPlan(0.5j, 0.3, math.pi / 2, 0.5), SymbolPlan(1.0, 1.0, 0.0, 1.0)]
+        received = simulate_constellation(plans, cfg, np.deg2rad(theta_deg)).received
+        assert received[1] == 1.0
 
     def test_designs_one_schedule(self, design_calls):
         plans = plan_constellation(qam_points(256), predistort=True)
