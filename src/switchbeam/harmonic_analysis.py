@@ -48,10 +48,15 @@ e^(j beta d sin(theta) k), each the widest built so far for its phase step
 and grid (``_phase_table``): a pattern reads its steering from it, bit for
 bit, and so does an ``array_factor`` over an array of angles.  The sideband
 level forms no steering: over its one 0.05-degree grid, its fields are sums
-over q of e^(j 16 q x) G[q], G[q] a matrix product with e^(j r x), r < 16,
-from two ``_phase_table`` tables.  m = 1 and the largest triangle bound,
-sum over n of |A[m, n]|, cover the whole grid first, and every harmonic
-whose bound cannot exceed the strongest peak found is skipped.
+over q of e^(j 16 q x) G[q], G[q] a matrix product with e^(j r x), r < 16.
+A designed schedule's harmonic m is a uniform-array beam whose main lobes
+sit at x = 2 pi ((m * step) mod 1) + 2 pi k, so ``_crossing_peaks`` takes
+its fields only at the grid angles that bracket those centres, which hold
+its peak when every harmonic has a lobe on the grid and no grid step in x
+exceeds 8 / N.  Failing that, and for every other schedule, the whole grid
+is scanned (``_sideband_peaks``, from two ``_phase_table`` tables): m = 1
+and the largest triangle bound, sum over n of |A[m, n]|, cover it first, and
+every harmonic whose bound cannot exceed the strongest peak found is skipped.
 
 A DFT-based estimator over the envelope, which reads the element's paths and
 not the pulse table, is an independent numerical oracle for the analytic
@@ -109,9 +114,13 @@ MAX_STEERING_ENTRIES = 1 << 22
 _STEERING_MEMO_ENTRIES = 1 << 18
 
 #: The angles ``sideband_level`` scans, read-only: -90 to 90 degrees in
-#: steps of 0.05 degrees, 3601 in all.
+#: steps of 0.05 degrees, 3601 in all, and their sines.
 _SIDEBAND_THETA = np.deg2rad(np.arange(-90.0, 90.0 + 0.05 / 2, 0.05))
-_SIDEBAND_THETA.flags.writeable = False
+_SIDEBAND_SIN = np.sin(_SIDEBAND_THETA)
+_SIDEBAND_THETA.flags.writeable = _SIDEBAND_SIN.flags.writeable = False
+
+#: The grid's widest step in sin(theta), at broadside: sin(0.05 degrees).
+_SIDEBAND_STEP = float(np.max(np.diff(_SIDEBAND_SIN)))
 
 
 def _sinc(x) -> np.ndarray:
@@ -515,21 +524,28 @@ def _lag_total_power(schedule: ArraySchedule) -> float:
     circular autocorrelation of element 0's envelope, and Re R is even, so
     P = sum over d = 0 .. N-1 of c_d * Re R(d * step) (``_lag_weights``).
     R(tau) is a sum over the (2K)**2 pulse pairs of element 0, all of one
-    width, of the weight product times the overlap of two equal arcs; lags
-    are taken at most ``GRAM_BLOCK`` overlaps at a time.  Each overlap is a
-    width less a distance, so narrow pulses lose no relative precision here,
-    while the Gram pass's segment lengths carry ~1e-16 / alpha.
+    width, of the weight product times the overlap of two equal arcs.  Pairs
+    whose onset offsets are bit-equal have bit-equal overlaps at every lag,
+    so their products are added first (``np.bincount``): a design's 64 pairs
+    have 29 distinct offsets at 4 paths, its 256 pairs 85 at 8.  Lags go in
+    the blocks of the sum over all pairs, ``GRAM_BLOCK`` // (2K)**2 at a time,
+    so the additions over lags keep its order and the two sums differ only
+    within each lag, by ~4e-16 relative.  Each overlap is a width less a
+    distance, so narrow pulses lose no relative precision here, while the
+    Gram pass's segment lengths carry ~1e-16 / alpha.
     """
     onsets, widths, rotation = (column[:1] for column in _schedule_table(schedule))
     weights = np.stack((rotation, -rotation), axis=-1).ravel()
-    # the weight product of every pulse pair (p, q) and its onset offset
+    # the weight product of every pulse pair (p, q), summed per onset offset
     products = (weights[:, None] * weights.conj()[None, :]).real.ravel()
-    offsets = (onsets.ravel()[:, None] - onsets.ravel()[None, :]).ravel()
+    step = max(1, GRAM_BLOCK // products.size)
+    offsets, pair = np.unique(onsets.ravel()[:, None] - onsets.ravel()[None, :],
+                              return_inverse=True)
+    products = np.bincount(pair.ravel(), weights=products)
     width = widths[0, 0]
     c = _lag_weights(schedule.config)
     lags = np.arange(c.size)
     total = 0.0
-    step = max(1, GRAM_BLOCK // offsets.size)
     for start in range(0, c.size, step):
         shift = (offsets + (lags[start:start + step, None] * schedule.onset_step) % 1.0) % 1.0
         overlap = np.maximum(width - np.minimum(shift, 1.0 - shift), 0.0)
@@ -543,14 +559,15 @@ def _template_powers(schedule: ArraySchedule, a0: np.ndarray, ms) -> np.ndarray:
 
     Element n's coefficient is A[m, 0] e^(-j 2 pi m n step), so the power's
     quadratic form collapses onto the lags as the total's does:
-    P_m = |A[m, 0]|**2 * sum over d of c_d cos(2 pi ((m d step) mod 1)).
-    It agrees with ``_harmonic_powers`` to ~1e-14 of the total power, not
-    bit for bit: the designed onsets are rounded where this phase is exact.
+    P_m = |A[m, 0]|**2 * sum over d of c_d cos(2 pi ((|m| d step) mod 1)),
+    the cosine sum taken once per distinct |m|.  It agrees with
+    ``_harmonic_powers`` to ~1e-14 of the total power, not bit for bit: the
+    designed onsets are rounded where this phase is exact.
     """
     c = _lag_weights(schedule.config)
-    phase = np.multiply.outer(np.asarray(ms, dtype=float), np.arange(c.size))
-    phase = phase * schedule.onset_step % 1.0
-    return (a0.real ** 2 + a0.imag ** 2) * (np.cos(2 * pi * phase) @ c)
+    mags, at = np.unique(np.abs(np.asarray(ms, dtype=float)), return_inverse=True)
+    phase = np.multiply.outer(mags, np.arange(c.size)) * schedule.onset_step % 1.0
+    return (a0.real ** 2 + a0.imag ** 2) * (np.cos(2 * pi * phase) @ c)[at.ravel()]
 
 
 def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> HarmonicSpectrum:
@@ -714,24 +731,33 @@ def sideband_level(schedule: ArraySchedule, m_max: int) -> float:
     least 2, against the m = 1 peak, which must be positive.
 
     * Fields: with x = beta d sin(theta), element n = 16 q + r gets
-      e^(j 16 q x) e^(j r x) from the ``_phase_table`` tables of phase steps
-      16 beta d (exact, 16 being a power of two) and beta d, which the memo
-      shares across N (the first up to N = 1152).  A field is sum over q of
+      e^(j 16 q x) e^(j r x), the first built with phase step 16 beta d
+      (exact, 16 being a power of two).  A field is sum over q of
       e^(j 16 q x) G[q], with G[q] = sum over r of e^(j r x) A[m, 16 q + r]
       one matrix product: no theta x N steering is formed.
-    * Pruning: harmonic m's bound, sum over n of |A[m, n]|, is at least its
-      peak.  m = 1 and the top bound go first over the whole grid, then the
-      rest by descending bound; one is dropped once its bound times
-      1 + 2 (N + Q + 32) eps, Q = ceil(N / 16), is no greater than the worst
-      peak found.  The margin covers the rounding of the bound's N-term sum,
-      of both factors (|e| <= 1 + ~6 eps) and of a field's 16-term and
-      Q-term sums in any order, so the result is that of an unpruned scan.
+    * Designed schedules (``onset_step`` set): each harmonic is evaluated
+      only at the grid angles that bracket its main lobes
+      (``_crossing_peaks``), unless some harmonic has no main lobe within
+      4 / N of the grid or the grid's widest step in x exceeds 8 / N; then
+      the call scans the whole grid as for any other schedule.
+    * Scan (``_sideband_peaks``): harmonic m's bound, sum over n of
+      |A[m, n]|, is at least its peak.  m = 1 and the top bound go first
+      over the whole grid, then the rest by descending bound; one is dropped
+      once its bound times 1 + 2 (N + Q + 32) eps, Q = ceil(N / 16), is no
+      greater than the worst peak found.  The margin covers the rounding of
+      the bound's N-term sum, of both factors (|e| <= 1 + ~6 eps) and of a
+      field's 16-term and Q-term sums in any order, so the result is that of
+      an unpruned scan.  Its tables come from the ``_phase_table`` memo,
+      which shares them across N (the Q-wide one up to N = 1152).
     * Accuracy: against a long-double scan of the 0.05-degree grid at 5 to
-      1024 elements, each peak is within 4e-16 of the m = 1 peak.  The bits
+      1024 elements, each peak of the scan is within 4e-16 of the m = 1
+      peak, and the two routes agree to ~1e-15 of it.  The scan's bits
       depend neither on the memo nor on the block size.
     """
     m_max = _check_harmonic_count(schedule.config, m_max, 2)
-    peaks = _sideband_peaks(schedule, m_max, _SIDEBAND_THETA)
+    peaks = None if schedule.onset_step is None else _crossing_peaks(schedule, m_max)
+    if peaks is None:
+        peaks = _sideband_peaks(schedule, m_max, _SIDEBAND_THETA)
     ref = peaks.pop(1)
     if ref == 0.0:
         raise ValueError("sideband reference (the m = 1 peak) must be positive")
@@ -783,6 +809,73 @@ def _sideband_peaks(schedule: ArraySchedule, m_max: int, theta: np.ndarray) -> d
         done = stop
         live = done + int(np.count_nonzero(bounds[done:live] > worst))
     return dict(zip(ms[:live].tolist(), peaks[:live].tolist()))
+
+
+def _crossing_peaks(schedule: ArraySchedule, m_max: int) -> dict[int, float] | None:
+    """Pattern peaks over ``_SIDEBAND_THETA`` of every harmonic m != 0,
+    |m| <= m_max, of a designed schedule, each from the few grid angles that
+    bracket its main lobes; None where those angles cannot be shown to hold
+    every peak, and the caller then scans.
+
+    Element n runs element 0's pulses s_n ~ n * step periods later, so
+    harmonic m's field is A[m, 0] D_N(x - c) up to rounding, with
+    x = beta d sin(theta), D_N(y) = sin(N y / 2) / sin(y / 2) and main lobes
+    centred at c = 2 pi ((m * step) mod 1) + 2 pi k.
+
+    * Candidates: for every centre within 2 pi / N of the grid's ends, the
+      two grid angles that bracket it (``searchsorted``), clipped to the
+      grid.  |D_N| falls off from a centre across its main lobe
+      (|y| < 2 pi / N), so that lobe's largest grid value is at one of them.
+      c, from ``onset_step``, is off the rows' own centre by rounding alone;
+      a grid angle between the two is the one nearest the lobe's centre,
+      and a candidate still.
+    * Bound: |sin(y / 2)| <= |y| / 2 gives |D_N(y)| >= N sinc(2) > 0.45 N for
+      |y| <= 4 / N, while off the main lobes |D_N| <= 1 / sin(pi / N) <= N / 3
+      for N >= 6 (N = 2 to 5 have sidelobes of 0, 1, 1.09 and 1.25).  So if
+      every harmonic has a candidate within 4 / N of a centre, its peak lies
+      on a main lobe and hence at a candidate.  Each centre on the grid has
+      one when the grid's widest step, beta d * ``_SIDEBAND_STEP``, is at
+      most 8 / N (2.7e-3 at half a wavelength, under 8 / 2048).  The margin
+      dwarfs the rounding of the rows and of the fields.
+    * Fields: the scan's arithmetic at the candidates alone: e^(j r x) read
+      from the memo's 16-wide grid table, e^(j 16 q x) built for them, with
+      harmonics taken in blocks whose working arrays hold at most ``cap``
+      entries, as the scan's do.
+    """
+    config, n = schedule.config, schedule.config.n_elements
+    beta_d = config.wavenumber * config.element_spacing
+    if beta_d * _SIDEBAND_STEP > 8.0 / n:
+        return None
+    x = beta_d * _SIDEBAND_SIN
+    lobe = 2 * pi / n
+    # the centres from the first at or above x[0] - lobe, 2 pi apart, past
+    # x[-1] + lobe (one beyond it clips to the last angle, a harmless extra)
+    count = int((x[-1] - x[0] + 2 * lobe) // (2 * pi)) + 1
+    ms = np.arange(-m_max, m_max + 1)
+    rows = _rows(schedule, ms)
+    base, rows_q = min(n, 16), -(-n // 16)
+    low = _phase_table(beta_d, _SIDEBAND_THETA, base)
+    cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
+    size = max(1, cap // max(2 * count * max(base, rows_q), rows_q * base))
+    peaks = np.empty(len(ms))
+    for start in range(0, len(ms), size):
+        block = slice(start, start + size)
+        frac = ms[block] * schedule.onset_step % 1.0
+        first = frac + np.ceil((x[0] - lobe) / (2 * pi) - frac)
+        centres = 2 * pi * first[:, None] + 2 * pi * np.arange(count)
+        above = np.searchsorted(x, centres)
+        at = np.concatenate((np.maximum(above - 1, 0), np.minimum(above, x.size - 1)), axis=1)
+        if not (np.abs(x[at] - np.tile(centres, 2)) <= 4.0 / n).any(axis=1).all():
+            return None
+        columns = np.zeros((len(frac), rows_q * base), dtype=complex)
+        columns[:, :n] = rows[block]
+        # entry [m, c, q]: G[q] of harmonic m at its candidate c
+        inner = low[at] @ columns.reshape(-1, rows_q, base).transpose(0, 2, 1)
+        high = _exp_table(16 * beta_d, _SIDEBAND_THETA[at], rows_q).reshape(inner.shape)
+        peaks[block] = np.abs(np.einsum("mcq,mcq->mc", inner, high)).max(axis=1)
+    peaks = dict(zip(ms.tolist(), peaks.tolist()))
+    del peaks[0]
+    return peaks
 
 
 def envelope_dft_coefficients(

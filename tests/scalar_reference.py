@@ -6,6 +6,8 @@ stores, ``coefficient_matrix`` must give the bits of ``combined_coefficient``
 at every entry, and ``synthesize_envelope`` is the point-sampled envelope that
 the segments, the filtered samples and the DFT checks compare against.
 ``envelope_segments`` reads one element's segments off ``_segments``.
+``lag_total_power`` is the lag sum of a designed schedule's total power over
+every pulse pair, which the sum over distinct onset offsets must match.
 """
 
 from math import pi
@@ -15,10 +17,12 @@ import numpy as np
 from switchbeam.array_model import (
     ElementSchedule,
     PulseTrain,
+    _schedule_table,
     _segments,
     _train_pulses,
     pulse_table,
 )
+from switchbeam.harmonic_analysis import GRAM_BLOCK, _lag_weights
 from switchbeam.schedule_design import (
     EIGHT_PATH_SHIFT,
     FOUR_PATH_PHASES,
@@ -103,3 +107,26 @@ def envelope_segments(element: ElementSchedule) -> tuple[np.ndarray, np.ndarray]
     edges, values = (row[0] for row in _segments(pulse_table((element,))))
     last = edges < np.append(edges[1:], np.inf)
     return edges[last], values[last]
+
+
+def lag_total_power(schedule) -> float:
+    """Total power of a designed schedule as a lag sum over element 0's
+    (2K)**2 pulse pairs, each pair's overlap taken on its own: the sum
+    P = sum over d of c_d * Re R(d * step), R(tau) the sum over pairs of the
+    weight product times the overlap of two equal arcs, lags in blocks of
+    ``GRAM_BLOCK`` // (2K)**2."""
+    onsets, widths, rotation = (column[:1] for column in _schedule_table(schedule))
+    weights = np.stack((rotation, -rotation), axis=-1).ravel()
+    # the weight product of every pulse pair (p, q) and its onset offset
+    products = (weights[:, None] * weights.conj()[None, :]).real.ravel()
+    offsets = (onsets.ravel()[:, None] - onsets.ravel()[None, :]).ravel()
+    width = widths[0, 0]
+    c = _lag_weights(schedule.config)
+    lags = np.arange(c.size)
+    total = 0.0
+    step = max(1, GRAM_BLOCK // offsets.size)
+    for start in range(0, c.size, step):
+        shift = (offsets + (lags[start:start + step, None] * schedule.onset_step) % 1.0) % 1.0
+        overlap = np.maximum(width - np.minimum(shift, 1.0 - shift), 0.0)
+        total += c[start:start + step] @ (overlap @ products)
+    return float(total)

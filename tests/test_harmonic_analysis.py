@@ -18,6 +18,7 @@ from conftest import ALPHA_GRID, THETA_20, reference_config
 from scalar_reference import (
     combined_coefficient,
     envelope_segments,
+    lag_total_power,
     path_coefficient,
     synthesize_envelope,
 )
@@ -504,16 +505,16 @@ def spaced_schedules(draw):
 
 
 @st.composite
-def sideband_schedules(draw):
-    """A designed schedule of 1 to 300 elements, 4 or 8 paths, at 0.1 to 1
-    wavelength, or its ``dataclasses.replace`` copy (analysed from its
-    elements)."""
+def sideband_schedules(draw, spacing=(0.1, 1.0), copies=True):
+    """A designed schedule of 1 to 300 elements, 4 or 8 paths, at a spacing
+    in ``spacing`` wavelengths, or, if ``copies``, maybe its
+    ``dataclasses.replace`` copy (analysed from its elements)."""
     cfg = reference_config(n_elements=draw(st.integers(1, 300)),
                            path_count=draw(st.sampled_from([4, 8])),
-                           spacing_wl=draw(st.floats(0.1, 1.0)))
+                           spacing_wl=draw(st.floats(*spacing)))
     schedule = design_schedule(cfg, np.deg2rad(draw(st.floats(-70.0, 70.0))),
                                draw(st.floats(1e-3, 1.0)))
-    return dataclasses.replace(schedule) if draw(st.booleans()) else schedule
+    return dataclasses.replace(schedule) if copies and draw(st.booleans()) else schedule
 
 
 #: Trains for the byte tests: phases whose rotations hold signed zeros or
@@ -1179,8 +1180,8 @@ class TestSharedSteering:
         # the cap is a quarter of the memo's, or MAX_STEERING_ENTRIES if lower;
         # a block sized by its chunk fills it with its slice of the 16-wide
         # table (17 elements: Q = 2, so a chunk of two columns spans 4 < 16
-        # products)
-        schedule = design_schedule(reference_config(17, 8), THETA_20, 0.5)
+        # products); a copy of the design, so that the whole grid is scanned
+        schedule = dataclasses.replace(design_schedule(reference_config(17, 8), THETA_20, 0.5))
         whole = sideband_level(schedule, 25)
         cap = min(max_entries, memo >> 2)
         sizes = []
@@ -1270,9 +1271,13 @@ class TestSharedSteering:
             analysis(peak_schedule, m_max)
 
     def test_no_sideband_reads_the_floor(self, peak_schedule, monkeypatch):
+        # a design takes the crossing route, its copy the scan
         monkeypatch.setattr(harmonic_analysis, "_sideband_peaks",
                             lambda schedule, m_max, theta: {1: 2.0, -3: 0.0, 5: 0.0})
+        monkeypatch.setattr(harmonic_analysis, "_crossing_peaks",
+                            lambda schedule, m_max: {1: 2.0, -3: 0.0, 5: 0.0})
         assert sideband_level(peak_schedule, 5) == DB_FLOOR
+        assert sideband_level(dataclasses.replace(peak_schedule), 5) == DB_FLOOR
 
     def test_numpy_integer_m_max_is_accepted(self, peak_schedule):
         assert sideband_level(peak_schedule, np.int64(7)) == sideband_level(peak_schedule, 7)
@@ -1497,8 +1502,9 @@ class TestSteeringMemo:
     @pytest.mark.parametrize("n", [1200, 2048])
     def test_sideband_level_keeps_its_bits_above_the_memo_cap(self, monkeypatch, n):
         # 3601 x ceil(n / 16) high-table entries exceed the memo's cap, so
-        # that table is built for each call; the 16-wide one is memoized
-        schedule = design_schedule(reference_config(n, 8), THETA_20, 0.5)
+        # that table is built for each scan; the 16-wide one is memoized (a
+        # copy of the design, so that the whole grid is scanned)
+        schedule = dataclasses.replace(design_schedule(reference_config(n, 8), THETA_20, 0.5))
         clear_steering_memo()
         cold = sideband_level(schedule, 25)
         assert sideband_level(schedule, 25) == cold
@@ -1508,6 +1514,158 @@ class TestSteeringMemo:
         assert sideband_level(schedule, 25) == cold
         monkeypatch.setattr(harmonic_analysis, "_STEERING_MEMO_ENTRIES", 1 << 10)
         assert sideband_level(schedule, 25) == cold
+
+
+# ----------------------------------- designed schedules: the crossing route
+
+def dirichlet(n: int, y: np.ndarray) -> np.ndarray:
+    """|D_N(y)| = |sin(N y / 2) / sin(y / 2)|, N at y = 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d = np.abs(np.sin(n * y / 2) / np.sin(y / 2))
+    return np.where(y == 0, float(n), d)
+
+
+def unpruned_peaks(schedule, ms) -> np.ndarray:
+    """Every harmonic's pattern peak over the sideband grid from one formed
+    steering matrix, as ``loop_array_factor`` builds it."""
+    cfg = schedule.config
+    beta_d = cfg.wavenumber * cfg.element_spacing
+    steering = np.exp(1j * beta_d * np.outer(np.sin(SIDEBAND_THETA), np.arange(cfg.n_elements)))
+    return np.max(np.abs(steering @ coefficient_matrix(schedule, ms).T), axis=0)
+
+
+def scan_must_not_run(*args):
+    raise AssertionError("whole-grid scan on a designed schedule")
+
+
+class TestCrossingPeaks:
+    """``sideband_level`` of a designed schedule from the grid angles that
+    bracket each harmonic's main lobes (``_crossing_peaks``)."""
+
+    @pytest.mark.parametrize("n", list(range(1, 17)) + [33, 64, 255, 1024, MAX_ELEMENTS])
+    def test_a_point_near_the_centre_beats_every_sidelobe(self, n):
+        # within 4 / N of a lobe's centre |D_N| > 0.45 N, off the main lobes
+        # |D_N| <= N / 3 (1 / sin(pi / N) <= N / 3 from N = 6 on)
+        near = np.linspace(-4.0 / n, 4.0 / n, 4001)
+        assert np.min(dirichlet(n, near)) >= 0.45 * n
+        if n > 1:
+            side = np.linspace(2 * pi / n, pi, 20001)
+            assert np.max(dirichlet(n, side)) <= n / 3 * (1 + 1e-12)
+        if n >= 6:
+            assert 1 / np.sin(pi / n) <= n / 3 * (1 + 1e-12)
+
+    def test_half_wavelength_grid_steps_fit_the_largest_array(self):
+        # the widest step in x at 0.5 wavelength (pi * sin(0.05 degrees)), and
+        # so every bracket, is under 8 / MAX_ELEMENTS
+        steps = np.diff(pi * harmonic_analysis._SIDEBAND_SIN)
+        assert pi * harmonic_analysis._SIDEBAND_STEP == pytest.approx(2.74e-3, rel=1e-3)
+        assert np.max(steps) <= pi * harmonic_analysis._SIDEBAND_STEP * (1 + 1e-12)
+        assert pi * harmonic_analysis._SIDEBAND_STEP < 8.0 / MAX_ELEMENTS
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(sideband_schedules(spacing=(0.2, 2.0), copies=False), st.integers(2, 25))
+    @example(design_schedule(reference_config(40, 8, 0.3), np.deg2rad(23.7), 0.4), 25)
+    @example(design_schedule(reference_config(17, 8, 2.0), np.deg2rad(-59.0), 0.4), 25)
+    @example(design_schedule(reference_config(1, 4, 0.5), np.deg2rad(41.3), 1.0), 2)
+    def test_equals_an_unpruned_scan_at_any_spacing(self, schedule, m_max):
+        ms = [1] + [m for m in range(-m_max, m_max + 1) if m not in (0, 1)]
+        exact = unpruned_peaks(schedule, ms)
+        ratio = max(exact[1:]) / exact[0]
+        level = sideband_level(schedule, m_max)
+        if not (level == DB_FLOOR and ratio <= 10 ** (DB_FLOOR / 20)):
+            assert abs(10 ** (level / 20) - ratio) <= 1e-13 * max(1.0, ratio)
+        peaks = harmonic_analysis._crossing_peaks(schedule, m_max)
+        if peaks is None:
+            return
+        # every harmonic, against the formed steering and the scan alike
+        assert sorted(peaks) == sorted(ms)
+        for m, peak in zip(ms, exact):
+            assert abs(peaks[m] - peak) <= 1e-14 * exact[0]
+        scan = harmonic_analysis._sideband_peaks(schedule, m_max, SIDEBAND_THETA)
+        for m, peak in scan.items():
+            assert abs(peaks[m] - peak) <= 1e-14 * scan[1]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 256, MAX_ELEMENTS])
+    @pytest.mark.parametrize("theta_deg", [-60.0, 23.7])
+    def test_half_wavelength_designs_never_scan(self, monkeypatch, n, theta_deg):
+        schedule = design_schedule(reference_config(n, 8), np.deg2rad(theta_deg), 0.4)
+        expected = sideband_level(dataclasses.replace(schedule), 25)
+        monkeypatch.setattr(harmonic_analysis, "_sideband_peaks", scan_must_not_run)
+        assert sideband_level(schedule, 25) == pytest.approx(expected, rel=1e-14, abs=1e-13)
+
+    def test_a_lobe_off_the_grid_falls_back_to_the_scan(self, monkeypatch):
+        # at 0.3 wavelength x spans +-0.6 pi: harmonic m's lobes sit at
+        # 2 pi ((m step) mod 1) + 2 pi k, and some miss the grid altogether
+        schedule = design_schedule(reference_config(40, 8, 0.3), np.deg2rad(23.7), 0.4)
+        cfg = schedule.config
+        beta_d = cfg.wavenumber * cfg.element_spacing
+        centres = 2 * pi * (np.arange(-25, 26) * schedule.onset_step % 1.0)
+        gap = np.minimum(np.abs(centres), np.abs(2 * pi - centres)) - beta_d
+        assert np.max(gap) > 4.0 / cfg.n_elements
+        assert harmonic_analysis._crossing_peaks(schedule, 25) is None
+        calls = []
+        scan = harmonic_analysis._sideband_peaks
+        monkeypatch.setattr(harmonic_analysis, "_sideband_peaks",
+                            lambda *args: calls.append(args[1]) or scan(*args))
+        level = sideband_level(schedule, 25)
+        assert calls == [25]
+        # the copy's rows are the general route's, ~1e-14 of the largest off
+        copy = dataclasses.replace(schedule)
+        assert level == pytest.approx(sideband_level(copy, 25), rel=1e-13)
+
+    @pytest.mark.parametrize("n, spacing_wl, taken", [
+        (512, 2.0, True), (1024, 2.0, False),
+        (MAX_ELEMENTS, 0.5, True), (MAX_ELEMENTS, 0.75, False),
+    ])
+    def test_a_grid_step_wider_than_8_over_n_falls_back(self, n, spacing_wl, taken):
+        # the widest step, at broadside, is 2 pi spacing sin(0.05 degrees)
+        schedule = design_schedule(reference_config(n, 4, spacing_wl), np.deg2rad(23.7), 0.4)
+        step = 2 * pi * spacing_wl * harmonic_analysis._SIDEBAND_STEP
+        assert (step <= 8.0 / n) == taken
+        assert (harmonic_analysis._crossing_peaks(schedule, 25) is not None) == taken
+
+    @pytest.mark.parametrize("n", [5, 17, 64, 300])
+    def test_peaks_keep_their_bits_in_blocks_of_any_size(self, monkeypatch, n):
+        schedule = design_schedule(reference_config(n, 8, 1.3), THETA_20, 0.4)
+        whole = harmonic_analysis._crossing_peaks(schedule, 25)
+        assert whole is not None
+        for memo in (1 << 6, 1 << 8, 1 << 10, 1 << 12):
+            monkeypatch.setattr(harmonic_analysis, "_STEERING_MEMO_ENTRIES", memo)
+            assert harmonic_analysis._crossing_peaks(schedule, 25) == whole
+
+    def test_working_arrays_stay_under_the_cap(self, monkeypatch):
+        schedule = design_schedule(reference_config(300, 8), THETA_20, 0.4)
+        whole = harmonic_analysis._crossing_peaks(schedule, 25)
+        sizes = []
+        einsum = np.einsum
+
+        def fields(subscripts, inner, high):
+            sizes.extend((inner.size, high.size, inner.shape[0] * 16 * -(-300 // 16)))
+            return einsum(subscripts, inner, high)
+
+        monkeypatch.setattr(np, "einsum", fields)
+        monkeypatch.setattr(harmonic_analysis, "_STEERING_MEMO_ENTRIES", 1 << 12)
+        assert harmonic_analysis._crossing_peaks(schedule, 25) == whole
+        # a cap of 1024 entries: blocks of three harmonics, whose 19 x 16
+        # padded elements (912 entries) outnumber their 4 x 19 exponentials
+        assert max(sizes) == 3 * 19 * 16
+        assert len(sizes) == 3 * 17
+
+    @pytest.mark.parametrize("n, m_max", [(MAX_ELEMENTS, 25), (MAX_ELEMENTS, 1023)])
+    def test_traced_memory_of_a_warm_call(self, n, m_max):
+        # the whole-grid scan peaked at 12 MiB at 25 harmonics (its table of
+        # 3601 x 128 exponentials, rebuilt every call above 1152 elements) and
+        # 128 MiB at 1023, the coefficient cap, copying the 64 MiB of rows
+        schedule = design_schedule(reference_config(n, path_count=8), THETA_20, 0.5)
+        assert (2 * m_max + 1) * n <= harmonic_analysis.MAX_STEERING_ENTRIES
+        sideband_level(schedule, m_max)
+        tracemalloc.start()
+        try:
+            sideband_level(schedule, m_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 # ------------------------------------------- designed schedules: the lag sum
@@ -1614,6 +1772,18 @@ class TestLagTotalPower:
         monkeypatch.setattr(harmonic_analysis, "total_power", no_gram)
         monkeypatch.setattr(harmonic_analysis, "_grams", no_gram)
         assert relative_gap(compute_spectrum(schedule, 5).total_power, expected) <= 1e-14
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, MAX_ELEMENTS), st.sampled_from([4, 8]), st.floats(0.1, 2.0),
+           st.floats(-80.0, 80.0), st.floats(1e-6, 1.0))
+    @example(MAX_ELEMENTS, 8, 0.45, -41.9, 0.0167)
+    @example(1, 4, 0.5, 0.0, 1.0)
+    def test_offset_groups_match_the_pair_sum(self, n, path_count, spacing_wl, theta_deg,
+                                              alpha):
+        cfg = reference_config(n_elements=n, path_count=path_count, spacing_wl=spacing_wl)
+        schedule = design_schedule(cfg, np.deg2rad(theta_deg), alpha)
+        exact = lag_total_power(schedule)
+        assert relative_gap(harmonic_analysis._lag_total_power(schedule), exact) <= 1e-15
 
     def test_memory_stays_flat_at_the_element_cap(self):
         # the N x N Gram or coupling matrix alone would be 32 MiB of floats
