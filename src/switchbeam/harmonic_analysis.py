@@ -20,7 +20,8 @@ table alone and turns it by e^(-j 2 pi m s_n), s_n read from the table:
 element 0 keeps its bits, the others agree to ~1e-14 of the largest |A|.
 A schedule keeps the read-only matrix of its last coefficient pass, keyed by
 harmonic (``_rows``): after ``compute_spectrum``, ``sideband_level`` and
-``radiation_pattern`` index it.
+``radiation_pattern`` index it, and the pass's own ``range`` of harmonics
+gets it at once.
 
 The array is uniform, so radiated harmonic powers follow from the spatial
 power integral with the unnormalized sinc kernel sinc(beta d (a - b)), and
@@ -46,7 +47,8 @@ depends on the geometry and the angle grid alone, never on the schedule, so
 a module-level memo keeps a few read-only tables of exact exponentials
 e^(j beta d sin(theta) k), each the widest built so far for its phase step
 and grid (``_phase_table``): a pattern reads its steering from it, bit for
-bit, and so does an ``array_factor`` over an array of angles.  The sideband
+bit, as a contiguous copy of its first columns if it asks for fewer, and so
+does an ``array_factor`` over an array of angles.  The sideband
 level forms no steering: over its one 0.05-degree grid, its fields are sums
 over q of e^(j 16 q x) G[q], G[q] a matrix product with e^(j r x), r < 16.
 A designed schedule's harmonic m is a uniform-array beam whose main lobes
@@ -58,6 +60,16 @@ is scanned (``_sideband_peaks``, from two ``_phase_table`` tables): m = 1
 and the largest triangle bound, sum over n of |A[m, n]|, cover it first, and
 every harmonic whose bound cannot exceed the strongest peak found is skipped.
 
+Three more bounded memos (``_Memo``) keep what a designed operation does not
+change: a config's lag weights and, up to 64 elements, its coupling kernel
+(``_config_tables``); the onset-offset groups of a design's element 0, which
+depend on its path count alone (``_lag_groups``); and w, 1/w and the onset
+exponentials of a one-row table per set of |m| (``_row_exponentials``), so
+that element 0's coefficient pass takes only its width exponential per duty
+ratio.  Like the steering memo, each holds read-only arrays, bounded in
+count and size, is filled by calls alone (never at import) and leaves every
+result's bits as they are.
+
 A DFT-based estimator over the envelope, which reads the element's paths and
 not the pulse table, is an independent numerical oracle for the analytic
 coefficients.
@@ -67,6 +79,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import wraps
 from itertools import islice
 from math import isfinite, pi
 from threading import Lock
@@ -119,8 +132,18 @@ _SIDEBAND_THETA = np.deg2rad(np.arange(-90.0, 90.0 + 0.05 / 2, 0.05))
 _SIDEBAND_SIN = np.sin(_SIDEBAND_THETA)
 _SIDEBAND_THETA.flags.writeable = _SIDEBAND_SIN.flags.writeable = False
 
+#: The sideband grid's steering-memo key: its bytes, whose hash Python keeps,
+#: where ``tobytes`` would copy and hash 28.8 KB on every lookup.
+_SIDEBAND_BYTES = _SIDEBAND_THETA.tobytes()
+
 #: The grid's widest step in sin(theta), at broadside: sin(0.05 degrees).
 _SIDEBAND_STEP = float(np.max(np.diff(_SIDEBAND_SIN)))
+
+
+def _frac(x):
+    """``x % 1.0`` of a finite array with its bits, ten times faster: both
+    round the exact x - floor(x) once (as ``array_model._segments`` uses)."""
+    return x - np.floor(x)
 
 
 def _sinc(x) -> np.ndarray:
@@ -130,6 +153,46 @@ def _sinc(x) -> np.ndarray:
     nz = x != 0
     out[nz] = np.sin(x[nz]) / x[nz]
     return out
+
+
+class _Memo:
+    """A bounded, thread-safe memo of read-only arrays, built on a miss by
+    ``build(*args)``, which may return one array or a tuple of them.  It
+    holds at most ``size`` values of at most ``entries`` entries each (a
+    larger one is built for the call alone) and drops the least recently
+    used.  It hands out views of read-only arrays, which no caller can make
+    writeable.  Builds run outside the lock: threads at most repeat one."""
+
+    def __init__(self, size: int, entries: int):
+        self.size, self.entries = size, entries
+        self._values: dict = {}
+        self._lock = Lock()
+
+    def get(self, key, build, *args):
+        with self._lock:
+            value = self._values.pop(key, None)
+            if value is not None:
+                self._values[key] = value
+                return value
+        arrays = build(*args)
+        arrays = arrays if isinstance(arrays, tuple) else (arrays,)
+        for array in arrays:
+            array.flags.writeable = False
+        value = tuple(array[...] for array in arrays)
+        value = value if len(value) > 1 else value[0]
+        if sum(array.size for array in arrays) <= self.entries:
+            with self._lock:
+                self._values[key] = value
+                while len(self._values) > self.size:
+                    del self._values[next(iter(self._values))]
+        return value
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._values.clear()
 
 
 def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
@@ -155,25 +218,29 @@ def _rows(schedule: ArraySchedule, ms) -> np.ndarray:
     schedule's memo: the read-only matrix of its last coefficient pass, keyed
     by harmonic.  A request the memo covers is indexed out of it (or is the
     memo, if it asks for its rows in order); any other runs one pass and its
-    matrix replaces the memo.  Each entry of a pass depends on its harmonic
-    and element alone, so the bits are the same.  The pass is
-    ``_template_rows`` for a designed schedule (``onset_step`` set) and
-    ``_coefficients`` of the whole table for any other.
+    matrix replaces the memo.  A ``range`` equal to the one that made the
+    pass is the memo at once, with no index check or lookup per harmonic.
+    Each entry of a pass depends on its harmonic and element alone, so the
+    bits are the same.  The pass is ``_template_rows`` for a designed
+    schedule (``onset_step`` set) and ``_coefficients`` of the whole table
+    for any other.
     The memo is a private attribute, not a field: equality, hash, repr and
     ``dataclasses.replace`` do not see it.  It is read and replaced as one
-    (index, matrix) pair, so threads racing on one schedule at most repeat a
-    pass.
+    (index, matrix, range) triple, so threads racing on one schedule at most
+    repeat a pass.
     """
+    index, matrix, request = getattr(schedule, "_coefficient_memo", ({}, None, None))
+    if type(ms) is range and ms == request:
+        return matrix
     m = _harmonic_indices(ms)
     keys = m.tolist()
-    index, matrix = getattr(schedule, "_coefficient_memo", ({}, None))
     at = [index.get(key) for key in keys]
     if matrix is not None and None not in at:
         return matrix if at == list(range(len(matrix))) else matrix[at]
     table = _schedule_table(schedule)
     matrix = _coefficients(table, m) if schedule.onset_step is None else _template_rows(table, m)
     matrix.flags.writeable = False
-    memo = ({key: i for i, key in enumerate(keys)}, matrix)
+    memo = ({key: i for i, key in enumerate(keys)}, matrix, ms if type(ms) is range else None)
     object.__setattr__(schedule, "_coefficient_memo", memo)
     return matrix
 
@@ -198,9 +265,11 @@ def _coefficients(table, ms) -> np.ndarray:
 
     ``ms`` must hold integers.  They are taken by |m| in blocks of at most
     ``COEFFICIENT_BLOCK`` table entries, and a block takes its exponentials
-    once per distinct |m|: of each onset, and of the width if the table has
-    one (a designed table does), else of each path's.  Its bits are those of
-    the scalar reference ``combined_coefficient`` in ``tests/scalar_reference.py``.
+    once per distinct |m|: of each onset (for a one-row table, such as a
+    design's element 0, from ``_row_exponentials``), and of the width if
+    the table has one (a designed table does), else of each path's.  Its
+    bits are those of the scalar reference ``combined_coefficient`` in
+    ``tests/scalar_reference.py``.
 
     The -|m| rows reuse the +|m| pulses bit for bit.  With w = 2 pi |m|,
     ``-1j * -w * t`` is the conjugate of ``-1j * w * t``, save at t = 0,
@@ -227,14 +296,15 @@ def _coefficients(table, ms) -> np.ndarray:
     rows = max(1, COEFFICIENT_BLOCK // max(1, n * k))
     for start in range(0, m.size, rows):
         block = order[start:start + rows]
-        mags, at = np.unique(np.abs(m[block]), return_inverse=True)
-        w = 2 * pi * mags[:, None]
-        # 1/(jw) is (0, -1/w); m = 0 gets 0, its coefficient being exactly 0
-        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0)
-        # exp(-jw t) for the width and for both onsets:
-        # shapes (|m|, 1) or (k, |m|, n), and (2, k, |m|, n)
+        mags, at = _sorted_unique(np.abs(m[block]))
+        # exp(-jw t) for both onsets and for the width: shapes
+        # (2, k, |m|, n), and (|m|, 1) or (k, |m|, n)
+        if n == 1:
+            w, inv_w, e = _row_exponentials.get((onsets.tobytes(), mags.tobytes()),
+                                                _onset_exponentials, onsets, mags)
+        else:
+            w, inv_w, e = _onset_exponentials(onsets, mags)
         f = np.exp(-1j * w * width)
-        e = np.exp(-1j * w * onsets)
         f_r, f_i = 1.0 - f.real, -f.imag
         e_r, e_i = e.real, e.imag
         # pulse = exp(-jw onset) (1 - exp(-jw width)) / (jw), with every
@@ -261,6 +331,30 @@ def _coefficients(table, ms) -> np.ndarray:
     return out
 
 
+def _sorted_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(a, return_inverse=True)`` of a sorted 1-d array ``a``: the
+    first entry of each run of equal entries, and each entry's run."""
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first], np.cumsum(first) - 1
+
+
+def _onset_exponentials(onsets: np.ndarray, mags: np.ndarray):
+    """w = 2 pi |m| (a column), 1/w (0 at m = 0) and exp(-jw t) for every
+    onset t of ``_coefficients``' (onset, path, 1, element) array."""
+    w = 2 * pi * mags[:, None]
+    # 1/(jw) is (0, -1/w); m = 0 gets 0, its coefficient being exactly 0
+    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0)
+    return w, inv_w, np.exp(-1j * w * onsets)
+
+
+# the one-row exponential memo: (onset bytes, |m| bytes) -> w, 1/w and the
+# onset exponentials of a one-row table; a design's element 0 depends on
+# its path count alone, and m_max 25 fills 2 x 8 x 26 exponentials at 8 paths
+_row_exponentials = _Memo(8, 1 << 12)
+
+
 def _template_rows(table, ms) -> np.ndarray:
     """``coefficient_matrix`` of a designed schedule's pulse table, from one
     ``_coefficients`` pass over element 0's row of the table.
@@ -277,7 +371,7 @@ def _template_rows(table, ms) -> np.ndarray:
     """
     a0 = _coefficients(tuple(column[:1] for column in table), ms)[:, 0]
     onsets = table[0]
-    shift = (onsets[1:, 0, 0] - onsets[0, 0, 0]) % 1.0
+    shift = _frac(onsets[1:, 0, 0] - onsets[0, 0, 0])
     m = np.asarray(ms, dtype=float)
     out = np.empty((m.size, len(onsets)), dtype=complex)
     out[:, 0] = a0
@@ -285,8 +379,8 @@ def _template_rows(table, ms) -> np.ndarray:
     rows = max(1, COEFFICIENT_BLOCK // len(onsets))
     for start in range(0, m.size, rows):
         block = order[start:start + rows]
-        mags, at = np.unique(np.abs(m[block]), return_inverse=True)
-        turn = np.exp(-2j * pi * (np.multiply.outer(mags, shift) % 1.0))[at]
+        mags, at = _sorted_unique(np.abs(m[block]))
+        turn = np.exp(-2j * pi * _frac(np.multiply.outer(mags, shift)))[at]
         # conjugated for m < 0, and multiplied in real arithmetic, so that an
         # entry's bits do not depend on its place in the block
         t_r, t_i = turn.real, np.where((m[block] < 0)[:, None], -turn.imag, turn.imag)
@@ -327,7 +421,21 @@ class HarmonicSpectrum:
     efficiency: float
 
 
+# the per-config memo: (builder, config) -> its read-only table: a config's
+# lag weights (N reals) and, up to 64 elements, its coupling kernel (N x N),
+# 32 KiB each at most
+_config_tables = _Memo(16, 1 << 12)
+
+
+def _per_config(build):
+    """``build(config)``, read-only, through the per-config memo: equal
+    configs have equal fields, and so tables of the same bits."""
+    return wraps(build)(lambda config: _config_tables.get((build, config), build, config))
+
+
+@_per_config
 def _coupling_kernel(config: ArrayConfig) -> np.ndarray:
+    """sinc(beta d (a - b)) for every element pair (a, b)."""
     n = np.arange(config.n_elements)
     beta_d = config.wavenumber * config.element_spacing
     return _sinc(beta_d * (n[:, None] - n[None, :]))
@@ -505,6 +613,7 @@ def _harmonic_efficiencies(config: ArrayConfig, tables) -> list[float]:
     return out
 
 
+@_per_config
 def _lag_weights(config: ArrayConfig) -> np.ndarray:
     """c_d = (N - d) * sinc(beta_d * d), the sum of the coupling kernel's d-th
     diagonal, for the lags d = 0 .. N-1, doubled for d > 0 to stand for the
@@ -514,6 +623,22 @@ def _lag_weights(config: ArrayConfig) -> np.ndarray:
     c = (config.n_elements - lags) * _sinc(beta_d * lags)
     c[1:] *= 2.0
     return c
+
+
+# the lag-group memo: element 0's onset and rotation bytes -> its distinct
+# pulse-pair onset offsets and their summed weight products; a design's
+# element 0 depends on its path count alone, (2K)**2 <= 256 pairs at 8 paths
+_lag_groups = _Memo(8, 1 << 12)
+
+
+def _offset_groups(onsets: np.ndarray, rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct onset offsets of every pulse pair (p, q) of one element's
+    table row, sorted, and the sum of the pairs' weight products at each."""
+    weights = np.stack((rotation, -rotation), axis=-1).ravel()
+    products = (weights[:, None] * weights.conj()[None, :]).real.ravel()
+    offsets, pair = np.unique(onsets.ravel()[:, None] - onsets.ravel()[None, :],
+                              return_inverse=True)
+    return offsets, np.bincount(pair.ravel(), weights=products)
 
 
 def _lag_total_power(schedule: ArraySchedule) -> float:
@@ -526,28 +651,25 @@ def _lag_total_power(schedule: ArraySchedule) -> float:
     R(tau) is a sum over the (2K)**2 pulse pairs of element 0, all of one
     width, of the weight product times the overlap of two equal arcs.  Pairs
     whose onset offsets are bit-equal have bit-equal overlaps at every lag,
-    so their products are added first (``np.bincount``): a design's 64 pairs
-    have 29 distinct offsets at 4 paths, its 256 pairs 85 at 8.  Lags go in
-    the blocks of the sum over all pairs, ``GRAM_BLOCK`` // (2K)**2 at a time,
-    so the additions over lags keep its order and the two sums differ only
-    within each lag, by ~4e-16 relative.  Each overlap is a width less a
-    distance, so narrow pulses lose no relative precision here, while the
-    Gram pass's segment lengths carry ~1e-16 / alpha.
+    so their products are added first (``_offset_groups``, kept in the
+    lag-group memo): a design's 64 pairs have 29 distinct offsets at 4 paths,
+    its 256 pairs 85 at 8.  Lags go in the blocks of the sum over all pairs,
+    ``GRAM_BLOCK`` // (2K)**2 at a time, so the additions over lags keep its
+    order and the two sums differ only within each lag, by ~4e-16 relative.
+    Each overlap is a width less a distance, so narrow pulses lose no
+    relative precision here, while the Gram pass's segment lengths carry
+    ~1e-16 / alpha.
     """
     onsets, widths, rotation = (column[:1] for column in _schedule_table(schedule))
-    weights = np.stack((rotation, -rotation), axis=-1).ravel()
-    # the weight product of every pulse pair (p, q), summed per onset offset
-    products = (weights[:, None] * weights.conj()[None, :]).real.ravel()
-    step = max(1, GRAM_BLOCK // products.size)
-    offsets, pair = np.unique(onsets.ravel()[:, None] - onsets.ravel()[None, :],
-                              return_inverse=True)
-    products = np.bincount(pair.ravel(), weights=products)
+    offsets, products = _lag_groups.get((onsets.tobytes(), rotation.tobytes()),
+                                        _offset_groups, onsets, rotation)
+    step = max(1, GRAM_BLOCK // onsets.size ** 2)
     width = widths[0, 0]
     c = _lag_weights(schedule.config)
     lags = np.arange(c.size)
     total = 0.0
     for start in range(0, c.size, step):
-        shift = (offsets + (lags[start:start + step, None] * schedule.onset_step) % 1.0) % 1.0
+        shift = _frac(offsets + _frac(lags[start:start + step, None] * schedule.onset_step))
         overlap = np.maximum(width - np.minimum(shift, 1.0 - shift), 0.0)
         total += c[start:start + step] @ (overlap @ products)
     return float(total)
@@ -565,9 +687,13 @@ def _template_powers(schedule: ArraySchedule, a0: np.ndarray, ms) -> np.ndarray:
     designed onsets are rounded where this phase is exact.
     """
     c = _lag_weights(schedule.config)
-    mags, at = np.unique(np.abs(np.asarray(ms, dtype=float)), return_inverse=True)
-    phase = np.multiply.outer(mags, np.arange(c.size)) * schedule.onset_step % 1.0
-    return (a0.real ** 2 + a0.imag ** 2) * (np.cos(2 * pi * phase) @ c)[at.ravel()]
+    m = np.abs(np.asarray(ms, dtype=float))
+    order = np.argsort(m, kind="stable")
+    mags, runs = _sorted_unique(m[order])
+    at = np.empty_like(runs)
+    at[order] = runs
+    phase = _frac(np.multiply.outer(mags, np.arange(c.size)) * schedule.onset_step)
+    return (a0.real ** 2 + a0.imag ** 2) * (np.cos(2 * pi * phase) @ c)[at]
 
 
 def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> HarmonicSpectrum:
@@ -644,29 +770,39 @@ _phase_tables_lock = Lock()
 def _phase_table(beta_d: float, theta: np.ndarray, count: int) -> np.ndarray:
     """``_exp_table`` through the steering memo, with the same bits.
 
-    A request is a read-only column slice of its grid's widest table.  The
-    memo holds at most four tables of at most ``_STEERING_MEMO_ENTRIES``
-    entries and drops the least recently used.  A single angle, or a larger
-    table, is built fresh for the call alone.  A grid's narrower table is
-    dropped before its wider one is built, outside the lock: threads at most
-    repeat a build.
+    A request is a C-contiguous, read-only table: its grid's widest table, or
+    a copy of that table's first ``count`` columns made for the call alone
+    (a column slice would stride its rows by the wide table's, 4 KiB at 256
+    columns, and run each product with it at half speed).  The memo holds at
+    most four tables of at most ``_STEERING_MEMO_ENTRIES`` entries and drops
+    the least recently used.  A single angle, or a larger table, is built
+    fresh for the call alone.  A grid's narrower table is dropped before its
+    wider one is built, outside the lock: threads at most repeat a build.
+    A caller's grid is keyed by its bytes, the module's sideband grid by
+    bytes taken once.
     """
     if theta.ndim == 0 or theta.size * count > _STEERING_MEMO_ENTRIES:
         return _exp_table(beta_d, theta, count)
-    key = (beta_d, theta.shape, theta.tobytes())
+    key = (beta_d, theta.shape, _SIDEBAND_BYTES if theta is _SIDEBAND_THETA else theta.tobytes())
     with _phase_tables_lock:
         table = _phase_tables.pop(key, None)
         if table is not None and table.shape[1] >= count:
             _phase_tables[key] = table
-            return table[:, :count]
-    table = _exp_table(beta_d, theta, count)
-    table.flags.writeable = False
-    with _phase_tables_lock:
-        _phase_tables.pop(key, None)
-        _phase_tables[key] = table
-        while len(_phase_tables) > 4:
-            del _phase_tables[next(iter(_phase_tables))]
-    return table[:, :count]
+        else:
+            table = None
+    if table is None:
+        table = _exp_table(beta_d, theta, count)
+        table.flags.writeable = False
+        with _phase_tables_lock:
+            _phase_tables.pop(key, None)
+            _phase_tables[key] = table
+            while len(_phase_tables) > 4:
+                del _phase_tables[next(iter(_phase_tables))]
+    if table.shape[1] == count:
+        return table[:, :count]  # a view: no caller can make it writeable
+    narrow = table[:, :count].copy()
+    narrow.flags.writeable = False
+    return narrow
 
 
 def array_factor(schedule: ArraySchedule, m: int, theta) -> complex | np.ndarray:
@@ -851,8 +987,9 @@ def _crossing_peaks(schedule: ArraySchedule, m_max: int) -> dict[int, float] | N
     # the centres from the first at or above x[0] - lobe, 2 pi apart, past
     # x[-1] + lobe (one beyond it clips to the last angle, a harmless extra)
     count = int((x[-1] - x[0] + 2 * lobe) // (2 * pi)) + 1
+    # the rows of ``compute_spectrum`` at the same m_max, as the memo holds them
+    rows = _rows(schedule, range(-m_max, m_max + 1))
     ms = np.arange(-m_max, m_max + 1)
-    rows = _rows(schedule, ms)
     base, rows_q = min(n, 16), -(-n // 16)
     low = _phase_table(beta_d, _SIDEBAND_THETA, base)
     cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
@@ -860,7 +997,7 @@ def _crossing_peaks(schedule: ArraySchedule, m_max: int) -> dict[int, float] | N
     peaks = np.empty(len(ms))
     for start in range(0, len(ms), size):
         block = slice(start, start + size)
-        frac = ms[block] * schedule.onset_step % 1.0
+        frac = _frac(ms[block] * schedule.onset_step)
         first = frac + np.ceil((x[0] - lobe) / (2 * pi) - frac)
         centres = 2 * pi * first[:, None] + 2 * pi * np.arange(count)
         above = np.searchsorted(x, centres)

@@ -86,16 +86,16 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
     if not 0 < duty_ratio <= 1:
         raise ValueError("duty_ratio must lie in (0, 1]")
     t1 = steering_onset(np.arange(config.n_elements), steer_angle, config)
-    onsets = np.stack((t1, t1 + QUADRATURE_SHIFT, t1 + PBO_SHIFT,
-                       t1 + PBO_SHIFT + QUADRATURE_SHIFT), axis=1)
-    phases = FOUR_PATH_PHASES
-    if config.path_count == 8:
-        onsets = np.concatenate((onsets, onsets + EIGHT_PATH_SHIFT), axis=1)
-        phases += tuple(p - pi / 4 for p in FOUR_PATH_PHASES)
-    # the positive pulse at each onset, the negative half a period later
-    onsets = np.stack((wrap_unit(onsets), wrap_unit(onsets + 0.5)), axis=2)
+    phases, rotation, shifts = _DESIGN_PATHS[config.path_count]
+    # every pulse's onset before wrapping, its shifts added in the rules' order
+    onsets = t1[:, None, None] + shifts[0]
+    for shift in shifts[1:]:
+        onsets += shift
+    # ``wrap_unit`` in place: x - floor(x) has the bits of x % 1.0, faster
+    onsets -= np.floor(onsets)
+    onsets -= onsets >= 1.0
     widths = np.full(onsets.shape[:2], duty_ratio / 3.0)
-    rotation = np.broadcast_to(np.exp(1j * np.array(phases)), widths.shape)
+    rotation = np.broadcast_to(rotation, widths.shape)
     onsets.flags.writeable = widths.flags.writeable = False
 
     schedule = ArraySchedule(config, duty_ratio, steer_angle)
@@ -107,6 +107,29 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
     beta_d = config.wavenumber * config.element_spacing
     object.__setattr__(schedule, "onset_step", beta_d * sin(steer_angle) / (2 * pi))
     return schedule
+
+
+def _design_paths(path_count: int):
+    """The carrier phases of a design's paths, their read-only rotations, and
+    the shifts of each path's two pulses (paths x 2) from the steering onset:
+    one array per rule, in the order the design adds them (opposed pair,
+    quadrature, second quartet, then half a period for the negative pulse).
+    A rule that leaves a pulse alone adds +0.0, which keeps its bits: no
+    onset is -0.0."""
+    rules = [[0.0, 0.0, PBO_SHIFT, PBO_SHIFT], [0.0, QUADRATURE_SHIFT, 0.0, QUADRATURE_SHIFT]]
+    phases = FOUR_PATH_PHASES
+    if path_count == 8:
+        rules = [rule * 2 for rule in rules] + [[0.0] * 4 + [EIGHT_PATH_SHIFT] * 4]
+        phases += tuple(p - pi / 4 for p in FOUR_PATH_PHASES)
+    shifts = np.concatenate((np.repeat(np.array(rules)[..., None], 2, axis=2),
+                             np.tile([0.0, 0.5], (1, path_count, 1))))
+    rotation = np.exp(1j * np.array(phases))
+    shifts.flags.writeable = rotation.flags.writeable = False
+    return phases, rotation, shifts
+
+
+#: ``_design_paths`` of both path counts.
+_DESIGN_PATHS = {k: _design_paths(k) for k in (4, 8)}
 
 
 def _designed_tables(peak: ArraySchedule, duty_ratios):

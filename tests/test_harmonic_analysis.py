@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -774,6 +776,41 @@ class TestCoefficientMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
 
+    @pytest.mark.parametrize("make", [
+        lambda: design_schedule(reference_config(16, path_count=8), THETA_20, 0.4),
+        lambda: dataclasses.replace(design_schedule(reference_config(7), THETA_20, 0.4)),
+    ])
+    def test_range_of_the_pass_is_the_memo_at_once(self, make, monkeypatch):
+        schedule = make()
+        expected = coefficient_matrix(make(), range(-6, 7)).tobytes()
+        reordered, narrower = (coefficient_matrix(make(), request).tobytes()
+                               for request in (range(6, -7, -1), range(-3, 4)))
+        memo = harmonic_analysis._rows(schedule, range(-6, 7))
+        checks = []
+        real = harmonic_analysis._harmonic_indices
+        monkeypatch.setattr(harmonic_analysis, "_harmonic_indices",
+                            lambda ms: checks.append(ms) or real(ms))
+        # an equal range, however spelled, takes no index check
+        for request in (range(-6, 7), range(-6, 7, 1)):
+            rows = harmonic_analysis._rows(schedule, request)
+            assert rows is memo and not rows.flags.writeable
+            assert rows.tobytes() == expected
+        assert checks == []
+        with pytest.raises(ValueError, match="read-only"):
+            harmonic_analysis._rows(schedule, range(-6, 7))[0, 0] = 0.0
+        # a list, a reordered or narrower range and a wider one take the
+        # general path: the first is the memo, the next two fresh copies,
+        # the last a new pass whose range then hits
+        listed = harmonic_analysis._rows(schedule, list(range(-6, 7)))
+        assert listed is memo
+        for request, bits in ((range(6, -7, -1), reordered), (range(-3, 4), narrower)):
+            rows = harmonic_analysis._rows(schedule, request)
+            assert rows.flags.writeable and rows.tobytes() == bits
+        wider = harmonic_analysis._rows(schedule, range(-7, 8))
+        assert wider is not memo and harmonic_analysis._rows(schedule, range(-7, 8)) is wider
+        assert len(checks) == 4
+        assert coefficient_matrix(schedule, range(-6, 7)).tobytes() == expected
+
     def test_spectrum_holds_one_coefficient_matrix(self):
         # the memo and the spectrum's rows share one matrix of 6.3 MiB; the
         # peak adds the larger working set of the coefficient blocks and of
@@ -1313,9 +1350,19 @@ class TestSharedSteering:
             radiation_pattern(peak_schedule, [1], np.linspace(-1.0, 1.0, 101))
 
 
+def table_memos() -> list:
+    """Every bounded memo of the module: per-config tables, lag groups and
+    one-row exponentials."""
+    return [memo for memo in vars(harmonic_analysis).values()
+            if isinstance(memo, harmonic_analysis._Memo)]
+
+
 def clear_steering_memo():
-    """Empty the module's steering memo, so the next scan builds cold."""
+    """Empty every module-level memo, the steering memo and
+    ``table_memos()``, so the next call builds cold."""
     harmonic_analysis._phase_tables.clear()
+    for memo in table_memos():
+        memo.clear()
 
 
 #: The angle grids of ``radiation_pattern`` in the benchmark (0.25 degrees)
@@ -1348,6 +1395,20 @@ def steering_bytes(schedule, grid: str) -> bytes:
              array_factor(schedule, -3, theta), [array_factor(schedule, 1, 0.4)],
              list(harmonic_analysis._sideband_peaks(schedule, 7, theta).values()),
              constellation.received, [constellation.evm_rms_percent]]
+    return b"".join(np.asarray(part).tobytes() for part in parts)
+
+
+def memo_bytes(schedule) -> bytes:
+    """Every result of a design that reads the per-config, lag-group and
+    one-row exponential memos, as bytes: the spectrum of a fresh design of
+    the same inputs, which runs its coefficient pass, and harmonic powers of
+    the schedule's copy, which read the coupling kernel."""
+    fresh = design_schedule(schedule.config, schedule.steer_angle, schedule.duty_ratio)
+    spectrum = compute_spectrum(fresh, 7)
+    copy = dataclasses.replace(schedule)
+    parts = [*(c.per_element for c in spectrum.coefficients.values()),
+             list(spectrum.powers.values()),
+             [spectrum.total_power, harmonic_power(copy, 1), harmonic_power(copy, -3)]]
     return b"".join(np.asarray(part).tobytes() for part in parts)
 
 
@@ -1387,20 +1448,24 @@ class TestSteeringMemo:
             thread.join(timeout=60)
         assert results == [cold, cold]
 
-    def test_threads_sharing_the_memo_get_its_bits(self):
+    def test_threads_sharing_the_memo_get_its_bits(self, monkeypatch):
         # more threads than cores, each scanning arrays that widen or narrow
-        # the tables the others read
+        # the tables the others read, and each config evicting the others'
+        # entries of the memos that hold one value here
         schedules = [design_schedule(reference_config(n, 8), THETA_20, 0.4) for n in (3, 64, 17)]
         expected = []
         for schedule in schedules:
             clear_steering_memo()
-            expected.append(steering_bytes(schedule, "coarse"))
+            expected.append(steering_bytes(schedule, "coarse") + memo_bytes(schedule))
+        for memo in table_memos():
+            monkeypatch.setattr(memo, "size", 1)
         mismatches = []
 
         def worker(k):
             for i in range(40):
                 j = (k + i) % len(schedules)
-                if steering_bytes(schedules[j], "coarse") != expected[j]:
+                got = steering_bytes(schedules[j], "coarse") + memo_bytes(schedules[j])
+                if got != expected[j]:
                     mismatches.append(j)
 
         interval = sys.getswitchinterval()
@@ -1426,6 +1491,37 @@ class TestSteeringMemo:
                 narrow = harmonic_analysis._phase_table(beta_d, theta, count)
                 assert narrow.tobytes() == fresh.tobytes() == wide[:, :count].tobytes()
             assert len(harmonic_analysis._phase_tables) == 1
+
+    @pytest.mark.parametrize("grid, wide", [("pattern", 256), ("sideband", 64), ("module", 64)])
+    def test_narrow_requests_after_a_wide_one_are_contiguous(self, grid, wide):
+        # a column slice of the wide table would stride its rows by 4 KiB at
+        # 256 columns; each request is a contiguous table of its own width,
+        # and the memo keeps the wide table alone
+        theta = harmonic_analysis._SIDEBAND_THETA if grid == "module" else GRIDS[grid]
+        clear_steering_memo()
+        table = harmonic_analysis._phase_table(pi, theta, wide)
+        for count in (1, 5, 16, 32, wide // 2, wide):
+            narrow = harmonic_analysis._phase_table(pi, theta, count)
+            assert narrow.flags.c_contiguous and not narrow.flags.writeable
+            assert narrow.tobytes() == harmonic_analysis._exp_table(pi, theta, count).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                narrow[0, 0] = 0.0
+        assert [table.base is kept for kept in harmonic_analysis._phase_tables.values()] == [True]
+
+    def test_module_grid_shares_its_table_with_an_equal_caller_grid(self):
+        # the module's sideband grid is keyed by bytes taken once; a caller's
+        # grid by its bytes at each lookup, so a write into it misses
+        grid = harmonic_analysis._SIDEBAND_THETA
+        clear_steering_memo()
+        own = harmonic_analysis._phase_table(pi, grid, 16)
+        caller = grid.copy()
+        assert np.shares_memory(harmonic_analysis._phase_table(pi, caller, 16), own)
+        assert len(harmonic_analysis._phase_tables) == 1
+        caller[7] = 0.0
+        table = harmonic_analysis._phase_table(pi, caller, 16)
+        assert table.tobytes() == harmonic_analysis._exp_table(pi, caller, 16).tobytes()
+        assert table.tobytes() != own.tobytes()
+        assert np.shares_memory(harmonic_analysis._phase_table(pi, grid, 16), own)
 
     def test_memo_stays_bounded(self):
         huge = np.linspace(-1.5, 1.5, 10**5)
@@ -1514,6 +1610,98 @@ class TestSteeringMemo:
         assert sideband_level(schedule, 25) == cold
         monkeypatch.setattr(harmonic_analysis, "_STEERING_MEMO_ENTRIES", 1 << 10)
         assert sideband_level(schedule, 25) == cold
+
+
+class TestTableMemos:
+    def test_no_memo_is_filled_at_import(self):
+        code = ("import switchbeam.harmonic_analysis as h; "
+                "print(len(h._phase_tables), sorted(len(m) for m in vars(h).values() "
+                "if isinstance(m, h._Memo)))")
+        src = os.path.dirname(os.path.dirname(harmonic_analysis.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert out.split("\n")[0] == "0 [0, 0, 0]"
+
+    def test_memos_stay_bounded_and_read_only(self):
+        # 60 configs: N 1 to 15 at two spacings and both path counts, each
+        # designed, tabulated and its copy's harmonic powers taken; then 70
+        # kernels past the kept size
+        clear_steering_memo()
+        configs = [reference_config(n, paths, spacing_wl=spacing)
+                   for n in range(1, 16) for paths in (4, 8) for spacing in (0.5, 0.37)]
+        for cfg in configs:
+            schedule = design_schedule(cfg, THETA_20, 0.4)
+            spectrum = compute_spectrum(schedule, 7)
+            copy = dataclasses.replace(schedule)
+            assert harmonic_power(copy, 1) == pytest.approx(spectrum.powers[1], rel=1e-12)
+        for n in range(60, 130):
+            kernel = harmonic_analysis._coupling_kernel(reference_config(n))
+            assert not kernel.flags.writeable
+        memos = table_memos()
+        assert len(memos) == 3
+        for memo in memos:
+            assert 0 < len(memo) <= memo.size
+            for value in memo._values.values():
+                arrays = value if isinstance(value, tuple) else (value,)
+                assert sum(array.size for array in arrays) <= memo.entries
+                for array in arrays:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 0.0
+                    with pytest.raises(ValueError):
+                        array.flags.writeable = True
+        assert len(harmonic_analysis._config_tables) == harmonic_analysis._config_tables.size
+        # 64 elements is the largest kernel the memo keeps (4096 entries)
+        kept = [harmonic_analysis._coupling_kernel(reference_config(n)) for n in (64, 65)]
+        assert [harmonic_analysis._coupling_kernel(reference_config(n)) is k
+                for n, k in zip((64, 65), kept)] == [True, False]
+
+    def test_memo_drops_the_least_recently_used_and_keeps_no_large_value(self):
+        memo = harmonic_analysis._Memo(3, 10)
+        builds = []
+
+        def build(key, *sizes):
+            builds.append(key)
+            arrays = tuple(np.zeros(size) for size in sizes)
+            return arrays if len(arrays) > 1 else arrays[0]
+
+        for key in range(4):
+            memo.get(key, build, key, 4)
+        memo.get(1, build, 1, 4)
+        memo.get(4, build, 4, 6, 4)
+        # 0 dropped by 3, and 2 by 4 (1 was used since): least recent first
+        assert builds == [0, 1, 2, 3, 4] and list(memo._values) == [3, 1, 4]
+        # a value of 11 entries, alone or in a tuple, is built on each call
+        for _ in range(2):
+            memo.get(5, build, 5, 11)
+            memo.get(6, build, 6, 6, 5)
+        assert builds[5:] == [5, 6, 5, 6] and list(memo._values) == [3, 1, 4]
+        assert all(not array.flags.writeable for array in memo.get(4, build, 4, 6, 4))
+
+    def test_cached_kernel_and_lag_weights_keep_their_bits(self):
+        for cfg in (reference_config(5), reference_config(64, 8, spacing_wl=0.37)):
+            n = np.arange(cfg.n_elements)
+            beta_d = cfg.wavenumber * cfg.element_spacing
+            kernel = harmonic_analysis._sinc(beta_d * (n[:, None] - n[None, :]))
+            c = (cfg.n_elements - n) * harmonic_analysis._sinc(beta_d * n)
+            c[1:] *= 2.0
+            for _ in range(2):
+                assert harmonic_analysis._coupling_kernel(cfg).tobytes() == kernel.tobytes()
+                assert harmonic_analysis._lag_weights(cfg).tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("path_count", [4, 8])
+    def test_lag_groups_of_element_zero_are_shared_across_designs(self, path_count):
+        # element 0 has the same table at any size and angle: one entry
+        # serves every design, with the bits of a cold memo
+        schedules = [design_schedule(reference_config(n, path_count), theta, alpha)
+                     for n, theta, alpha in ((1, 0.0, 1.0), (7, THETA_20, 0.3), (300, -1.1, 1e-3))]
+        cold = []
+        for schedule in schedules:
+            clear_steering_memo()
+            cold.append(harmonic_analysis._lag_total_power(schedule))
+        clear_steering_memo()
+        assert [harmonic_analysis._lag_total_power(s) for s in schedules] == cold
+        assert len(harmonic_analysis._lag_groups) == 1
 
 
 # ----------------------------------- designed schedules: the crossing route
