@@ -1,78 +1,39 @@
 """Harmonic spectrum, array factors, radiated powers, and pattern synthesis.
 
-The analytic path integrates each rectangular pulse exactly, giving the
-Fourier coefficient of every path train in closed form; per-element combined
-coefficients are the path sum with each path rotated by its carrier phase.
 The internals read a schedule only as its pulse table
 (``array_model.pulse_table``: per path, its two onsets, width and carrier
 rotation, ragged path counts padded with zero-rotation paths) and its config.
-A designed schedule's table is the one it stores: its elements are never built.
-``_coefficients`` evaluates that closed form for a table in broadcasts over
-elements and paths, with its exponentials once per distinct |m| (the -|m|
-rows reuse them exactly) and, for a table of one width, one width
-exponential per |m|; the paths are then added in order.  Its complex
-products are spelled out in real arithmetic as scalar complex code rounds
-them, so both give identical bits; numpy's vectorized complex multiply does
-not.  Harmonic indices must be integers with |m| <= 2**53.  A designed
-schedule (one with an ``onset_step``) runs element n's pulses s_n periods
-after element 0's, so ``_template_rows`` evaluates element 0's row of the
-table alone and turns it by e^(-j 2 pi m s_n), s_n read from the table:
-element 0 keeps its bits, the others agree to ~1e-14 of the largest |A|.
-A schedule keeps the read-only matrix of its last coefficient pass, keyed by
-harmonic (``_rows``): after ``compute_spectrum``, ``sideband_level`` and
-``radiation_pattern`` index it, and the pass's own ``range`` of harmonics
-gets it at once.
+A designed schedule (``onset_step`` set: straight from ``design_schedule``)
+stores its table, and element n runs element 0's pulses s_n periods later.
+Every other schedule, ``dataclasses.replace`` copies included, is general.
+Routes, and their accuracy:
 
-The array is uniform, so radiated harmonic powers follow from the spatial
-power integral with the unnormalized sinc kernel sinc(beta d (a - b)), and
-a pattern is the steering matrix times the coefficient rows.  The total
-radiated power is computed in the time domain by exact piecewise-constant
-integration, so Parseval holds without sampling error: each element pair's
-envelope product is integrated over the union of both envelopes' segments,
-found by sorting each pair's edge rows (``array_model._segments``).
-``_total_powers`` does this for every pair of many same-size schedules
-stacked in one table (a back-off sweep is one pass) with the bits of a loop
-over pairs; ``_grams`` lists the traps that would lose them.
-``compute_spectrum`` takes a second route for a designed schedule (one with an
-``onset_step``): its elements are one envelope shifted by n * step, so the
-Gram matrix is Toeplitz and the total is a sum over N lags of element 0's
-autocorrelation (``_lag_total_power``), agreeing to ~1e-15 relative.  Each
-harmonic's power is element 0's |A[m, 0]|**2 times a cosine sum over the
-same N lags (``_template_powers``), agreeing to ~1e-14 of the total.
-Neither is bit for bit, and no N x N kernel is built.  Every other schedule,
-and every other caller, takes the Gram pass and ``_harmonic_powers``.
-A pattern shares one steering matrix (theta points x elements) across all
-its harmonics; its size is capped by ``MAX_STEERING_ENTRIES``.  Steering
-depends on the geometry and the angle grid alone, never on the schedule, so
-a module-level memo keeps a few read-only tables of exact exponentials
-e^(j beta d sin(theta) k), each the widest built so far for its phase step
-and grid (``_phase_table``): a pattern reads its steering from it, bit for
-bit, as a contiguous copy of its first columns if it asks for fewer, and so
-does an ``array_factor`` over an array of angles.  The sideband
-level forms no steering: over its one 0.05-degree grid, its fields are sums
-over q of e^(j 16 q x) G[q], G[q] a matrix product with e^(j r x), r < 16.
-A designed schedule's harmonic m is a uniform-array beam whose main lobes
-sit at x = 2 pi ((m * step) mod 1) + 2 pi k, so ``_crossing_peaks`` takes
-its fields only at the grid angles that bracket those centres, which hold
-its peak when every harmonic has a lobe on the grid and no grid step in x
-exceeds 8 / N.  Failing that, and for every other schedule, the whole grid
-is scanned (``_sideband_peaks``, from two ``_phase_table`` tables): m = 1
-and the largest triangle bound, sum over n of |A[m, n]|, cover it first, and
-every harmonic whose bound cannot exceed the strongest peak found is skipped.
+* Coefficients, through the schedule's memo of its last pass (``_rows``).
+  General: ``_coefficients``, the closed form of every pulse, with the bits
+  of the scalar reference.  Designed: ``_template_rows``, element 0 from
+  its pulse sums (``_element_zero``, ~1e-16 of max|A| off the scalar
+  reference) turned by each element's delay, ~1e-14 of max|A| off the
+  general route for |m| <= 101.
+* Sidebands (``sideband_level``).  Designed: ``_crossing_peaks``, the grid
+  angles that bracket each harmonic's main lobes, when a Dirichlet bound
+  shows that they hold every peak.  General, and a design that fails the
+  bound: the pruned whole-grid scan ``_sideband_peaks``, equal to an
+  unpruned one.  Both are within ~1e-15 of the m = 1 peak of a long-double
+  scan.
+* Power.  General: the Gram pass (``total_power``, ``_grams``: the bits of
+  a loop over element pairs, ~1e-16 / alpha relative) and the N x N
+  quadratic form ``_harmonic_powers``.  Designed, in ``compute_spectrum``:
+  lag sums over element 0, the total (``_lag_total_power``, ~1e-15
+  relative) and each harmonic (``_template_powers``, ~1e-14 of the total).
+  ``total_power``, ``harmonic_efficiency`` and ``harmonic_power`` take the
+  general power route on any schedule.
+* Patterns (``radiation_pattern``, ``array_factor``): the rows times one
+  steering matrix, from a memo of exact exponentials (``_phase_table``).
 
-Three more bounded memos (``_Memo``) keep what a designed operation does not
-change: a config's lag weights and, up to 64 elements, its coupling kernel
-(``_config_tables``); the onset-offset groups of a design's element 0, which
-depend on its path count alone (``_lag_groups``); and w, 1/w and the onset
-exponentials of a one-row table per set of |m| (``_row_exponentials``), so
-that element 0's coefficient pass takes only its width exponential per duty
-ratio.  Like the steering memo, each holds read-only arrays, bounded in
-count and size, is filled by calls alone (never at import) and leaves every
-result's bits as they are.
-
-A DFT-based estimator over the envelope, which reads the element's paths and
-not the pulse table, is an independent numerical oracle for the analytic
-coefficients.
+Bounded memos (``_Memo`` and the steering memo) keep tables that a design
+does not change; each holds read-only arrays, is filled by calls alone and
+leaves every result's bits as they are.  ``envelope_dft_coefficients`` is an
+independent DFT oracle for the coefficients.
 """
 
 from __future__ import annotations
@@ -90,6 +51,7 @@ from .array_model import (
     ArrayConfig,
     ArraySchedule,
     ElementSchedule,
+    _frac,
     _schedule_table,
     _segments,
     envelope_filtered_samples,
@@ -138,12 +100,6 @@ _SIDEBAND_BYTES = _SIDEBAND_THETA.tobytes()
 
 #: The grid's widest step in sin(theta), at broadside: sin(0.05 degrees).
 _SIDEBAND_STEP = float(np.max(np.diff(_SIDEBAND_SIN)))
-
-
-def _frac(x):
-    """``x % 1.0`` of a finite array with its bits, ten times faster: both
-    round the exact x - floor(x) once (as ``array_model._segments`` uses)."""
-    return x - np.floor(x)
 
 
 def _sinc(x) -> np.ndarray:
@@ -200,10 +156,11 @@ def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
 
     Returns a fresh ``(len(ms), n_elements)`` complex array equal, bit for
     bit, to a scalar path-by-path sum at each entry, save on a designed
-    schedule: there element 0's column is, and every other is element 0's
-    turned by that element's delay (``_template_rows``), ~1e-14 of the
-    largest |A| off the sum; ``dataclasses.replace(schedule)`` gives the
-    sum's bits.  Each harmonic index must be an integer of magnitude at most
+    schedule: there element 0's column comes from its pulse sums and every
+    other is element 0's turned by that element's delay
+    (``_template_rows``), ~1e-14 of the largest |A| off the sum;
+    ``dataclasses.replace(schedule)`` gives the sum's bits.  Each harmonic
+    index must be an integer of magnitude at most
     2**53, else ValueError.  Harmonics are evaluated in blocks of at most
     ``COEFFICIENT_BLOCK`` pulse-table entries.  The schedule keeps the rows
     of its last coefficient pass (``_rows``), and a request they cover is
@@ -265,9 +222,8 @@ def _coefficients(table, ms) -> np.ndarray:
 
     ``ms`` must hold integers.  They are taken by |m| in blocks of at most
     ``COEFFICIENT_BLOCK`` table entries, and a block takes its exponentials
-    once per distinct |m|: of each onset (for a one-row table, such as a
-    design's element 0, from ``_row_exponentials``), and of the width if
-    the table has one (a designed table does), else of each path's.  Its
+    once per distinct |m|: of each onset, and of the width if the table has
+    one (a designed table does), else of each path's.  Its
     bits are those of the scalar reference ``combined_coefficient`` in
     ``tests/scalar_reference.py``.
 
@@ -299,11 +255,7 @@ def _coefficients(table, ms) -> np.ndarray:
         mags, at = _sorted_unique(np.abs(m[block]))
         # exp(-jw t) for both onsets and for the width: shapes
         # (2, k, |m|, n), and (|m|, 1) or (k, |m|, n)
-        if n == 1:
-            w, inv_w, e = _row_exponentials.get((onsets.tobytes(), mags.tobytes()),
-                                                _onset_exponentials, onsets, mags)
-        else:
-            w, inv_w, e = _onset_exponentials(onsets, mags)
+        w, inv_w, e = _onset_exponentials(onsets, mags)
         f = np.exp(-1j * w * width)
         f_r, f_i = 1.0 - f.real, -f.imag
         e_r, e_i = e.real, e.imag
@@ -340,36 +292,79 @@ def _sorted_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[first], np.cumsum(first) - 1
 
 
-def _onset_exponentials(onsets: np.ndarray, mags: np.ndarray):
-    """w = 2 pi |m| (a column), 1/w (0 at m = 0) and exp(-jw t) for every
-    onset t of ``_coefficients``' (onset, path, 1, element) array."""
-    w = 2 * pi * mags[:, None]
+def _onset_exponentials(onsets: np.ndarray, ms: np.ndarray):
+    """w = 2 pi m (a column), 1/w (0 at m = 0) and exp(-jw t) for every
+    onset t of an (onset, path, 1, element) array."""
+    w = 2 * pi * ms[:, None]
     # 1/(jw) is (0, -1/w); m = 0 gets 0, its coefficient being exactly 0
     inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0)
     return w, inv_w, np.exp(-1j * w * onsets)
 
 
-# the one-row exponential memo: (onset bytes, |m| bytes) -> w, 1/w and the
-# onset exponentials of a one-row table; a design's element 0 depends on
-# its path count alone, and m_max 25 fills 2 x 8 x 26 exponentials at 8 paths
-_row_exponentials = _Memo(8, 1 << 12)
+def _element_zero(table, ms) -> np.ndarray:
+    """A[m, 0] of a designed table's first row, from its pulse sums.
+
+    With w = 2 pi m and x = w u, u the row's one width,
+    A[m, 0] = S(m) (1 - e^(-jx)) / (jw), where S(m) is the sum over its
+    paths p, in path order, of r_p (e^(-jw o_p+) - e^(-jw o_p-)): S+(|m|)
+    for m >= 0, S-(|m|) for m < 0.  S(m) / w depends on the path count and
+    m alone and is kept in the pulse-sum memo, in blocks of harmonics that
+    do not depend on the element count.  1 - e^(-jx) is taken as
+    2 sin^2(x / 2) + j sin x, which keeps its relative precision at any
+    width, where 1 - cos x would not.  Each entry depends on its m alone and
+    agrees with the scalar reference to ~1e-16 of the largest |A| for
+    alpha >= 0.1.
+    """
+    onsets, width, rotation = (column[0] for column in table)
+    m = np.asarray(ms, dtype=float)
+    out = np.empty(m.size, dtype=complex)
+    size = max(1, COEFFICIENT_BLOCK // onsets.size)
+    for start in range(0, m.size, size):
+        block = m[start:start + size]
+        w, s = _pulse_sums.get((onsets.tobytes(), rotation.tobytes(), block.tobytes()),
+                               _scaled_sums, onsets, rotation, block)
+        # A = (S / w) (sin x - 2j sin^2(x / 2)), in real arithmetic
+        x = w * width[0]
+        f_r, f_i = np.sin(x), -2.0 * np.sin(0.5 * x) ** 2
+        out.real[start:start + size] = s.real * f_r - s.imag * f_i
+        out.imag[start:start + size] = s.real * f_i + s.imag * f_r
+    return out
+
+
+def _scaled_sums(onsets: np.ndarray, rotation: np.ndarray, m: np.ndarray):
+    """w = 2 pi m and S(m) / w (0 at m = 0) of ``_element_zero``, the paths
+    added in order, one exponential per onset and harmonic."""
+    inv_w, e = _onset_exponentials(onsets.T[:, :, None, None], m)[1:]
+    d_r, d_i = (e.real[0] - e.real[1])[..., 0], (e.imag[0] - e.imag[1])[..., 0]
+    r_r, r_i = rotation.real[:, None], rotation.imag[:, None]
+    s = np.empty(m.size, dtype=complex)
+    # cumsum, unlike sum, adds the paths in order
+    s.real = np.cumsum(r_r * d_r - r_i * d_i, axis=0)[-1] * inv_w[:, 0]
+    s.imag = np.cumsum(r_r * d_i + r_i * d_r, axis=0)[-1] * inv_w[:, 0]
+    return 2 * pi * m, s
+
+
+# the pulse-sum memo: element 0's onset, rotation and harmonic bytes -> w
+# and S(m) / w; a design's element 0 depends on its path count alone, and
+# m_max 101 fills 2 x 203 numbers
+_pulse_sums = _Memo(8, 1 << 12)
 
 
 def _template_rows(table, ms) -> np.ndarray:
-    """``coefficient_matrix`` of a designed schedule's pulse table, from one
-    ``_coefficients`` pass over element 0's row of the table.
+    """``coefficient_matrix`` of a designed schedule's pulse table, from
+    element 0's coefficients (``_element_zero``).
 
     Element n runs element 0's pulses s_n periods later, so
     A[m, n] = A[m, 0] e^(-j 2 pi ((|m| s_n) mod 1)), conjugated for m < 0.
     s_n is read from the table, (onsets[n, 0, 0] - onsets[0, 0, 0]) mod 1,
     not taken as n * ``onset_step``, whose rounding grows with m * n.
-    Column 0 keeps the bits of ``_coefficients``; the others agree with
-    ``_coefficients`` of the whole table to ~1e-14 of the largest |A| for
-    |m| <= 101, each path's onsets having been rounded on their own.
-    Harmonics go by |m| in blocks of at most ``COEFFICIENT_BLOCK`` entries,
-    with one exponential per distinct |m| and element.
+    The rows agree with ``_coefficients`` of the whole table to ~1e-14 of
+    the largest |A| for |m| <= 101, each path's onsets having been rounded
+    on their own.  Harmonics go by |m| in blocks of at most
+    ``COEFFICIENT_BLOCK`` entries, with one exponential per distinct |m|
+    and element.
     """
-    a0 = _coefficients(tuple(column[:1] for column in table), ms)[:, 0]
+    a0 = _element_zero(tuple(column[:1] for column in table), ms)
     onsets = table[0]
     shift = _frac(onsets[1:, 0, 0] - onsets[0, 0, 0])
     m = np.asarray(ms, dtype=float)
@@ -675,25 +670,17 @@ def _lag_total_power(schedule: ArraySchedule) -> float:
     return float(total)
 
 
-def _template_powers(schedule: ArraySchedule, a0: np.ndarray, ms) -> np.ndarray:
-    """Radiated powers of the harmonics ``ms`` of a designed schedule from
-    element 0's coefficients ``a0``, in O(len(ms) * N).
+def _template_powers(config: ArrayConfig, rows: np.ndarray) -> np.ndarray:
+    """Radiated powers of a designed schedule's template rows, in
+    O(len(rows) * N).
 
-    Element n's coefficient is A[m, 0] e^(-j 2 pi m n step), so the power's
+    Element d's coefficient is A[m, 0] e^(-j 2 pi m s_d), so the power's
     quadratic form collapses onto the lags as the total's does:
-    P_m = |A[m, 0]|**2 * sum over d of c_d cos(2 pi ((|m| d step) mod 1)),
-    the cosine sum taken once per distinct |m|.  It agrees with
-    ``_harmonic_powers`` to ~1e-14 of the total power, not bit for bit: the
-    designed onsets are rounded where this phase is exact.
+    P_m = Re(conj(A[m, 0]) (A[m, :] @ c)), c the lag weights.  It agrees
+    with ``_harmonic_powers`` to ~1e-14 of the total power, not bit for bit.
     """
-    c = _lag_weights(schedule.config)
-    m = np.abs(np.asarray(ms, dtype=float))
-    order = np.argsort(m, kind="stable")
-    mags, runs = _sorted_unique(m[order])
-    at = np.empty_like(runs)
-    at[order] = runs
-    phase = _frac(np.multiply.outer(mags, np.arange(c.size)) * schedule.onset_step)
-    return (a0.real ** 2 + a0.imag ** 2) * (np.cos(2 * pi * phase) @ c)[at]
+    lagged = rows @ _lag_weights(config)
+    return rows.real[:, 0] * lagged.real + rows.imag[:, 0] * lagged.imag
 
 
 def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> HarmonicSpectrum:
@@ -705,9 +692,9 @@ def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> Har
     over element 0 (``_lag_total_power``, ``_template_powers``): the total
     agrees with ``total_power()`` to ~1e-15 relative and each harmonic's
     power with ``harmonic_power()`` to ~1e-14 of the total, not bit for bit.
-    Its coefficients are the template rows of ``coefficient_matrix``; the
-    powers read only element 0's, which keep their bits.  Every other
-    schedule gets ``total_power()`` and the powers of ``harmonic_power()``.
+    Its coefficients, and the rows its powers read, are the template rows of
+    ``coefficient_matrix``.  Every other schedule gets ``total_power()`` and
+    the powers of ``harmonic_power()``.
     """
     m_max = _check_harmonic_count(schedule.config, m_max, 1)
     ms = range(-m_max, m_max + 1)
@@ -720,7 +707,7 @@ def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> Har
         tabulated = _harmonic_powers(schedule.config, matrix, ms)
     else:
         total = _lag_total_power(schedule)
-        tabulated = _template_powers(schedule, matrix[:, 0], ms)
+        tabulated = _template_powers(schedule.config, matrix)
     coefficients = {m: HarmonicCoefficient(m, a) for m, a in zip(ms, matrix)}
     powers = {m: 0.0 if p < POWER_CLAMP_REL * total else float(p) for m, p in zip(ms, tabulated)}
     efficiency = float(tabulated[m_max + 1]) / total if total > 0 else 0.0

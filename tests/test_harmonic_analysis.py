@@ -57,7 +57,7 @@ from switchbeam.formats import (
     schedule_to_doc,
 )
 from switchbeam.modulation import SymbolPlan, simulate_constellation
-from switchbeam.schedule_design import design_schedule, steering_onset
+from switchbeam.schedule_design import design_schedule, steering_onset, suppressed_harmonics
 
 ZETA_PEAK_4PATH = 9.0 / pi**2
 
@@ -424,9 +424,8 @@ def loop_coefficients(schedule, ms):
 
 def assert_template_rows(fast, exact):
     """A designed schedule's template rows against the general route's over
-    the same table: element 0's column bit for bit, every other entry within
-    1e-12 of the largest |A|."""
-    assert fast[:, 0].tobytes() == exact[:, 0].tobytes()
+    the same table: every entry, element 0's too, within 1e-12 of the
+    largest |A| (``TestElementZero`` holds element 0 to the scalar code)."""
     assert np.max(np.abs(fast - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
@@ -662,11 +661,13 @@ def analysis_bytes(schedule, call) -> bytes:
 
 
 def counted_passes(monkeypatch) -> list:
-    """The harmonic count of every ``_coefficients`` pass from here on."""
+    """The harmonic count of every coefficient pass from here on: a
+    designed schedule's ``_template_rows``, any other's ``_coefficients``."""
     passes = []
-    real = harmonic_analysis._coefficients
-    monkeypatch.setattr(harmonic_analysis, "_coefficients",
-                        lambda table, ms: passes.append(len(ms)) or real(table, ms))
+    for name in ("_coefficients", "_template_rows"):
+        real = getattr(harmonic_analysis, name)
+        monkeypatch.setattr(harmonic_analysis, name, lambda table, ms, real=real:
+                            passes.append(len(ms)) or real(table, ms))
     return passes
 
 
@@ -826,7 +827,7 @@ class TestCoefficientMemo:
             coefficient_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            harmonic_analysis._template_powers(schedule, matrix[:, 0], ms)
+            harmonic_analysis._template_powers(schedule.config, matrix)
             template_peak = tracemalloc.get_traced_memory()[1] - held + matrix_bytes
             del matrix
             tracemalloc.reset_peak()
@@ -1352,7 +1353,7 @@ class TestSharedSteering:
 
 def table_memos() -> list:
     """Every bounded memo of the module: per-config tables, lag groups and
-    one-row exponentials."""
+    element 0's pulse sums."""
     return [memo for memo in vars(harmonic_analysis).values()
             if isinstance(memo, harmonic_analysis._Memo)]
 
@@ -1703,6 +1704,33 @@ class TestTableMemos:
         assert [harmonic_analysis._lag_total_power(s) for s in schedules] == cold
         assert len(harmonic_analysis._lag_groups) == 1
 
+    def test_pulse_sums_are_shared_across_designs(self):
+        # element 0 has the same table at any size, angle and duty ratio:
+        # one read-only entry per path count, with the bits of a cold memo
+        designs = [(n, paths, theta, alpha) for paths in (4, 8)
+                   for n, theta, alpha in ((1, 0.0, 1.0), (7, THETA_20, 0.3),
+                                           (MAX_ELEMENTS, -1.1, 1e-3))]
+        cold = []
+        for n, paths, theta, alpha in designs:
+            clear_steering_memo()
+            designed = design_schedule(reference_config(n, paths), theta, alpha)
+            cold.append(compute_spectrum(designed, 25).coefficients)
+        clear_steering_memo()
+        for (n, paths, theta, alpha), expected in zip(designs, cold):
+            designed = design_schedule(reference_config(n, paths), theta, alpha)
+            got = compute_spectrum(designed, 25).coefficients
+            assert all(got[m].per_element.tobytes() == expected[m].per_element.tobytes()
+                       for m in expected)
+        memo = harmonic_analysis._pulse_sums
+        assert len(memo) == 2
+        for w, sums in memo._values.values():
+            assert w.size == sums.size == 51 and w.size + sums.size <= memo.entries
+            for array in (w, sums):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+                with pytest.raises(ValueError):
+                    array.flags.writeable = True
+
 
 # ----------------------------------- designed schedules: the crossing route
 
@@ -1943,8 +1971,8 @@ class TestLagTotalPower:
         rows = [np.array([s.coefficients[m].per_element for m in ms]) for s in (fast, exact)]
         assert_template_rows(*rows)
         # the powers come from the lag sum (TestTemplatePowers), not bit for
-        # bit, over element 0's coefficients, whose bits they keep
-        powers = harmonic_analysis._template_powers(designed, rows[1][:, 0], ms)
+        # bit, over the spectrum's own template rows, whose bits they keep
+        powers = harmonic_analysis._template_powers(designed.config, rows[0])
         for m, power in zip(ms, powers):
             assert fast.powers[m] in (0.0, float(power))
             assert abs(fast.powers[m] - exact.powers[m]) <= 1e-13 * exact.total_power
@@ -2087,12 +2115,15 @@ class TestTemplateRows:
 
     def test_coefficient_passes_see_element_zero_alone(self, monkeypatch):
         # harmonic_efficiency and total_power take the Gram pass, which reads
-        # the whole table; every analysis through the row memo reads one row
+        # the whole table; every analysis through the row memo reads one
+        # row, and none takes the general pass
         schedule = design_schedule(reference_config(32, path_count=8), THETA_20, 0.4)
-        sizes = []
-        real = harmonic_analysis._coefficients
-        monkeypatch.setattr(harmonic_analysis, "_coefficients",
+        sizes, general = [], []
+        real, real_general = harmonic_analysis._element_zero, harmonic_analysis._coefficients
+        monkeypatch.setattr(harmonic_analysis, "_element_zero",
                             lambda table, ms: sizes.append(len(table[1])) or real(table, ms))
+        monkeypatch.setattr(harmonic_analysis, "_coefficients",
+                            lambda table, ms: general.append(ms) or real_general(table, ms))
         compute_spectrum(schedule, 25)
         sideband_level(schedule, 30)
         radiation_pattern(schedule, [1, -3, 5, -41], COARSE_THETA)
@@ -2100,4 +2131,63 @@ class TestTemplateRows:
         harmonic_power(schedule, 47)
         coefficient_vector(schedule, 49)
         coefficient_matrix(schedule, [0, 51, -51])
-        assert len(sizes) == 7 and set(sizes) == {1}
+        assert len(sizes) == 7 and set(sizes) == {1} and general == []
+
+
+def long_double_element_zero(schedule, ms) -> np.ndarray:
+    """A[m, 0] of a designed schedule's element 0 in long double, with the
+    identity 1 - e^(-jx) = 2 sin^2(x / 2) + j sin x, from the table's
+    onsets, width and rotations.  Each onset phase w t is the float product
+    the code rounds (so that only the rest is compared); the exponentials,
+    the path sum and the width factor are then taken in long double."""
+    onsets, widths, rotation = (column[0] for column in _schedule_table(schedule))
+    w = 2 * pi * np.asarray(ms, dtype=float)[:, None]
+    phase = (w[..., None] * onsets).astype(np.longdouble)
+    e = np.cos(phase) - 1j * np.sin(phase).astype(np.clongdouble)
+    sums = np.sum(rotation.astype(np.clongdouble) * (e[..., 0] - e[..., 1]), axis=1)
+    w = w[:, 0].astype(np.longdouble)
+    x = w * np.longdouble(widths[0])
+    factor = (np.sin(x) - 2j * (np.sin(x / 2) ** 2).astype(np.clongdouble)) / np.where(w, w, 1)
+    return sums * factor
+
+
+class TestElementZero:
+    """A designed schedule's element 0 from its pulse sums and one width
+    factor per harmonic (``_element_zero``)."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, MAX_ELEMENTS), st.sampled_from([4, 8]), st.floats(0.1, 2.0),
+           st.floats(-80.0, 80.0), st.floats(0.1, 1.0))
+    @example(MAX_ELEMENTS, 8, 0.5, 23.4, 1.0)
+    @example(1, 4, 0.5, 0.0, 0.1)
+    def test_agrees_with_the_scalar_code(self, n, path_count, spacing_wl, theta_deg, alpha):
+        cfg = reference_config(n_elements=n, path_count=path_count, spacing_wl=spacing_wl)
+        designed = design_schedule(cfg, np.deg2rad(theta_deg), alpha)
+        ms = range(-101, 102)
+        exact = np.array([combined_coefficient(designed.elements[0], m) for m in ms])
+        column = coefficient_matrix(designed, ms)[:, 0]
+        assert np.max(np.abs(column - exact)) <= 1e-15 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("path_count", [4, 8])
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-12])
+    def test_narrow_pulses_keep_their_precision(self, path_count, alpha):
+        # 1 - cos x would lose ~x / 2 of |A|: 1e-9 of it at alpha = 1e-9
+        designed = design_schedule(reference_config(7, path_count), THETA_20, alpha)
+        ms = range(-101, 102)
+        exact = long_double_element_zero(designed, ms)
+        column = coefficient_matrix(designed, ms)[:, 0]
+        assert np.max(np.abs(column - exact)) <= 1e-15 * np.max(np.abs(exact))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 300), st.sampled_from([4, 8]), st.floats(0.1, 2.0),
+           st.floats(-80.0, 80.0), st.floats(1e-6, 1.0))
+    @example(1, 4, 1.0, 0.0, 2.0 ** -6)
+    def test_suppressed_harmonics_stay_suppressed(self, n, path_count, spacing_wl, theta_deg,
+                                                  alpha):
+        # the residue grows with |m|, each onset having been rounded: up to
+        # |m| = 101 both routes reach ~2e-14 (the general one ~5e-14)
+        cfg = reference_config(n_elements=n, path_count=path_count, spacing_wl=spacing_wl)
+        designed = design_schedule(cfg, np.deg2rad(theta_deg), alpha)
+        ms = suppressed_harmonics(path_count, 25)
+        rows = coefficient_matrix(designed, [1] + ms)
+        assert np.max(np.abs(rows[1:]) / np.abs(rows[0])) < 1e-14
