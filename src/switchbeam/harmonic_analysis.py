@@ -27,8 +27,13 @@ Routes, and their accuracy:
   relative) and each harmonic (``_template_powers``, ~1e-14 of the total).
   ``total_power``, ``harmonic_efficiency`` and ``harmonic_power`` take the
   general power route on any schedule.
-* Patterns (``radiation_pattern``, ``array_factor``): the rows times one
-  steering matrix, from a memo of exact exponentials (``_phase_table``).
+* Patterns (``radiation_pattern``, ``array_factor``).  General: the rows
+  times one theta x N steering matrix, from a memo of exact exponentials
+  (``_phase_table``).  Designed, in ``radiation_pattern``: the sideband
+  scan's factored fields (``_fields``) from the memo's 16-wide and
+  ceil(N / 16)-wide tables, with no theta x N matrix; each |AF_m| is within
+  ~3e-14 of the m = 1 peak of the general route.  ``array_factor`` takes
+  the general route on any schedule.
 
 Four bounded ``_Memo`` instances, the steering memo among them, keep tables
 that a design does not change; each holds read-only arrays, is filled by
@@ -84,8 +89,9 @@ MAX_STEERING_ENTRIES = 1 << 22
 
 #: Most entries (theta points x elements) of a table in the steering memo,
 #: which holds at most four: 2**18 complex entries are 4 MiB and hold the
-#: 721 x 256 table of a 0.25-degree pattern.  ``sideband_level`` forms its
-#: steering in blocks of at most a quarter of this.
+#: 721 x 256 table of a general schedule's 0.25-degree pattern (a designed
+#: one reads 721 x 16 tables alone).  ``sideband_level`` and a designed
+#: pattern form their fields in blocks of at most a quarter of this.
 _STEERING_MEMO_ENTRIES = 1 << 18
 
 #: The angles ``sideband_level`` scans, read-only: -90 to 90 degrees in
@@ -733,6 +739,12 @@ def _check_harmonic_count(config: ArrayConfig, m_max, least: int) -> int:
 
 def _steering(config: ArrayConfig, theta: np.ndarray) -> np.ndarray:
     """Geometric phase of every element toward every angle: theta x elements."""
+    return _phase_table(_check_angles(config, theta), theta, config.n_elements)
+
+
+def _check_angles(config: ArrayConfig, theta: np.ndarray) -> float:
+    """beta d of ``config``, once ``theta`` is shown finite and within
+    ``MAX_STEERING_ENTRIES`` angles x elements."""
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
     if theta.size * config.n_elements > MAX_STEERING_ENTRIES:
@@ -740,7 +752,7 @@ def _steering(config: ArrayConfig, theta: np.ndarray) -> np.ndarray:
             f"{theta.size} angles x {config.n_elements} elements exceed the steering-matrix "
             f"cap of {MAX_STEERING_ENTRIES} entries"
         )
-    return _phase_table(config.wavenumber * config.element_spacing, theta, config.n_elements)
+    return config.wavenumber * config.element_spacing
 
 
 def _exp_table(beta_d: float, theta: np.ndarray, count: int) -> np.ndarray:
@@ -784,11 +796,11 @@ def array_factor(schedule: ArraySchedule, m: int, theta) -> complex | np.ndarray
 
     Sums the per-element coefficients with the geometric phase progression
     (0-based element index), dropping the common time factor.  ``theta`` may
-    be a scalar or an array of radians.
+    be a scalar or an array of radians, and an array result takes its shape.
     """
     theta_arr = np.asarray(theta, dtype=float)
-    out = _steering(schedule.config, theta_arr) @ _rows(schedule, [m])[0]
-    return complex(out[0]) if theta_arr.ndim == 0 else out
+    out = (_steering(schedule.config, theta_arr) @ _rows(schedule, [m])[0]).reshape(theta_arr.shape)
+    return complex(out) if theta_arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -811,25 +823,47 @@ def radiation_pattern(
     Levels are ``20*log10(|AF_m| / ref)`` where ``ref`` defaults to the peak
     of ``|AF_1|`` over the grid for this schedule.  Pass an external
     ``reference`` (e.g. the peak-mode value) to compare across duty ratios.
-    Power ratios below the clamp threshold report the dB floor.
+    Power ratios below the clamp threshold report the dB floor.  Each level
+    array takes the grid's shape.
+
+    A general schedule's fields are ``phase @ a``, with the theta x N
+    steering matrix of ``_steering``.  A designed one's (``onset_step``
+    set) are the sideband scan's factored fields (``_fields``), from the
+    memo's 16-wide and ceil(N / 16)-wide tables, with harmonics in blocks
+    whose working arrays hold at most a quarter of ``_STEERING_MEMO_ENTRIES``
+    and at most ``MAX_STEERING_ENTRIES`` entries (or one harmonic, at most
+    theta x N).  The high table's phases are those of elements 16 q bit for
+    bit, but element 16 q + r's phase is rounded in two parts, so each field
+    is within ~3e-14 of the m = 1 peak of ``phase @ a``.
     """
     theta = np.asarray(theta_grid, dtype=float)
     if theta.size == 0:
         raise ValueError("theta grid is empty")
     harmonics = list(harmonics)
-    phase = _steering(schedule.config, theta)
+    beta_d, n = _check_angles(schedule.config, theta), schedule.config.n_elements
     rows = _rows(schedule, [1] + harmonics)
+    rows = rows if reference is None else rows[1:]
+    if schedule.onset_step is None:
+        phase = _phase_table(beta_d, theta, n)
+        fields = (np.abs(phase @ a) for a in rows)
+    else:
+        base, rows_q = min(n, 16), -(-n // 16)
+        low, high = _phase_table(beta_d, theta, base), _phase_table(16 * beta_d, theta, rows_q)
+        cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
+        size = max(1, cap // (max(theta.size, base) * rows_q))
+        fields = (field for start in range(0, len(rows), size)
+                  for field in _fields(rows[start:start + size], low, high).T)
     if reference is None:
-        reference = float(np.max(np.abs(phase @ rows[0])))
+        reference = float(np.max(next(fields)))
     if not (isfinite(reference) and reference > 0):
         raise ValueError("pattern reference must be positive and finite")
     levels = {}
-    for m, a in zip(harmonics, rows[1:]):
-        ratio = np.abs(phase @ a) / reference
+    for m, field in zip(harmonics, fields):
+        ratio = field / reference
         with np.errstate(divide="ignore"):
             db = 20.0 * np.log10(ratio)
         db[ratio * ratio < POWER_CLAMP_REL] = DB_FLOOR
-        levels[m] = np.maximum(db, DB_FLOOR)
+        levels[m] = np.maximum(db, DB_FLOOR).reshape(theta.shape)
     return PatternTable(theta, levels, reference)
 
 
@@ -840,8 +874,8 @@ def sideband_level(schedule: ArraySchedule, m_max: int) -> float:
     apart) of every harmonic m != 1 with |m| <= m_max, an integer of at
     least 2, against the m = 1 peak, which must be positive.
 
-    * Fields: with x = beta d sin(theta), element n = 16 q + r gets
-      e^(j 16 q x) e^(j r x), the first built with phase step 16 beta d
+    * Fields (``_fields``): with x = beta d sin(theta), element n = 16 q + r
+      gets e^(j 16 q x) e^(j r x), the first built with phase step 16 beta d
       (exact, 16 being a power of two).  A field is sum over q of
       e^(j 16 q x) G[q], with G[q] = sum over r of e^(j r x) A[m, 16 q + r]
       one matrix product: no theta x N steering is formed.
@@ -879,7 +913,7 @@ def _sideband_peaks(schedule: ArraySchedule, m_max: int, theta: np.ndarray) -> d
     """Pattern peaks over ``theta`` of m = 1 and of the harmonics m != 1,
     |m| <= m_max, that the pruning of ``sideband_level`` leaves in play.
 
-    The harmonics go in column chunks of m = 1 and the top bound, then 2,
+    The harmonics go in chunks of m = 1 and the top bound, then 2,
     4, ... by descending bound, each over the whole grid before the next is
     pruned.  An angle block keeps every working array within ``cap``
     entries, but holds two angles at least: numpy rounds a one-row product
@@ -894,26 +928,20 @@ def _sideband_peaks(schedule: ArraySchedule, m_max: int, theta: np.ndarray) -> d
     bounds = np.sum(np.abs(rows), axis=1) * (1.0 + 2 * (n + rows_q + 32) * np.finfo(float).eps)
     # m = 1, then the others by descending bound
     order = np.concatenate(([0], 1 + np.argsort(-bounds[1:], kind="stable")))
-    ms, bounds = ms[order], bounds[order]
-    columns = np.zeros((len(ms), rows_q * base), dtype=complex)
-    columns[:, :n] = rows[order]
+    ms, bounds, rows = ms[order], bounds[order], rows[order]
     beta_d = config.wavenumber * config.element_spacing
     low, high = _phase_table(beta_d, theta, base), _phase_table(16 * beta_d, theta, rows_q)
     cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
     peaks = np.zeros(len(ms))
-    # the columns below ``live`` are in play
+    # the rows below ``live`` are in play
     live, worst, done = len(ms), 0.0, 0
     while done < live:
         stop = min(max(2, 2 * done), live)
-        # entry [r, (c, q)]: element 16 q + r of the chunk's column c
-        chunk = columns[done:stop].reshape(-1, rows_q, base).transpose(2, 0, 1).reshape(base, -1)
-        block = max(2, cap // max(base, chunk.shape[1]))
+        block = max(2, cap // max(base, (stop - done) * rows_q))
         for start in range(0, theta.size, block):
             # a last block of one angle takes the angle before it again
             at = slice(max(0, min(start, theta.size - 2)), start + block)
-            lo, hi = low[at], high[at]
-            inner = (lo @ chunk).reshape(len(lo), stop - done, rows_q)
-            fields = np.abs(np.einsum("tcq,tq->tc", inner, hi))
+            fields = _fields(rows[done:stop], low[at], high[at])
             np.maximum(peaks[done:stop], fields.max(axis=0), out=peaks[done:stop])
         worst = max(worst, peaks[1:stop].max(initial=0.0))
         done = stop
@@ -978,15 +1006,33 @@ def _crossing_peaks(schedule: ArraySchedule, m_max: int) -> dict[int, float] | N
         at = np.concatenate((np.maximum(above - 1, 0), np.minimum(above, x.size - 1)), axis=1)
         if not (np.abs(x[at] - np.tile(centres, 2)) <= 4.0 / n).any(axis=1).all():
             return None
-        columns = np.zeros((len(frac), rows_q * base), dtype=complex)
-        columns[:, :n] = rows[block]
-        # entry [m, c, q]: G[q] of harmonic m at its candidate c
-        inner = low[at] @ columns.reshape(-1, rows_q, base).transpose(0, 2, 1)
-        high = _exp_table(16 * beta_d, _SIDEBAND_THETA[at], rows_q).reshape(inner.shape)
-        peaks[block] = np.abs(np.einsum("mcq,mcq->mc", inner, high)).max(axis=1)
+        high = _exp_table(16 * beta_d, _SIDEBAND_THETA[at], rows_q).reshape(*at.shape, rows_q)
+        peaks[block] = _fields(rows[block], low[at], high).max(axis=1)
     peaks = dict(zip(ms.tolist(), peaks.tolist()))
     del peaks[0]
     return peaks
+
+
+def _fields(rows: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """|field| of each row of ``rows`` (harmonics x N elements), factored
+    as in ``sideband_level``: ``low`` holds e^(j r x), r < min(N, 16), and
+    ``high`` e^(j 16 q x), q < Q = ceil(N / 16).  The rows are zero-padded
+    to Q x 16 columns (Q x N if N < 16); one product with ``low`` gives each
+    G[q], one contraction with ``high`` each field.  On one grid (``low``
+    angles x 16, ``high`` angles x Q) the result is angles x harmonics; at
+    each harmonic's own C angles it is harmonics x C.
+    """
+    base, rows_q = low.shape[-1], high.shape[-1]
+    columns = np.zeros((len(rows), rows_q * base), dtype=complex)
+    columns[:, :rows.shape[1]] = rows
+    # entry [m, q, r]: element 16 q + r of row m
+    split = columns.reshape(-1, rows_q, base)
+    if low.ndim == 3:
+        # entry [m, c, q]: G[q] of harmonic m at its angle c
+        return np.abs(np.einsum("mcq,mcq->mc", low @ split.transpose(0, 2, 1), high))
+    # the right factor's entry [r, (m, q)]: element 16 q + r of row m
+    inner = low @ split.transpose(2, 0, 1).reshape(base, -1)
+    return np.abs(np.einsum("tcq,tq->tc", inner.reshape(len(low), len(rows), rows_q), high))
 
 
 def envelope_dft_coefficients(

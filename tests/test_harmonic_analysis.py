@@ -1117,8 +1117,9 @@ class TestSharedSteering:
     def test_radiation_pattern_is_bit_identical_to_per_harmonic_loop(
         self, n_elements, path_count
     ):
+        # a copy: the general route, whose steering product is the loop's
         cfg = reference_config(n_elements=n_elements, path_count=path_count)
-        schedule = design_schedule(cfg, np.deg2rad(23.0), 10 ** -0.4)
+        schedule = dataclasses.replace(design_schedule(cfg, np.deg2rad(23.0), 10 ** -0.4))
         theta = np.deg2rad(np.arange(-90.0, 90.125, 0.25))
         harmonics = [1, -3, 5, -7, 9, -15]
         table = radiation_pattern(schedule, harmonics, theta)
@@ -1559,7 +1560,8 @@ class TestSteeringMemo:
 
     def test_no_caller_can_write_into_the_memo(self, peak_schedule):
         clear_steering_memo()
-        radiation_pattern(peak_schedule, [1], PATTERN_THETA)
+        # a copy: the general route, which steers with the N-wide table
+        radiation_pattern(dataclasses.replace(peak_schedule), [1], PATTERN_THETA)
         steering = harmonic_analysis._steering(peak_schedule.config, PATTERN_THETA)
         assert np.shares_memory(steering,
                                 next(iter(harmonic_analysis._steering_tables._values.values())))
@@ -1631,6 +1633,89 @@ class TestSteeringMemo:
         assert sideband_level(schedule, 25) == cold
 
 
+@st.composite
+def pattern_designs(draw):
+    """A designed schedule of 1 to 300 elements, 4 or 8 paths, 0.37 to 1
+    wavelength apart, steered anywhere at any duty ratio."""
+    cfg = reference_config(n_elements=draw(st.integers(1, 300)),
+                           path_count=draw(st.sampled_from([4, 8])),
+                           spacing_wl=draw(st.floats(0.37, 1.0)))
+    return design_schedule(cfg, np.deg2rad(draw(st.floats(-90.0, 90.0))),
+                           draw(st.floats(1e-6, 1.0)))
+
+
+class TestDesignedPattern:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(pattern_designs(), st.lists(st.integers(-40, 40), min_size=1, max_size=5),
+           st.lists(st.floats(-pi, pi), max_size=20))
+    @example(design_schedule(reference_config(2048, 8), THETA_20, 0.4), [1, -3, 5, -7, 9], [])
+    def test_fields_agree_with_the_general_route(self, schedule, harmonics, angles):
+        theta = np.concatenate((PATTERN_THETA, angles))
+        table = radiation_pattern(schedule, harmonics, theta)
+        # array_factor steers the same rows with the theta x N matrix
+        peak = np.max(np.abs(array_factor(schedule, 1, theta)))
+        assert abs(table.reference - peak) <= 1e-13 * peak
+        for m in harmonics:
+            general = np.abs(array_factor(schedule, m, theta))
+            level = table.levels_db[m]
+            clamped = (general / peak) ** 2 < POWER_CLAMP_REL
+            assert np.array_equal(level == DB_FLOOR, clamped)
+            field = 10 ** (level[~clamped] / 20) * table.reference
+            assert np.all(np.abs(field - general[~clamped]) <= 1e-13 * peak)
+
+    def test_a_design_requests_no_table_wider_than_16_columns(self, monkeypatch):
+        widths = []
+        for name in ("_phase_table", "_exp_table"):
+            def recorded(beta_d, theta, count, _original=getattr(harmonic_analysis, name)):
+                widths.append(count)
+                return _original(beta_d, theta, count)
+
+            monkeypatch.setattr(harmonic_analysis, name, recorded)
+        clear_steering_memo()
+        schedule = design_schedule(reference_config(256, 8), THETA_20, 0.5)
+        radiation_pattern(schedule, [1, -3, 5, -7], PATTERN_THETA)
+        assert widths and max(widths) <= 16
+        # its copy, on the general route, requests the 256-wide table
+        radiation_pattern(dataclasses.replace(schedule), [1], PATTERN_THETA)
+        assert max(widths) == 256
+
+    @pytest.mark.parametrize("harmonics, mib", [([1, -3, 5, -7], 2), (range(-500, 500), 14)],
+                             ids=["4", "1000"])
+    def test_a_cold_design_holds_no_steering_matrix(self, harmonics, mib):
+        # the 721 x 256 steering matrix alone is 2.8 MiB; 1000 harmonics in
+        # one block would take 721 x 1000 x 16 complex entries, 176 MiB, and
+        # their coefficients (3.9 MiB) and levels (5.5 MiB) are kept
+        schedule = design_schedule(reference_config(256, 8), THETA_20, 0.5)
+        clear_steering_memo()
+        tracemalloc.start()
+        try:
+            radiation_pattern(schedule, harmonics, PATTERN_THETA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20
+
+    @pytest.mark.parametrize("copy", [False, True], ids=["designed", "general"])
+    def test_levels_and_array_factor_take_the_grid_shape(self, copy):
+        schedule = design_schedule(reference_config(40, 8), THETA_20, 0.5)
+        schedule = dataclasses.replace(schedule) if copy else schedule
+        flat = np.linspace(-1.2, 1.2, 12)
+        tables = {}
+        for theta in (flat[5], flat[5:6], flat, flat.reshape(3, 4)):
+            table = radiation_pattern(schedule, [1, -3], theta)
+            field = array_factor(schedule, -3, theta)
+            assert table.theta.shape == np.shape(field) == np.shape(theta)
+            assert [table.levels_db[m].shape for m in (1, -3)] == [np.shape(theta)] * 2
+            tables[np.shape(theta)] = table, field
+        assert isinstance(tables[()][1], complex)
+        # each grid's levels and fields are its flat grid's, reshaped
+        for shape, flat_shape in (((), (1,)), ((3, 4), (12,))):
+            (table, field), (flat_table, flat_field) = tables[shape], tables[flat_shape]
+            assert np.array_equal(np.ravel(field), flat_field)
+            for m in (1, -3):
+                assert np.array_equal(table.levels_db[m].ravel(), flat_table.levels_db[m])
+
+
 class TestTableMemos:
     def test_no_memo_is_filled_at_import(self):
         code = ("import switchbeam.harmonic_analysis as h; "
@@ -1643,16 +1728,17 @@ class TestTableMemos:
 
     def test_memos_stay_bounded_and_read_only(self):
         # 60 configs: N 1 to 15 at two spacings and both path counts, each
-        # designed, tabulated, its pattern taken and its copy's harmonic
-        # powers taken; then 70 kernels past the kept size
+        # designed and tabulated, and its copy's pattern (the general route,
+        # with its N-wide steering table) and harmonic powers taken; then 70
+        # kernels past the kept size
         clear_steering_memo()
         configs = [reference_config(n, paths, spacing_wl=spacing)
                    for n in range(1, 16) for paths in (4, 8) for spacing in (0.5, 0.37)]
         for cfg in configs:
             schedule = design_schedule(cfg, THETA_20, 0.4)
             spectrum = compute_spectrum(schedule, 7)
-            radiation_pattern(schedule, [1], COARSE_THETA)
             copy = dataclasses.replace(schedule)
+            radiation_pattern(copy, [1], COARSE_THETA)
             assert harmonic_power(copy, 1) == pytest.approx(spectrum.powers[1], rel=1e-12)
         for n in range(60, 130):
             kernel = harmonic_analysis._coupling_kernel(reference_config(n))
