@@ -178,6 +178,9 @@ def pbo_sweep(
     alphas = [float(a) for a in alpha_grid]
     peak = design_schedule(config, steer_angle, 1.0)
     others = [alpha for alpha in dict.fromkeys(alphas) if alpha != 1.0]
+    # the batched pass below would give alpha = 1 the same bits, but this is
+    # the only public harmonic_analysis call of a perfbench backoff_qam
+    # operation, and its traced run (--trace 1) fails without one
     zetas = {1.0: harmonic_efficiency(peak)}
     zetas.update(zip(others, _harmonic_efficiencies(config, _designed_tables(peak, others))))
     rows = []

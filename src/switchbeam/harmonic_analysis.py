@@ -72,8 +72,8 @@ DB_FLOOR = -150.0
 #: Default truncation when tabulating a spectrum; totals never rely on it.
 DEFAULT_M_MAX = 101
 
-#: Largest pulse-table block (harmonics x elements x paths) that
-#: ``coefficient_matrix`` evaluates in one broadcast.
+#: Most onset exponentials (harmonics x elements x 2 per path) of one block
+#: of a coefficient pass; a block holds one harmonic at least.
 COEFFICIENT_BLOCK = 1 << 15
 
 #: Largest block of the power Gram pass: schedules are taken with at most
@@ -170,7 +170,7 @@ def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
     ``dataclasses.replace(schedule)`` gives the sum's bits.  Each harmonic
     index must be an integer of magnitude at most
     2**53, else ValueError.  Harmonics are evaluated in blocks of at most
-    ``COEFFICIENT_BLOCK`` pulse-table entries.  The schedule keeps the rows
+    ``COEFFICIENT_BLOCK`` onset exponentials.  The schedule keeps the rows
     of its last coefficient pass (``_rows``), and a request they cover is
     copied out of them, with the same bits.
     """
@@ -228,42 +228,26 @@ def _harmonic_indices(ms) -> np.ndarray:
 def _coefficients(table, ms) -> np.ndarray:
     """``coefficient_matrix`` of a pulse table: one column per table row.
 
-    ``ms`` must hold integers.  They are taken by |m| in blocks of at most
-    ``COEFFICIENT_BLOCK`` table entries, and a block takes its exponentials
-    once per distinct |m|: of each onset, and of the width if the table has
-    one (a designed table does), else of each path's.  Its
-    bits are those of the scalar reference ``combined_coefficient`` in
-    ``tests/scalar_reference.py``.
-
-    The -|m| rows reuse the +|m| pulses bit for bit.  With w = 2 pi |m|,
-    ``-1j * -w * t`` is the conjugate of ``-1j * w * t``, save at t = 0,
-    where both are +0 (every onset of a table lies in [0, 1), every width is
-    positive, and a padding path has both zero).  Hence each exponential is
-    its conjugate or equal, and the pulse product
-    p = exp(-jw onset) (1 - exp(-jw width)) keeps its real part and turns
-    its imaginary part into 0.0 - p_i: that is -p_i, or +0 where p_i cancels
-    to +0.  The rest runs as for +|m|, with 1/w negated.
+    ``ms`` must hold integers, taken in order in blocks of at most
+    ``COEFFICIENT_BLOCK`` onset exponentials.  Every entry is the scalar
+    reference ``combined_coefficient`` in ``tests/scalar_reference.py`` as a
+    broadcast, each exponential and complex product as that code rounds it,
+    so it has that code's bits.
     """
     # per path: onsets (positive, negative), width and carrier rotation
     onsets, width, rotation = table
-    n, k = width.shape
     # axes (onset, path, harmonic, element): each operation below runs along
     # whole rows of elements, and the paths are added plane by plane
     onsets = onsets.transpose(2, 1, 0)[:, :, None]
+    width = width.T[:, None]
     rot_r, rot_i = rotation.real.T[:, None], rotation.imag.T[:, None]
-    # a designed table has one width, whose exponential is then one per |m|
-    width = width[0, 0] if width.size and (width == width[0, 0]).all() else width.T[:, None]
     m = np.asarray(ms, dtype=float)
-    out = np.empty((m.size, n), dtype=complex)
-    # by |m|, so that m and -m share a block and its exponentials
-    order = np.argsort(np.abs(m), kind="stable")
-    rows = max(1, COEFFICIENT_BLOCK // max(1, n * k))
+    out = np.empty((m.size, onsets.shape[-1]), dtype=complex)
+    rows = max(1, COEFFICIENT_BLOCK // max(1, onsets.size))
     for start in range(0, m.size, rows):
-        block = order[start:start + rows]
-        mags, at = _sorted_unique(np.abs(m[block]))
-        # exp(-jw t) for both onsets and for the width: shapes
-        # (2, k, |m|, n), and (|m|, 1) or (k, |m|, n)
-        w, inv_w, e = _onset_exponentials(onsets, mags)
+        block = slice(start, start + rows)
+        # exp(-jw t) of both onsets (2, k, m, n) and of the width (k, m, n)
+        w, inv_w, e = _onset_exponentials(onsets, m[block])
         f = np.exp(-1j * w * width)
         f_r, f_i = 1.0 - f.real, -f.imag
         e_r, e_i = e.real, e.imag
@@ -273,17 +257,6 @@ def _coefficients(table, ms) -> np.ndarray:
         p_i = e_r * f_i + e_i * f_r
         pulse_r, pulse_i = p_i * inv_w, -p_r * inv_w
         d_r, d_i = pulse_r[0] - pulse_r[1], pulse_i[0] - pulse_i[1]
-        negative = m[block] < 0
-        flips = np.count_nonzero(negative)
-        if flips:
-            # the -|m| rows after the +|m| rows; there pulse_i is negated
-            flip_r = (0.0 - p_i) * -inv_w
-            d_r = np.concatenate((d_r, flip_r[0] - flip_r[1]), axis=1)
-            d_i = np.concatenate((d_i, pulse_i[1] - pulse_i[0]), axis=1)
-            at = at + negative * len(mags)
-        if flips or len(at) > len(mags):
-            # one row per harmonic of the block (else ``at`` counts 0, 1, ...)
-            d_r, d_i = d_r[:, at], d_i[:, at]
         # rotate by the carrier phase and add the paths in order (cumsum,
         # unlike sum, never regroups the additions)
         out.real[block] = np.cumsum(rot_r * d_r - rot_i * d_i, axis=0)[-1]
@@ -742,16 +715,15 @@ def _steering(config: ArrayConfig, theta: np.ndarray) -> np.ndarray:
     return _phase_table(_check_angles(config, theta), theta, config.n_elements)
 
 
-def _check_angles(config: ArrayConfig, theta: np.ndarray) -> float:
+def _check_angles(config: ArrayConfig, theta: np.ndarray, columns: int | None = None) -> float:
     """beta d of ``config``, once ``theta`` is shown finite and within
-    ``MAX_STEERING_ENTRIES`` angles x elements."""
+    ``MAX_STEERING_ENTRIES`` angles x ``columns`` (by default, elements)."""
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
-    if theta.size * config.n_elements > MAX_STEERING_ENTRIES:
-        raise ValueError(
-            f"{theta.size} angles x {config.n_elements} elements exceed the steering-matrix "
-            f"cap of {MAX_STEERING_ENTRIES} entries"
-        )
+    if theta.size * (columns or config.n_elements) > MAX_STEERING_ENTRIES:
+        size = f"{config.n_elements} elements" if columns is None else f"{columns} table columns"
+        raise ValueError(f"{theta.size} angles x {size} exceed the steering-matrix "
+                         f"cap of {MAX_STEERING_ENTRIES} entries")
     return config.wavenumber * config.element_spacing
 
 
@@ -829,25 +801,29 @@ def radiation_pattern(
     A general schedule's fields are ``phase @ a``, with the theta x N
     steering matrix of ``_steering``.  A designed one's (``onset_step``
     set) are the sideband scan's factored fields (``_fields``), from the
-    memo's 16-wide and ceil(N / 16)-wide tables, with harmonics in blocks
-    whose working arrays hold at most a quarter of ``_STEERING_MEMO_ENTRIES``
-    and at most ``MAX_STEERING_ENTRIES`` entries (or one harmonic, at most
-    theta x N).  The high table's phases are those of elements 16 q bit for
-    bit, but element 16 q + r's phase is rounded in two parts, so each field
-    is within ~3e-14 of the m = 1 peak of ``phase @ a``.
+    memo's min(N, 16)-wide and Q-wide tables, Q = ceil(N / 16), with
+    harmonics in blocks whose working arrays hold at most a quarter of
+    ``_STEERING_MEMO_ENTRIES`` and at most ``MAX_STEERING_ENTRIES`` entries,
+    or one harmonic's theta x Q.  Theta points times the widest table's
+    columns must be at most ``MAX_STEERING_ENTRIES``.  The high table's
+    phases are those of elements 16 q bit for bit, but element 16 q + r's
+    phase is rounded in two parts, so each field is within ~3e-14 of the
+    m = 1 peak of ``phase @ a``.
     """
     theta = np.asarray(theta_grid, dtype=float)
     if theta.size == 0:
         raise ValueError("theta grid is empty")
     harmonics = list(harmonics)
-    beta_d, n = _check_angles(schedule.config, theta), schedule.config.n_elements
+    n = schedule.config.n_elements
+    base, rows_q = min(n, 16), -(-n // 16)
+    designed = schedule.onset_step is not None
+    beta_d = _check_angles(schedule.config, theta, max(base, rows_q) if designed else None)
     rows = _rows(schedule, [1] + harmonics)
     rows = rows if reference is None else rows[1:]
-    if schedule.onset_step is None:
+    if not designed:
         phase = _phase_table(beta_d, theta, n)
         fields = (np.abs(phase @ a) for a in rows)
     else:
-        base, rows_q = min(n, 16), -(-n // 16)
         low, high = _phase_table(beta_d, theta, base), _phase_table(16 * beta_d, theta, rows_q)
         cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
         size = max(1, cap // (max(theta.size, base) * rows_q))

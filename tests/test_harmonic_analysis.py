@@ -586,6 +586,21 @@ class TestCoefficientMatrix:
         assert general.tobytes() == expected.tobytes()
         assert_template_rows(coefficient_matrix(schedule, ms), expected)
 
+    def test_general_pass_at_the_element_cap_holds_a_few_blocks(self):
+        # at 2048 elements x 8 paths a block is one harmonic, 2 x 8 x 2048
+        # onset exponentials (512 KiB); all 203 harmonics at once would take
+        # 101.5 MiB of them
+        schedule = design_schedule(reference_config(MAX_ELEMENTS, path_count=8), THETA_20, 0.5)
+        table = _schedule_table(dataclasses.replace(schedule))
+        block_bytes = harmonic_analysis.COEFFICIENT_BLOCK * 16
+        tracemalloc.start()
+        try:
+            matrix = harmonic_analysis._coefficients(table, np.arange(-101.0, 102.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - matrix.nbytes <= 8 * block_bytes
+
     def test_empty_harmonic_list(self, peak_schedule):
         assert coefficient_matrix(peak_schedule, []).shape == (0, 5)
 
@@ -1694,6 +1709,27 @@ class TestDesignedPattern:
         finally:
             tracemalloc.stop()
         assert peak <= mib * 2**20
+
+    def test_a_design_at_the_element_cap_takes_the_sideband_grid(self):
+        # its tables are 3601 x 16 and 3601 x 128 entries; its copy's
+        # 3601 x 2048 steering matrix would exceed MAX_STEERING_ENTRIES
+        schedule = design_schedule(reference_config(MAX_ELEMENTS, 8), THETA_20, 0.5)
+        theta = harmonic_analysis._SIDEBAND_THETA
+        table = radiation_pattern(schedule, [1, -3, 5], theta)
+        assert all(np.isfinite(levels).all() for levels in table.levels_db.values())
+        assert table.levels_db[1].max() == 0.0
+        with pytest.raises(ValueError, match="3601 angles x 2048 elements exceed"):
+            radiation_pattern(dataclasses.replace(schedule), [1], theta)
+
+    def test_the_angle_cap_counts_the_widest_factored_table(self, monkeypatch):
+        # 64 elements: tables of 16 and 4 columns, so 100 angles fit a cap
+        # of 1600 entries, which 100 x 64 would not
+        monkeypatch.setattr(harmonic_analysis, "MAX_STEERING_ENTRIES", 1600)
+        schedule = design_schedule(reference_config(64, 8), THETA_20, 0.5)
+        table = radiation_pattern(schedule, [1, -3], np.linspace(-1.0, 1.0, 100))
+        assert table.levels_db[-3].shape == (100,)
+        with pytest.raises(ValueError, match="101 angles x 16 table columns exceed"):
+            radiation_pattern(schedule, [1, -3], np.linspace(-1.0, 1.0, 101))
 
     @pytest.mark.parametrize("copy", [False, True], ids=["designed", "general"])
     def test_levels_and_array_factor_take_the_grid_shape(self, copy):
