@@ -8,12 +8,14 @@ stores its table, and element n runs element 0's pulses s_n periods later.
 Every other schedule, ``dataclasses.replace`` copies included, is general.
 Routes, and their accuracy:
 
-* Coefficients, through the schedule's memo of its last pass (``_rows``).
-  General: ``_coefficients``, the closed form of every pulse, with the bits
-  of the scalar reference.  Designed: ``_template_rows``, element 0 from
-  its pulse sums (``_element_zero``, ~1e-16 of max|A| off the scalar
-  reference) turned by each element's delay, ~1e-14 of max|A| off the
-  general route for |m| <= 101.
+* Coefficients, through the schedule's memo of its last pass (``_rows``);
+  a ``range`` of harmonics stays a range down to the pass.  General:
+  ``_coefficients``, the closed form of every pulse, with the bits of the
+  scalar reference.  Designed: ``_template_rows``, element 0 from its pulse
+  sums (``_element_zero``, memoized by path count, which alone fixes a
+  design's element 0; ~1e-16 of max|A| off the scalar reference) turned by
+  each element's delay, ~1e-14 of max|A| off the general route for
+  |m| <= 101.
 * Sidebands (``sideband_level``).  Designed: ``_crossing_peaks``, the grid
   angles that bracket each harmonic's main lobes, when a Dirichlet bound
   shows that they hold every peak.  General, and a design that fails the
@@ -46,7 +48,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import wraps
-from itertools import islice
+from itertools import chain, islice
 from math import isfinite, pi
 from threading import Lock
 
@@ -184,7 +186,8 @@ def _rows(schedule: ArraySchedule, ms) -> np.ndarray:
     by harmonic.  A request the memo covers is indexed out of it (or is the
     memo, if it asks for its rows in order); any other runs one pass and its
     matrix replaces the memo.  A ``range`` equal to the one that made the
-    pass is the memo at once, with no index check or lookup per harmonic.
+    pass is the memo at once, with no index check or lookup per harmonic;
+    any other range is checked at its ends and reaches the pass as a range.
     Each entry of a pass depends on its harmonic and element alone, so the
     bits are the same.  The pass is ``_template_rows`` for a designed
     schedule (``onset_step`` set) and ``_coefficients`` of the whole table
@@ -198,21 +201,26 @@ def _rows(schedule: ArraySchedule, ms) -> np.ndarray:
     if type(ms) is range and ms == request:
         return matrix
     m = _harmonic_indices(ms)
-    keys = m.tolist()
-    at = [index.get(key) for key in keys]
-    if matrix is not None and None not in at:
-        return matrix if at == list(range(len(matrix))) else matrix[at]
+    keys = m if type(m) is range else m.tolist()
+    if matrix is not None:
+        at = [index.get(key) for key in keys]
+        if None not in at:
+            return matrix if at == list(range(len(matrix))) else matrix[at]
     table = _schedule_table(schedule)
     matrix = _coefficients(table, m) if schedule.onset_step is None else _template_rows(table, m)
     matrix.flags.writeable = False
-    memo = ({key: i for i, key in enumerate(keys)}, matrix, ms if type(ms) is range else None)
+    memo = (dict(zip(keys, range(len(keys)))), matrix, ms if type(ms) is range else None)
     object.__setattr__(schedule, "_coefficient_memo", memo)
     return matrix
 
 
-def _harmonic_indices(ms) -> np.ndarray:
-    """``ms`` as floats, each checked to be an integer with |m| <= 2**53."""
+def _harmonic_indices(ms) -> np.ndarray | range:
+    """``ms`` as floats (a range as itself), each checked to be an integer with |m| <= 2**53."""
     message = "harmonic indices must be finite integers with |m| <= 2**53"
+    if type(ms) is range:
+        if ms and max(abs(ms[0]), abs(ms[-1])) > 2**53:
+            raise ValueError(message)
+        return ms
     try:
         m = np.asarray(ms, dtype=float)
     except OverflowError:  # an integer beyond the float range
@@ -264,15 +272,6 @@ def _coefficients(table, ms) -> np.ndarray:
     return out
 
 
-def _sorted_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(a, return_inverse=True)`` of a sorted 1-d array ``a``: the
-    first entry of each run of equal entries, and each entry's run."""
-    first = np.empty(a.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return a[first], np.cumsum(first) - 1
-
-
 def _onset_exponentials(onsets: np.ndarray, ms: np.ndarray):
     """w = 2 pi m (a column), 1/w (0 at m = 0) and exp(-jw t) for every
     onset t of an (onset, path, 1, element) array."""
@@ -289,21 +288,21 @@ def _element_zero(table, ms) -> np.ndarray:
     A[m, 0] = S(m) (1 - e^(-jx)) / (jw), where S(m) is the sum over its
     paths p, in path order, of r_p (e^(-jw o_p+) - e^(-jw o_p-)): S+(|m|)
     for m >= 0, S-(|m|) for m < 0.  S(m) / w depends on the path count and
-    m alone and is kept in the pulse-sum memo, in blocks of harmonics that
-    do not depend on the element count.  1 - e^(-jx) is taken as
+    m alone and is kept in the pulse-sum memo, keyed by the path count and a
+    block of harmonics (a range, or the bytes of an array) whose size does
+    not depend on the element count.  1 - e^(-jx) is taken as
     2 sin^2(x / 2) + j sin x, which keeps its relative precision at any
     width, where 1 - cos x would not.  Each entry depends on its m alone and
     agrees with the scalar reference to ~1e-16 of the largest |A| for
     alpha >= 0.1.
     """
     onsets, width, rotation = (column[0] for column in table)
-    m = np.asarray(ms, dtype=float)
-    out = np.empty(m.size, dtype=complex)
+    out = np.empty(len(ms), dtype=complex)
     size = max(1, COEFFICIENT_BLOCK // onsets.size)
-    for start in range(0, m.size, size):
-        block = m[start:start + size]
-        w, s = _pulse_sums.get((onsets.tobytes(), rotation.tobytes(), block.tobytes()),
-                               _scaled_sums, onsets, rotation, block)
+    for start in range(0, len(ms), size):
+        block = ms[start:start + size]
+        key = (len(onsets), block if type(block) is range else block.tobytes())
+        w, s = _pulse_sums.get(key, _scaled_sums, onsets, rotation, block)
         # A = (S / w) (sin x - 2j sin^2(x / 2)), in real arithmetic
         x = w * width[0]
         f_r, f_i = np.sin(x), -2.0 * np.sin(0.5 * x) ** 2
@@ -315,6 +314,7 @@ def _element_zero(table, ms) -> np.ndarray:
 def _scaled_sums(onsets: np.ndarray, rotation: np.ndarray, m: np.ndarray):
     """w = 2 pi m and S(m) / w (0 at m = 0) of ``_element_zero``, the paths
     added in order, one exponential per onset and harmonic."""
+    m = np.asarray(m, dtype=float)
     inv_w, e = _onset_exponentials(onsets.T[:, :, None, None], m)[1:]
     d_r, d_i = (e.real[0] - e.real[1])[..., 0], (e.imag[0] - e.imag[1])[..., 0]
     r_r, r_i = rotation.real[:, None], rotation.imag[:, None]
@@ -325,9 +325,9 @@ def _scaled_sums(onsets: np.ndarray, rotation: np.ndarray, m: np.ndarray):
     return 2 * pi * m, s
 
 
-# the pulse-sum memo: element 0's onset, rotation and harmonic bytes -> w
-# and S(m) / w; a design's element 0 depends on its path count alone, and
-# m_max 101 fills 2 x 203 numbers
+# the pulse-sum memo: (path count, harmonics) -> w and S(m) / w; a design's
+# element 0 depends on its path count alone, and m_max 101 fills 2 x 203
+# numbers
 _pulse_sums = _Memo(8, 1 << 12)
 
 
@@ -341,25 +341,31 @@ def _template_rows(table, ms) -> np.ndarray:
     not taken as n * ``onset_step``, whose rounding grows with m * n.
     The rows agree with ``_coefficients`` of the whole table to ~1e-14 of
     the largest |A| for |m| <= 101, each path's onsets having been rounded
-    on their own.  Harmonics go by |m| in blocks of at most
-    ``COEFFICIENT_BLOCK`` entries, with one exponential per distinct |m|
-    and element.
+    on their own.  ``ms``, a range or an array, goes in order in blocks of at
+    most ``COEFFICIENT_BLOCK`` entries, each with one exponential per element
+    and |m| from its least to its largest |m| if that span is shorter than
+    the block (as in a range about 0), else per element and harmonic.
     """
     a0 = _element_zero(tuple(column[:1] for column in table), ms)
     onsets = table[0]
     shift = _frac(onsets[1:, 0, 0] - onsets[0, 0, 0])
-    m = np.asarray(ms, dtype=float)
-    out = np.empty((m.size, len(onsets)), dtype=complex)
+    m = np.arange(ms.start, ms.stop, ms.step) if type(ms) is range else ms
+    out = np.empty((len(m), len(onsets)), dtype=complex)
     out[:, 0] = a0
-    order = np.argsort(np.abs(m), kind="stable")
     rows = max(1, COEFFICIENT_BLOCK // len(onsets))
-    for start in range(0, m.size, rows):
-        block = order[start:start + rows]
-        mags, at = _sorted_unique(np.abs(m[block]))
-        turn = np.exp(-2j * pi * _frac(np.multiply.outer(mags, shift)))[at]
+    for start in range(0, len(m), rows):
+        block = slice(start, start + rows)
+        mags = np.abs(m[block])
+        low, high = mags.min(), mags.max()
+        dense = high - low < len(mags)
+        turn = np.exp(-2j * pi * _frac(np.multiply.outer(
+            low + np.arange(high - low + 1) if dense else mags, shift)))
+        if dense:
+            turn = turn[(mags - low).astype(np.intp)]
         # conjugated for m < 0, and multiplied in real arithmetic, so that an
         # entry's bits do not depend on its place in the block
-        t_r, t_i = turn.real, np.where((m[block] < 0)[:, None], -turn.imag, turn.imag)
+        t_r, t_i = turn.real, turn.imag
+        np.negative(t_i, out=t_i, where=(m[block] < 0)[:, None])
         a_r, a_i = a0.real[block, None], a0.imag[block, None]
         out.real[block, 1:] = a_r * t_r - a_i * t_i
         out.imag[block, 1:] = a_r * t_i + a_i * t_r
@@ -601,9 +607,9 @@ def _lag_weights(config: ArrayConfig) -> np.ndarray:
     return c
 
 
-# the lag-group memo: element 0's onset and rotation bytes -> its distinct
-# pulse-pair onset offsets and their summed weight products; a design's
-# element 0 depends on its path count alone, (2K)**2 <= 256 pairs at 8 paths
+# the lag-group memo: path count -> element 0's distinct pulse-pair onset
+# offsets and their summed weight products; a design's element 0 depends on
+# its path count alone, (2K)**2 <= 256 pairs at 8 paths
 _lag_groups = _Memo(8, 1 << 12)
 
 
@@ -637,17 +643,19 @@ def _lag_total_power(schedule: ArraySchedule) -> float:
     ~1e-16 / alpha.
     """
     onsets, widths, rotation = (column[:1] for column in _schedule_table(schedule))
-    offsets, products = _lag_groups.get((onsets.tobytes(), rotation.tobytes()),
-                                        _offset_groups, onsets, rotation)
+    offsets, products = _lag_groups.get(onsets.shape[1], _offset_groups, onsets, rotation)
     step = max(1, GRAM_BLOCK // onsets.size ** 2)
+    # the overlaps of whole blocks of lags at once, GRAM_BLOCK at most
+    chunk = step * max(1, GRAM_BLOCK // (step * offsets.size))
     width = widths[0, 0]
     c = _lag_weights(schedule.config)
-    lags = np.arange(c.size)
+    lags = _frac(np.arange(c.size) * schedule.onset_step)
     total = 0.0
-    for start in range(0, c.size, step):
-        shift = _frac(offsets + _frac(lags[start:start + step, None] * schedule.onset_step))
-        overlap = np.maximum(width - np.minimum(shift, 1.0 - shift), 0.0)
-        total += c[start:start + step] @ (overlap @ products)
+    for start in range(0, c.size, chunk):
+        shift = _frac(offsets + lags[start:start + chunk, None])
+        lagged = np.maximum(width - np.minimum(shift, 1.0 - shift), 0.0) @ products
+        for at in range(0, len(lagged), step):
+            total += c[start + at:start + at + step] @ lagged[at:at + step]
     return float(total)
 
 
@@ -689,9 +697,10 @@ def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> Har
     else:
         total = _lag_total_power(schedule)
         tabulated = _template_powers(schedule.config, matrix)
-    coefficients = {m: HarmonicCoefficient(m, a) for m, a in zip(ms, matrix)}
-    powers = {m: 0.0 if p < POWER_CLAMP_REL * total else float(p) for m, p in zip(ms, tabulated)}
-    efficiency = float(tabulated[m_max + 1]) / total if total > 0 else 0.0
+    coefficients = dict(zip(ms, map(HarmonicCoefficient, ms, matrix)))
+    tabulated, clamp = tabulated.tolist(), POWER_CLAMP_REL * total
+    powers = {m: 0.0 if p < clamp else p for m, p in zip(ms, tabulated)}
+    efficiency = tabulated[m_max + 1] / total if total > 0 else 0.0
     return HarmonicSpectrum(coefficients, powers, total, efficiency)
 
 
@@ -718,7 +727,7 @@ def _steering(config: ArrayConfig, theta: np.ndarray) -> np.ndarray:
 def _check_angles(config: ArrayConfig, theta: np.ndarray, columns: int | None = None) -> float:
     """beta d of ``config``, once ``theta`` is shown finite and within
     ``MAX_STEERING_ENTRIES`` angles x ``columns`` (by default, elements)."""
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("theta must be finite")
     if theta.size * (columns or config.n_elements) > MAX_STEERING_ENTRIES:
         size = f"{config.n_elements} elements" if columns is None else f"{columns} table columns"
@@ -798,48 +807,54 @@ def radiation_pattern(
     Power ratios below the clamp threshold report the dB floor.  Each level
     array takes the grid's shape.
 
-    A general schedule's fields are ``phase @ a``, with the theta x N
-    steering matrix of ``_steering``.  A designed one's (``onset_step``
-    set) are the sideband scan's factored fields (``_fields``), from the
-    memo's min(N, 16)-wide and Q-wide tables, Q = ceil(N / 16), with
-    harmonics in blocks whose working arrays hold at most a quarter of
-    ``_STEERING_MEMO_ENTRIES`` and at most ``MAX_STEERING_ENTRIES`` entries,
-    or one harmonic's theta x Q.  Theta points times the widest table's
-    columns must be at most ``MAX_STEERING_ENTRIES``.  The high table's
-    phases are those of elements 16 q bit for bit, but element 16 q + r's
-    phase is rounded in two parts, so each field is within ~3e-14 of the
-    m = 1 peak of ``phase @ a``.
+    Each distinct harmonic's coefficients are requested once.  The fields
+    (m = 1's first for the default reference, then one per listed
+    harmonic) and their levels go in blocks whose working arrays hold at
+    most a quarter of ``_STEERING_MEMO_ENTRIES`` and at most
+    ``MAX_STEERING_ENTRIES`` entries, or one harmonic's theta x Q,
+    Q = ceil(N / 16).  A general schedule's fields are ``phase @ a``, with
+    the theta x N steering matrix of ``_steering``.  A designed one's
+    (``onset_step`` set) are the sideband scan's factored fields
+    (``_fields``), from the memo's min(N, 16)-wide and Q-wide tables, whose
+    bits depend on the rows of their block.  Theta points times the widest
+    table's columns must be at most ``MAX_STEERING_ENTRIES``.  The high
+    table's phases are those of elements 16 q bit for bit, but element
+    16 q + r's phase is rounded in two parts, so each field is within
+    ~3e-14 of the m = 1 peak of ``phase @ a``.
     """
     theta = np.asarray(theta_grid, dtype=float)
     if theta.size == 0:
         raise ValueError("theta grid is empty")
     harmonics = list(harmonics)
+    layout = [1] * (reference is None) + harmonics
+    index = {m: i for i, m in enumerate(dict.fromkeys(layout))}
     n = schedule.config.n_elements
     base, rows_q = min(n, 16), -(-n // 16)
     designed = schedule.onset_step is not None
     beta_d = _check_angles(schedule.config, theta, max(base, rows_q) if designed else None)
-    rows = _rows(schedule, [1] + harmonics)
-    rows = rows if reference is None else rows[1:]
+    rows, at = _rows(schedule, list(index)), [index[m] for m in layout]
+    cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
+    size = max(1, cap // (max(theta.size, base) * rows_q))
     if not designed:
         phase = _phase_table(beta_d, theta, n)
-        fields = (np.abs(phase @ a) for a in rows)
     else:
         low, high = _phase_table(beta_d, theta, base), _phase_table(16 * beta_d, theta, rows_q)
-        cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
-        size = max(1, cap // (max(theta.size, base) * rows_q))
-        fields = (field for start in range(0, len(rows), size)
-                  for field in _fields(rows[start:start + size], low, high).T)
+    fields = (_fields(rows[at[start:start + size]], low, high).T if designed else
+              np.array([np.abs(phase @ a) for a in rows[at[start:start + size]]])
+              for start in range(0, len(at), size))
     if reference is None:
-        reference = float(np.max(next(fields)))
+        block = next(fields)
+        reference, fields = float(block[0].max()), chain([block[1:]], fields)
     if not (isfinite(reference) and reference > 0):
         raise ValueError("pattern reference must be positive and finite")
-    levels = {}
-    for m, field in zip(harmonics, fields):
-        ratio = field / reference
+    levels = []
+    for block in fields:
+        ratio = np.divide(block, reference, order="C")
         with np.errstate(divide="ignore"):
             db = 20.0 * np.log10(ratio)
         db[ratio * ratio < POWER_CLAMP_REL] = DB_FLOOR
-        levels[m] = np.maximum(db, DB_FLOOR).reshape(theta.shape)
+        levels.extend(np.maximum(db, DB_FLOOR, out=db))
+    levels = {m: level.reshape(theta.shape) for m, level in zip(harmonics, levels)}
     return PatternTable(theta, levels, reference)
 
 
@@ -965,26 +980,28 @@ def _crossing_peaks(schedule: ArraySchedule, m_max: int) -> dict[int, float] | N
     # the centres from the first at or above x[0] - lobe, 2 pi apart, past
     # x[-1] + lobe (one beyond it clips to the last angle, a harmless extra)
     count = int((x[-1] - x[0] + 2 * lobe) // (2 * pi)) + 1
+    ms = range(-m_max, m_max + 1)
     # the rows of ``compute_spectrum`` at the same m_max, as the memo holds them
-    rows = _rows(schedule, range(-m_max, m_max + 1))
-    ms = np.arange(-m_max, m_max + 1)
+    rows = _rows(schedule, ms)
+    frac = _frac(np.arange(-m_max, m_max + 1) * schedule.onset_step)
+    first = frac + np.ceil((x[0] - lobe) / (2 * pi) - frac)
+    centres = 2 * pi * first[:, None] + 2 * pi * np.arange(count)
+    # entry [m, side, k]: the grid angle below (side 0) or above centre k
+    above = np.searchsorted(x, centres)[:, None]
+    at = np.minimum(np.maximum(np.concatenate((above - 1, above), axis=1), 0), x.size - 1)
+    if np.abs(x[at] - centres[:, None]).min(axis=(1, 2)).max() > 4.0 / n:
+        return None
+    at = at.reshape(len(ms), -1)
     base, rows_q = min(n, 16), -(-n // 16)
     low = _phase_table(beta_d, _SIDEBAND_THETA, base)
     cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
     size = max(1, cap // max(2 * count * max(base, rows_q), rows_q * base))
     peaks = np.empty(len(ms))
     for start in range(0, len(ms), size):
-        block = slice(start, start + size)
-        frac = _frac(ms[block] * schedule.onset_step)
-        first = frac + np.ceil((x[0] - lobe) / (2 * pi) - frac)
-        centres = 2 * pi * first[:, None] + 2 * pi * np.arange(count)
-        above = np.searchsorted(x, centres)
-        at = np.concatenate((np.maximum(above - 1, 0), np.minimum(above, x.size - 1)), axis=1)
-        if not (np.abs(x[at] - np.tile(centres, 2)) <= 4.0 / n).any(axis=1).all():
-            return None
-        high = _exp_table(16 * beta_d, _SIDEBAND_THETA[at], rows_q).reshape(*at.shape, rows_q)
-        peaks[block] = _fields(rows[block], low[at], high).max(axis=1)
-    peaks = dict(zip(ms.tolist(), peaks.tolist()))
+        block = at[start:start + size]
+        high = _exp_table(16 * beta_d, _SIDEBAND_THETA[block], rows_q).reshape(*block.shape, rows_q)
+        peaks[start:start + size] = _fields(rows[start:start + size], low[block], high).max(axis=1)
+    peaks = dict(zip(ms, peaks.tolist()))
     del peaks[0]
     return peaks
 

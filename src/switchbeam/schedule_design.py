@@ -24,11 +24,13 @@ here is in periods; a schedule carries no seconds.
 
 from __future__ import annotations
 
-from math import pi, sin
+from math import isfinite, pi, sin
 
 import numpy as np
 
-from .array_model import ArrayConfig, ArraySchedule, _schedule_table, validate, wrap_unit
+from .array_model import (
+    MAX_ELEMENTS, ArrayConfig, ArraySchedule, _schedule_table, validate, wrap_unit,
+)
 
 #: Carrier phases of the in-phase, quadrature and opposed paths, in radians.
 FOUR_PATH_PHASES = (0.0, -pi / 2, -pi, -3 * pi / 2)
@@ -50,11 +52,10 @@ def steering_onset(n: int, steer_angle: float, config: ArrayConfig) -> float:
     if not abs(steer_angle) < pi / 2:
         raise ValueError("steer_angle must lie strictly inside (-pi/2, pi/2)")
     beta_d = config.wavenumber * config.element_spacing
-    with np.errstate(over="ignore"):
-        phase = n * beta_d * sin(steer_angle)
-    if not np.isfinite(phase).all():
+    # every n * beta_d is finite if the largest |n|'s is, and |sin| < 1
+    if not isfinite(float(np.abs(n).max(initial=0)) * beta_d):
         raise ValueError("pulse train timings must be finite")
-    return wrap_unit(0.5 * (phase / pi - 0.5))
+    return wrap_unit(0.5 * (n * beta_d * sin(steer_angle) / pi - 0.5))
 
 
 #: Offset of the opposed-phase pair, in periods: k/|m| with m = -3, k = -1.
@@ -95,7 +96,7 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
     onsets -= np.floor(onsets)
     onsets -= onsets >= 1.0
     widths = np.full(onsets.shape[:2], duty_ratio / 3.0)
-    rotation = np.broadcast_to(rotation, widths.shape)
+    rotation = rotation[:config.n_elements]
     onsets.flags.writeable = widths.flags.writeable = False
 
     schedule = ArraySchedule(config, duty_ratio, steer_angle)
@@ -110,8 +111,9 @@ def design_schedule(config: ArrayConfig, steer_angle: float, duty_ratio: float) 
 
 
 def _design_paths(path_count: int):
-    """The carrier phases of a design's paths, their read-only rotations, and
-    the shifts of each path's two pulses (paths x 2) from the steering onset:
+    """The carrier phases of a design's paths, their rotations as a read-only
+    ``MAX_ELEMENTS`` x paths view of one row, and the shifts of each path's
+    two pulses (paths x 2) from the steering onset:
     one array per rule, in the order the design adds them (opposed pair,
     quadrature, second quartet, then half a period for the negative pulse).
     A rule that leaves a pulse alone adds +0.0, which keeps its bits: no
@@ -125,7 +127,7 @@ def _design_paths(path_count: int):
                              np.tile([0.0, 0.5], (1, path_count, 1))))
     rotation = np.exp(1j * np.array(phases))
     shifts.flags.writeable = rotation.flags.writeable = False
-    return phases, rotation, shifts
+    return phases, np.broadcast_to(rotation, (MAX_ELEMENTS, path_count)), shifts
 
 
 #: ``_design_paths`` of both path counts.

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 import threading
@@ -1878,6 +1879,7 @@ class TestTableMemos:
         clear_steering_memo()
         assert [harmonic_analysis._lag_total_power(s) for s in schedules] == cold
         assert len(harmonic_analysis._lag_groups) == 1
+        assert list(harmonic_analysis._lag_groups._values) == [path_count]
 
     def test_pulse_sums_are_shared_across_designs(self):
         # element 0 has the same table at any size, angle and duty ratio:
@@ -1898,6 +1900,7 @@ class TestTableMemos:
                        for m in expected)
         memo = harmonic_analysis._pulse_sums
         assert len(memo) == 2
+        assert sorted(memo._values) == [(4, range(-25, 26)), (8, range(-25, 26))]
         for w, sums in memo._values.values():
             assert w.size == sums.size == 51 and w.size + sums.size <= memo.entries
             for array in (w, sums):
@@ -2307,6 +2310,58 @@ class TestTemplateRows:
         coefficient_vector(schedule, 49)
         coefficient_matrix(schedule, [0, 51, -51])
         assert len(sizes) == 7 and set(sizes) == {1} and general == []
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 300), st.sampled_from([4, 8]), st.integers(1, 101),
+           st.floats(0.2, 2.0), st.floats(-80.0, 80.0), st.floats(1e-3, 1.0),
+           st.tuples(st.integers(-101, 101), st.integers(1, 40), st.sampled_from([1, 2, 3, -1])),
+           st.randoms(use_true_random=False))
+    @example(300, 8, 101, 0.5, 23.7, 0.4, (7, 20, 1), random.Random(0))
+    def test_a_range_request_has_the_bits_of_a_shuffled_list(self, n, path_count, m_max,
+                                                               spacing_wl, theta_deg, alpha,
+                                                               other, rng):
+        # a range reaches the pass as a range, a list as floats: each row has
+        # the same bits, on the template route and on the copy's general one,
+        # for the spectrum's range about 0 and for any other
+        cfg = reference_config(n, path_count, spacing_wl)
+        designed = design_schedule(cfg, np.deg2rad(theta_deg), alpha)
+        start, count, step = other
+        for ms in (range(-m_max, m_max + 1), range(start, start + count * step, step)):
+            listed = list(ms) + [rng.choice(ms) for _ in range(7)]
+            rng.shuffle(listed)
+            for make in (lambda: design_schedule(cfg, designed.steer_angle, alpha),
+                         lambda: dataclasses.replace(designed)):
+                by_range = coefficient_matrix(make(), ms)
+                assert coefficient_matrix(make(), listed).tobytes() == by_range[
+                    [ms.index(m) for m in listed]].tobytes()
+
+    @pytest.mark.parametrize("ms", [range(2**53 - 1, 2**53 + 2), range(-2**53 - 1, 0),
+                                    range(10**400, 10**400 + 3), range(-10**400, 5, 10**399)])
+    def test_a_range_beyond_2_53_is_rejected(self, peak_schedule, ms):
+        # its ends are checked as integers: 10**400 would overflow a float
+        for schedule in (design_schedule(peak_schedule.config, THETA_20, 1.0),
+                         dataclasses.replace(peak_schedule)):
+            with pytest.raises(ValueError, match="harmonic indices"):
+                coefficient_matrix(schedule, ms)
+
+    def test_a_range_up_to_2_53_is_taken(self, peak_schedule):
+        ms = range(2**53 - 2, 2**53 + 1)
+        for make in (lambda: design_schedule(peak_schedule.config, THETA_20, 1.0),
+                     lambda: dataclasses.replace(peak_schedule)):
+            assert coefficient_matrix(make(), ms).tobytes() == coefficient_matrix(
+                make(), [float(m) for m in ms]).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, MAX_ELEMENTS), st.sampled_from([4, 8]), st.floats(0.05, 4.0),
+           st.floats(-89.9, 89.9), st.floats(1e-6, 1.0))
+    def test_the_path_count_fixes_element_zero(self, n, path_count, spacing_wl, theta_deg,
+                                               alpha):
+        # the pulse-sum and lag-group memos key element 0 by path count alone
+        cfg = reference_config(n, path_count, spacing_wl)
+        onsets, _, rotation = _schedule_table(design_schedule(cfg, np.deg2rad(theta_deg), alpha))
+        expected = _schedule_table(design_schedule(reference_config(1, path_count), 0.0, 1.0))
+        assert onsets[0].tobytes() == expected[0][0].tobytes()
+        assert rotation[0].tobytes() == expected[2][0].tobytes()
 
 
 def long_double_element_zero(schedule, ms) -> np.ndarray:
