@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -359,10 +360,13 @@ def cmd_verify(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser that takes flags only by their full names and reports
-    a usage error as the JSON error object on stderr, with exit code 2."""
+    a usage error as the JSON error object on stderr, with exit code 2.  A
+    token of ``-`` then a digit or ``.`` is a value (``-1e1``, ``-3,5``), as
+    no flag starts that way."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
 
     def error(self, message):
         sys.stderr.write(dump_json({"error": message}) + "\n")

@@ -19,9 +19,8 @@ Routes, and their accuracy:
 * Sidebands (``sideband_level``).  Designed: ``_crossing_peaks``, the grid
   angles that bracket each harmonic's main lobes, when a Dirichlet bound
   shows that they hold every peak.  General, and a design that fails the
-  bound: the pruned whole-grid scan ``_sideband_peaks``, equal to an
-  unpruned one.  Both are within ~1e-15 of the m = 1 peak of a long-double
-  scan.
+  bound: ``_sideband_peaks``, every harmonic over the whole grid.  Both are
+  within ~1e-15 of the m = 1 peak of a long-double scan.
 * Power.  General: the Gram pass (``total_power``, ``_grams``: the bits of
   a loop over element pairs, ~1e-16 / alpha relative) and the N x N
   quadratic form ``_harmonic_powers``.  Designed, in ``compute_spectrum``:
@@ -31,11 +30,11 @@ Routes, and their accuracy:
   general power route on any schedule.
 * Patterns (``radiation_pattern``, ``array_factor``).  General: the rows
   times one theta x N steering matrix, from a memo of exact exponentials
-  (``_phase_table``).  Designed, in ``radiation_pattern``: the sideband
-  scan's factored fields (``_fields``) from the memo's 16-wide and
-  ceil(N / 16)-wide tables, with no theta x N matrix; each |AF_m| is within
-  ~3e-14 of the m = 1 peak of the general route.  ``array_factor`` takes
-  the general route on any schedule.
+  keyed by grid and width (``_phase_table``).  Designed, in
+  ``radiation_pattern``: the sideband scan's factored fields (``_fields``)
+  from the memo's 16-wide and ceil(N / 16)-wide tables, with no theta x N
+  matrix; each |AF_m| is within ~3e-14 of the m = 1 peak of the general
+  route.  ``array_factor`` takes the general route on any schedule.
 
 Four bounded ``_Memo`` instances, the steering memo among them, keep tables
 that a design does not change; each holds read-only arrays, is filled by
@@ -90,7 +89,7 @@ GRAM_BLOCK = 1 << 12
 MAX_STEERING_ENTRIES = 1 << 22
 
 #: Most entries (theta points x elements) of a table in the steering memo,
-#: which holds at most four: 2**18 complex entries are 4 MiB and hold the
+#: which holds at most six: 2**18 complex entries are 4 MiB and hold the
 #: 721 x 256 table of a general schedule's 0.25-degree pattern (a designed
 #: one reads 721 x 16 tables alone).  ``sideband_level`` and a designed
 #: pattern form their fields in blocks of at most a quarter of this.
@@ -125,19 +124,17 @@ class _Memo:
     holds at most ``size`` values of at most ``entries`` entries each (a
     larger one is built for the call alone) and drops the least recently
     used.  It hands out views of read-only arrays, which no caller can make
-    writeable.  A stored value that fails ``fits(value)``, if given, is
-    dropped before the build that replaces it.  Builds run outside the lock:
-    threads at most repeat one."""
+    writeable.  Builds run outside the lock: threads at most repeat one."""
 
     def __init__(self, size: int, entries: int):
         self.size, self.entries = size, entries
         self._values: dict = {}
         self._lock = Lock()
 
-    def get(self, key, build, *args, fits=None):
+    def get(self, key, build, *args):
         with self._lock:
             value = self._values.pop(key, None)
-            if value is not None and (fits is None or fits(value)):
+            if value is not None:
                 self._values[key] = value
                 return value
         arrays = build(*args)
@@ -743,33 +740,27 @@ def _exp_table(beta_d: float, theta: np.ndarray, count: int) -> np.ndarray:
     return np.exp(phase, out=phase)
 
 
-# the steering memo: (beta d, theta shape, theta bytes) -> the widest
-# read-only ``_exp_table`` built so far
-_steering_tables = _Memo(4, _STEERING_MEMO_ENTRIES)
+# the steering memo: (beta d, columns, theta shape, theta bytes) -> its
+# read-only ``_exp_table``; six tables, as one array-study cycle reads six
+# (16 columns on the sideband and pattern grids, ceil(N / 16) on the pattern
+# grid at N = 32, 64, 128 and 256): over five cycles six slots built 6
+# tables, four built 42
+_steering_tables = _Memo(6, _STEERING_MEMO_ENTRIES)
 
 
 def _phase_table(beta_d: float, theta: np.ndarray, count: int) -> np.ndarray:
-    """``_exp_table`` through the steering memo, with the same bits.
+    """``_exp_table`` through the steering memo, with the same bits: the
+    memo's own C-contiguous, read-only table of ``count`` columns.
 
-    A request is a C-contiguous, read-only table: its grid's widest table, or
-    a copy of that table's first ``count`` columns made for the call alone
-    (a column slice would stride its rows by the wide table's, 4 KiB at 256
-    columns, and run each product with it at half speed).  A single angle,
-    or a table of more than ``_STEERING_MEMO_ENTRIES`` entries, is built
-    fresh for the call alone.  A grid's narrower table is dropped before its
-    wider one is built.  A caller's grid is keyed by its bytes, the module's
-    sideband grid by bytes taken once.
+    A single angle, or a table of more than ``_STEERING_MEMO_ENTRIES``
+    entries, is built fresh for the call alone.  A caller's grid is keyed by
+    its bytes, the module's sideband grid by bytes taken once.
     """
     if theta.ndim == 0 or theta.size * count > _STEERING_MEMO_ENTRIES:
         return _exp_table(beta_d, theta, count)
-    key = (beta_d, theta.shape, _SIDEBAND_BYTES if theta is _SIDEBAND_THETA else theta.tobytes())
-    table = _steering_tables.get(key, _exp_table, beta_d, theta, count,
-                                 fits=lambda kept: kept.shape[1] >= count)
-    if table.shape[1] == count:
-        return table[:, :count]  # a view: no caller can make it writeable
-    narrow = table[:, :count].copy()
-    narrow.flags.writeable = False
-    return narrow
+    key = (beta_d, count, theta.shape,
+           _SIDEBAND_BYTES if theta is _SIDEBAND_THETA else theta.tobytes())
+    return _steering_tables.get(key, _exp_table, beta_d, theta, count)
 
 
 def array_factor(schedule: ArraySchedule, m: int, theta) -> complex | np.ndarray:
@@ -875,15 +866,9 @@ def sideband_level(schedule: ArraySchedule, m_max: int) -> float:
       (``_crossing_peaks``), unless some harmonic has no main lobe within
       4 / N of the grid or the grid's widest step in x exceeds 8 / N; then
       the call scans the whole grid as for any other schedule.
-    * Scan (``_sideband_peaks``): harmonic m's bound, sum over n of
-      |A[m, n]|, is at least its peak.  m = 1 and the top bound go first
-      over the whole grid, then the rest by descending bound; one is dropped
-      once its bound times 1 + 2 (N + Q + 32) eps, Q = ceil(N / 16), is no
-      greater than the worst peak found.  The margin covers the rounding of
-      the bound's N-term sum, of both factors (|e| <= 1 + ~6 eps) and of a
-      field's 16-term and Q-term sums in any order, so the result is that of
-      an unpruned scan.  Its tables come from the ``_phase_table`` memo,
-      which shares them across N (the Q-wide one up to N = 1152).
+    * Scan (``_sideband_peaks``): every harmonic's field at every grid
+      angle, from the ``_phase_table`` memo's min(N, 16)-wide and Q-wide
+      tables, Q = ceil(N / 16) (the Q-wide one is kept up to N = 1152).
     * Accuracy: against a long-double scan of the 0.05-degree grid at 5 to
       1024 elements, each peak of the scan is within 4e-16 of the m = 1
       peak, and the two routes agree to ~1e-15 of it.  The scan's bits
@@ -901,43 +886,29 @@ def sideband_level(schedule: ArraySchedule, m_max: int) -> float:
 
 
 def _sideband_peaks(schedule: ArraySchedule, m_max: int, theta: np.ndarray) -> dict[int, float]:
-    """Pattern peaks over ``theta`` of m = 1 and of the harmonics m != 1,
-    |m| <= m_max, that the pruning of ``sideband_level`` leaves in play.
+    """Pattern peaks over ``theta`` of every harmonic m != 0, |m| <= m_max.
 
-    The harmonics go in chunks of m = 1 and the top bound, then 2,
-    4, ... by descending bound, each over the whole grid before the next is
-    pruned.  An angle block keeps every working array within ``cap``
-    entries, but holds two angles at least: numpy rounds a one-row product
-    differently, as it does a chunk of another width, so the chunks follow
-    the pruning alone and the bits do not depend on the blocks.
+    The rows are those of ``compute_spectrum`` at the same m_max, as the
+    memo holds them, all in each ``_fields`` call.  An angle block keeps
+    every working array within ``cap`` entries, but holds two angles at
+    least: numpy rounds a one-row product differently, so the bits do not
+    depend on the blocks.
     """
     config, n = schedule.config, schedule.config.n_elements
-    ms = np.array([1] + [m for m in range(-m_max, m_max + 1) if m not in (0, 1)])
+    ms = range(-m_max, m_max + 1)
     rows = _rows(schedule, ms)
     # element 16 q + r: r < 16 (or N, if fewer), q < Q
     base, rows_q = min(n, 16), -(-n // 16)
-    bounds = np.sum(np.abs(rows), axis=1) * (1.0 + 2 * (n + rows_q + 32) * np.finfo(float).eps)
-    # m = 1, then the others by descending bound
-    order = np.concatenate(([0], 1 + np.argsort(-bounds[1:], kind="stable")))
-    ms, bounds, rows = ms[order], bounds[order], rows[order]
     beta_d = config.wavenumber * config.element_spacing
     low, high = _phase_table(beta_d, theta, base), _phase_table(16 * beta_d, theta, rows_q)
     cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
+    block = max(2, cap // max(base, len(ms) * rows_q))
     peaks = np.zeros(len(ms))
-    # the rows below ``live`` are in play
-    live, worst, done = len(ms), 0.0, 0
-    while done < live:
-        stop = min(max(2, 2 * done), live)
-        block = max(2, cap // max(base, (stop - done) * rows_q))
-        for start in range(0, theta.size, block):
-            # a last block of one angle takes the angle before it again
-            at = slice(max(0, min(start, theta.size - 2)), start + block)
-            fields = _fields(rows[done:stop], low[at], high[at])
-            np.maximum(peaks[done:stop], fields.max(axis=0), out=peaks[done:stop])
-        worst = max(worst, peaks[1:stop].max(initial=0.0))
-        done = stop
-        live = done + int(np.count_nonzero(bounds[done:live] > worst))
-    return dict(zip(ms[:live].tolist(), peaks[:live].tolist()))
+    for start in range(0, theta.size, block):
+        # a last block of one angle takes the angle before it again
+        at = slice(max(0, min(start, theta.size - 2)), start + block)
+        np.maximum(peaks, _fields(rows, low[at], high[at]).max(axis=0), out=peaks)
+    return {m: peak for m, peak in zip(ms, peaks.tolist()) if m != 0}
 
 
 def _crossing_peaks(schedule: ArraySchedule, m_max: int) -> dict[int, float] | None:
@@ -1001,9 +972,7 @@ def _crossing_peaks(schedule: ArraySchedule, m_max: int) -> dict[int, float] | N
         block = at[start:start + size]
         high = _exp_table(16 * beta_d, _SIDEBAND_THETA[block], rows_q).reshape(*block.shape, rows_q)
         peaks[start:start + size] = _fields(rows[start:start + size], low[block], high).max(axis=1)
-    peaks = dict(zip(ms, peaks.tolist()))
-    del peaks[0]
-    return peaks
+    return {m: peak for m, peak in zip(ms, peaks.tolist()) if m != 0}
 
 
 def _fields(rows: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line interface: formats, round trips, exit codes, determinism."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -106,13 +107,27 @@ class TestUsageErrors:
         ["qam", "--constellation", reference_path("qam16.csv"), "--alpha-db", "-3"],
         [],
         ["design", "--elem", "2"],
-    ], ids=["bad-choice", "efficiency-alpha-db", "qam-alpha-db", "no-command", "abbreviated"])
+        ["design", "--theta-deg", "-1", "-2"],
+        ["design", "--theta-deg", "-inf"],
+    ], ids=["bad-choice", "efficiency-alpha-db", "qam-alpha-db", "no-command", "abbreviated",
+            "stray-negative", "dash-letter-value"])
     def test_exit_two_with_json_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         out = capsys.readouterr()
         assert exc.value.code == 2 and out.out == ""
         assert "error" in json.loads(out.err)
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["design"], "--theta-deg", "-1e1"),
+        (["design"], "--alpha-db", "-.5"),
+        (["pattern", "--theta-step", "30"], "--harmonics", "-3,5"),
+    ])
+    def test_a_value_after_a_dash_reads_as_the_equals_form(self, capsys, argv, flag, value):
+        # a dash then a digit or "." is a value, as no flag starts that way
+        split = run(capsys, *argv, flag, value)
+        assert split == run(capsys, *argv, f"{flag}={value}")
+        assert split[0] == 0 and split[1]
 
     def test_version_and_help_still_exit_zero(self, capsys):
         for argv in (["--version"], ["design", "--help"]):
@@ -330,6 +345,59 @@ class TestNonFiniteInput:
         code, out, err = run(capsys, *command, flag, str(path))
         assert code == 2 and out == ""
         assert json.loads(err)["error"].endswith(f"line {line}: non-finite value")
+
+
+def numeric_flags() -> list[tuple[str, str]]:
+    """(subcommand, flag) of every int or float flag of the CLI."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command, parser in sub.choices.items()
+            for action in parser._actions if action.type in (int, float)]
+
+
+#: Random values of the flags that size a grid, drawn where a valid value
+#: keeps the grid small: elsewhere a random float could ask for 10**5 angles
+#: or back-off points, valid but seconds long.  Int flags (sizes too) never
+#: take a float's text, and every other flag takes any finite float.
+GRID_FLAG_VALUES = {
+    "--theta-min": st.floats(-400.0, 400.0), "--theta-max": st.floats(-400.0, 400.0),
+    "--theta-step": st.floats(0.25, 1e308),
+    "--alpha-db-min": st.floats(-400.0, 400.0), "--alpha-db-max": st.floats(-400.0, 400.0),
+    "--alpha-db-step": st.floats(0.1, 1e308),
+}
+
+
+@st.composite
+def numeric_flag_runs(draw, flags):
+    """One subcommand with one of its numeric ``flags`` set to an extreme or
+    random value, in the ``--flag v`` or the ``--flag=v`` form."""
+    command, flag = draw(st.sampled_from(flags))
+    value = draw(st.one_of(
+        st.sampled_from(["nan", "inf", "-inf", "1e+308", "-1e+308", "5e-324", "-0.0",
+                         str(10**399), "1.5"]),
+        GRID_FLAG_VALUES.get(flag, st.floats(allow_nan=False, allow_infinity=False)).map(repr),
+    ))
+    setting = [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    extra = ["--constellation", reference_path("qam16.csv")] if command == "qam" else []
+    return [command, *extra, *setting]
+
+
+class TestNumericFlags:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(numeric_flag_runs(numeric_flags()))
+    def test_any_value_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a usage error, from the argument parser
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == "" and "error" in json.loads(err.getvalue())
+        elif code == 0:
+            assert not re.search("nan|inf", out.getvalue(), re.IGNORECASE)
 
 
 class TestEfficiency:
