@@ -20,7 +20,7 @@ Routes, and their accuracy:
   angles that bracket each harmonic's main lobes, when a Dirichlet bound
   shows that they hold every peak.  General, and a design that fails the
   bound: ``_sideband_peaks``, every harmonic over the whole grid.  Both are
-  within ~1e-15 of the m = 1 peak of a long-double scan.
+  within ~1e-15 of the m = 1 peak of a long-double scan, bit for bit alike.
 * Power.  General: the Gram pass (``total_power``, ``_grams``: the bits of
   a loop over element pairs, ~1e-16 / alpha relative) and the N x N
   quadratic form ``_harmonic_powers``.  Designed, in ``compute_spectrum``:
@@ -31,10 +31,11 @@ Routes, and their accuracy:
 * Patterns (``radiation_pattern``, ``array_factor``).  General: the rows
   times one theta x N steering matrix, from a memo of exact exponentials
   keyed by grid and width (``_phase_table``).  Designed, in
-  ``radiation_pattern``: the sideband scan's factored fields (``_fields``)
-  from the memo's 16-wide and ceil(N / 16)-wide tables, with no theta x N
-  matrix; each |AF_m| is within ~3e-14 of the m = 1 peak of the general
-  route.  ``array_factor`` takes the general route on any schedule.
+  ``radiation_pattern``: the sideband scan's factored fields (``_fields``,
+  no theta x N matrix), each harmonic's once and with the same bits
+  whatever else is asked; each |AF_m| is within ~3e-14 of the m = 1 peak of
+  the general route.  ``array_factor`` takes the general route on any
+  schedule.
 
 Four bounded ``_Memo`` instances, the steering memo among them, keep tables
 that a design does not change; each holds read-only arrays, is filled by
@@ -47,7 +48,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import wraps
-from itertools import chain, islice
+from itertools import islice
 from math import isfinite, pi
 from threading import Lock
 
@@ -798,54 +799,53 @@ def radiation_pattern(
     Power ratios below the clamp threshold report the dB floor.  Each level
     array takes the grid's shape.
 
-    Each distinct harmonic's coefficients are requested once.  The fields
-    (m = 1's first for the default reference, then one per listed
-    harmonic) and their levels go in blocks whose working arrays hold at
-    most a quarter of ``_STEERING_MEMO_ENTRIES`` and at most
-    ``MAX_STEERING_ENTRIES`` entries, or one harmonic's theta x Q,
-    Q = ceil(N / 16).  A general schedule's fields are ``phase @ a``, with
-    the theta x N steering matrix of ``_steering``.  A designed one's
-    (``onset_step`` set) are the sideband scan's factored fields
-    (``_fields``), from the memo's min(N, 16)-wide and Q-wide tables, whose
-    bits depend on the rows of their block.  Theta points times the widest
-    table's columns must be at most ``MAX_STEERING_ENTRIES``.  The high
-    table's phases are those of elements 16 q bit for bit, but element
-    16 q + r's phase is rounded in two parts, so each field is within
-    ~3e-14 of the m = 1 peak of ``phase @ a``.
+    Each distinct harmonic is evaluated once, m = 1 first for the default
+    reference, in blocks whose working arrays hold at most a quarter of
+    ``_STEERING_MEMO_ENTRIES`` and at most ``MAX_STEERING_ENTRIES`` entries,
+    or one harmonic's theta x Q, Q = ceil(N / 16); a block's levels are
+    taken before the next is formed.  A general schedule's fields are
+    ``phase @ a``, with the theta x N matrix of ``_steering``; a designed
+    one's (``onset_step`` set), the sideband scan's ``_fields`` from the
+    memo's min(N, 16)-wide and Q-wide tables, whose widest times the theta
+    points must be at most ``MAX_STEERING_ENTRIES``.  Either way a
+    harmonic's levels have the same bits whatever else is requested.  The
+    high table's phases are those of elements 16 q bit for bit, but element
+    16 q + r's phase is rounded in two parts, so each designed field is
+    within ~3e-14 of the m = 1 peak of ``phase @ a``.
     """
     theta = np.asarray(theta_grid, dtype=float)
     if theta.size == 0:
         raise ValueError("theta grid is empty")
     harmonics = list(harmonics)
-    layout = [1] * (reference is None) + harmonics
-    index = {m: i for i, m in enumerate(dict.fromkeys(layout))}
+    ms = list(dict.fromkeys([1] * (reference is None) + harmonics))
     n = schedule.config.n_elements
     base, rows_q = min(n, 16), -(-n // 16)
     designed = schedule.onset_step is not None
     beta_d = _check_angles(schedule.config, theta, max(base, rows_q) if designed else None)
-    rows, at = _rows(schedule, list(index)), [index[m] for m in layout]
+    rows = _rows(schedule, ms)
+    if reference is not None and not (isfinite(reference) and reference > 0):
+        raise ValueError("pattern reference must be positive and finite")
+    if designed:
+        low, high = _phase_table(beta_d, theta, base), _phase_table(16 * beta_d, theta, rows_q)
+    else:
+        phase = _phase_table(beta_d, theta, n)
     cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
     size = max(1, cap // (max(theta.size, base) * rows_q))
-    if not designed:
-        phase = _phase_table(beta_d, theta, n)
-    else:
-        low, high = _phase_table(beta_d, theta, base), _phase_table(16 * beta_d, theta, rows_q)
-    fields = (_fields(rows[at[start:start + size]], low, high).T if designed else
-              np.array([np.abs(phase @ a) for a in rows[at[start:start + size]]])
-              for start in range(0, len(at), size))
-    if reference is None:
-        block = next(fields)
-        reference, fields = float(block[0].max()), chain([block[1:]], fields)
-    if not (isfinite(reference) and reference > 0):
-        raise ValueError("pattern reference must be positive and finite")
-    levels = []
-    for block in fields:
-        ratio = np.divide(block, reference, order="C")
+    levels = {}
+    for start in range(0, len(ms), size):
+        block = rows[start:start + size]
+        fields = _fields(block, low, high) if designed else np.array([np.abs(phase @ a) for a in block])
+        if reference is None:
+            # m = 1's own field, the first row
+            reference = float(fields[0].max())
+            if not reference > 0:
+                raise ValueError("pattern reference must be positive: the m = 1 peak is 0")
+        ratio = np.divide(fields, reference, order="C")
         with np.errstate(divide="ignore"):
             db = 20.0 * np.log10(ratio)
         db[ratio * ratio < POWER_CLAMP_REL] = DB_FLOOR
-        levels.extend(np.maximum(db, DB_FLOOR, out=db))
-    levels = {m: level.reshape(theta.shape) for m, level in zip(harmonics, levels)}
+        levels.update(zip(ms[start:start + size], np.maximum(db, DB_FLOOR, out=db)))
+    levels = {m: levels[m].reshape(theta.shape) for m in harmonics}
     return PatternTable(theta, levels, reference)
 
 
@@ -860,7 +860,7 @@ def sideband_level(schedule: ArraySchedule, m_max: int) -> float:
       gets e^(j 16 q x) e^(j r x), the first built with phase step 16 beta d
       (exact, 16 being a power of two).  A field is sum over q of
       e^(j 16 q x) G[q], with G[q] = sum over r of e^(j r x) A[m, 16 q + r]
-      one matrix product: no theta x N steering is formed.
+      each harmonic's own matrix product: no theta x N steering is formed.
     * Designed schedules (``onset_step`` set): each harmonic is evaluated
       only at the grid angles that bracket its main lobes
       (``_crossing_peaks``), unless some harmonic has no main lobe within
@@ -870,9 +870,8 @@ def sideband_level(schedule: ArraySchedule, m_max: int) -> float:
       angle, from the ``_phase_table`` memo's min(N, 16)-wide and Q-wide
       tables, Q = ceil(N / 16) (the Q-wide one is kept up to N = 1152).
     * Accuracy: against a long-double scan of the 0.05-degree grid at 5 to
-      1024 elements, each peak of the scan is within 4e-16 of the m = 1
-      peak, and the two routes agree to ~1e-15 of it.  The scan's bits
-      depend neither on the memo nor on the block size.
+      1024 elements, each peak is within 4e-16 of the m = 1 peak; its bits
+      depend neither on the memo, the block size nor the route.
     """
     m_max = _check_harmonic_count(schedule.config, m_max, 2)
     peaks = None if schedule.onset_step is None else _crossing_peaks(schedule, m_max)
@@ -907,7 +906,7 @@ def _sideband_peaks(schedule: ArraySchedule, m_max: int, theta: np.ndarray) -> d
     for start in range(0, theta.size, block):
         # a last block of one angle takes the angle before it again
         at = slice(max(0, min(start, theta.size - 2)), start + block)
-        np.maximum(peaks, _fields(rows, low[at], high[at]).max(axis=0), out=peaks)
+        np.maximum(peaks, _fields(rows, low[at], high[at]).max(axis=1), out=peaks)
     return {m: peak for m, peak in zip(ms, peaks.tolist()) if m != 0}
 
 
@@ -937,10 +936,10 @@ def _crossing_peaks(schedule: ArraySchedule, m_max: int) -> dict[int, float] | N
       one when the grid's widest step, beta d * ``_SIDEBAND_STEP``, is at
       most 8 / N (2.7e-3 at half a wavelength, under 8 / 2048).  The margin
       dwarfs the rounding of the rows and of the fields.
-    * Fields: the scan's arithmetic at the candidates alone: e^(j r x) read
-      from the memo's 16-wide grid table, e^(j 16 q x) built for them, with
-      harmonics taken in blocks whose working arrays hold at most ``cap``
-      entries, as the scan's do.
+    * Fields: the scan's arithmetic, and so its bits, at the candidates
+      alone: e^(j r x) read from the memo's 16-wide grid table,
+      e^(j 16 q x) built for them, with harmonics taken in blocks whose
+      working arrays hold at most ``cap`` entries, as the scan's do.
     """
     config, n = schedule.config, schedule.config.n_elements
     beta_d = config.wavenumber * config.element_spacing
@@ -978,23 +977,18 @@ def _crossing_peaks(schedule: ArraySchedule, m_max: int) -> dict[int, float] | N
 def _fields(rows: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """|field| of each row of ``rows`` (harmonics x N elements), factored
     as in ``sideband_level``: ``low`` holds e^(j r x), r < min(N, 16), and
-    ``high`` e^(j 16 q x), q < Q = ceil(N / 16).  The rows are zero-padded
-    to Q x 16 columns (Q x N if N < 16); one product with ``low`` gives each
-    G[q], one contraction with ``high`` each field.  On one grid (``low``
-    angles x 16, ``high`` angles x Q) the result is angles x harmonics; at
-    each harmonic's own C angles it is harmonics x C.
+    ``high`` e^(j 16 q x), q < Q = ceil(N / 16), at one grid's angles
+    (angles x columns) or at each row's own (rows x angles x columns).
+    Each row, zero-padded to Q x 16 (Q x N if N < 16), has its own product
+    with ``low`` (its G[q]), then one contraction with ``high`` gives
+    harmonics x angles.  A row's bits depend on it and its angles alone.
     """
     base, rows_q = low.shape[-1], high.shape[-1]
     columns = np.zeros((len(rows), rows_q * base), dtype=complex)
     columns[:, :rows.shape[1]] = rows
-    # entry [m, q, r]: element 16 q + r of row m
-    split = columns.reshape(-1, rows_q, base)
-    if low.ndim == 3:
-        # entry [m, c, q]: G[q] of harmonic m at its angle c
-        return np.abs(np.einsum("mcq,mcq->mc", low @ split.transpose(0, 2, 1), high))
-    # the right factor's entry [r, (m, q)]: element 16 q + r of row m
-    inner = low @ split.transpose(2, 0, 1).reshape(base, -1)
-    return np.abs(np.einsum("tcq,tq->tc", inner.reshape(len(low), len(rows), rows_q), high))
+    # entry [m, r, q]: element 16 q + r of row m; G's entry [m, angle, q]
+    inner = low @ columns.reshape(-1, rows_q, base).transpose(0, 2, 1)
+    return np.abs(np.einsum("...q,...q->...", inner, high))
 
 
 def envelope_dft_coefficients(

@@ -93,7 +93,10 @@ def plan_constellation(
     symbols = [complex(p) for p in points]
     if not symbols:
         raise ValueError("constellation is empty")
-    peak = max(abs(z) for z in symbols)
+    try:
+        peak = max(abs(z) for z in symbols)
+    except OverflowError:  # finite parts, but |z| beyond the float range
+        raise ValueError("constellation symbol magnitudes must be finite") from None
     if peak <= 0:
         raise ValueError("constellation has no nonzero symbol")
     plans = []

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchbeam import array_model, cli, harmonic_analysis
@@ -383,23 +383,6 @@ def numeric_flag_runs(draw, flags):
     return [command, *extra, *setting]
 
 
-class TestNumericFlags:
-    @settings(max_examples=250, deadline=None, derandomize=True)
-    @given(numeric_flag_runs(numeric_flags()))
-    def test_any_value_exits_cleanly(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # a usage error, from the argument parser
-                code = exc.code
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert out.getvalue() == "" and "error" in json.loads(err.getvalue())
-        elif code == 0:
-            assert not re.search("nan|inf", out.getvalue(), re.IGNORECASE)
-
-
 class TestEfficiency:
     def test_sweep_endpoints(self, capsys):
         code, out, _ = run(capsys, "efficiency", "--alpha-db-min", "-10",
@@ -493,22 +476,150 @@ def circuit_argv(command: str, path: str) -> list[str]:
             "--predistort", "circuit", "--circuit", path]
 
 
-class TestExtremeCircuitFiles:
-    """A finite but extreme circuit file ends in exit 0 with finite numbers or
-    in exit 2 with the JSON error, never in a traceback."""
+def exits_cleanly(argv: list[str]) -> int:
+    """Run ``main(argv)`` in process and check the exit contract: code 0, 1
+    or 2 and no other exception; 2 writes one JSON ``error`` object to stderr
+    and nothing to stdout; 0 prints no nan or inf."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error, from the argument parser
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and list(json.loads(err.getvalue())) == ["error"]
+    elif code == 0:
+        assert not re.search("nan|inf", out.getvalue(), re.IGNORECASE)
+    return code
 
-    @pytest.mark.parametrize("command, field, value", [
-        ("efficiency", "supply_voltage", 1e300),
-        ("qam", "peak_voltage", 1e-300),
-        ("qam", "load_resistance", 1e308),
-        ("qam", "switch_resistance", 5e-324),
-        ("qam", "switch_capacitance", 1e300),
-    ])
-    def test_exits_two(self, capsys, tmp_path, command, field, value):
-        path = circuit_file(tmp_path, "circuit_params_200mhz.json", field, value)
-        code, out, err = run(capsys, *circuit_argv(command, path))
-        assert code == 2 and out == ""
-        assert "efficiency at peak duty must be finite and positive" in json.loads(err)["error"]
+
+#: Values a document field may take: non-finite, subnormal, huge, of the
+#: wrong type, null and containers.
+ODD_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308,
+                     0.0, -0.0, -1.0, 10**400, -(10**400), 2**64, True, False, None, "", "1.5",
+                     "abc", [], {}, [1.0], {"a": 1}]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(),
+)
+
+#: Text a CSV cell may hold: the same kinds, as the file would spell them.
+ODD_CELLS = st.one_of(
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "5e-324", "2.2e-308", "1e308",
+                     "-1e308", "1e400", str(10**400), "0", "-0.0", "True", "null", "", "abc",
+                     "[1]", "{}", " 1 ", "0x10", "1,2"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+def json_edits(draw, doc):
+    """``doc`` with one field set to an odd value, deleted, or joined by an
+    extra key, anywhere in its tree; or replaced whole."""
+    places = []
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            places.append((node, key))
+            if isinstance(child, (dict, list)):
+                walk(child)
+
+    walk(doc)
+    action = draw(st.sampled_from(["set", "set", "delete", "extra", "whole"]))
+    if action == "whole" or not places:
+        return draw(ODD_VALUES)
+    node, key = draw(st.sampled_from(places))
+    if action == "set":
+        node[key] = draw(ODD_VALUES)
+    elif action == "delete":
+        del node[key]
+    elif isinstance(node, dict):
+        node["extra"] = draw(ODD_VALUES)
+    else:
+        node.append(draw(ODD_VALUES))
+    return doc
+
+
+def csv_edits(draw, text: str) -> str:
+    """``text`` with one cell set to odd text, a row or column dropped or
+    added, or the header changed."""
+    rows = [line.split(",") for line in text.splitlines()]
+    action = draw(st.sampled_from(["cell", "cell", "cell", "drop row", "drop column",
+                                   "extra column", "extra row", "header"]))
+    r = draw(st.integers(0, len(rows) - 1))
+    if action == "cell":
+        rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(ODD_CELLS)
+    elif action == "drop row":
+        del rows[r]
+    elif action == "drop column":
+        c = draw(st.integers(0, len(rows[0]) - 1))
+        rows = [row[:c] + row[c + 1:] for row in rows]
+    elif action == "extra column":
+        rows = [row + [draw(ODD_CELLS)] for row in rows]
+    elif action == "extra row":
+        rows.insert(r, [draw(ODD_CELLS) for _ in rows[0]])
+    else:
+        rows[0][draw(st.integers(0, len(rows[0]) - 1))] = draw(ODD_CELLS)
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def design_document(elements: int, paths: int) -> dict:
+    """The ``design`` subcommand's schedule document of a small array."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["design", "--elements", str(elements), "--paths", str(paths)]) == 0
+    return json.loads(out.getvalue())
+
+
+def reference_text(name: str) -> str:
+    with open(reference_path(name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@st.composite
+def input_file_runs(draw):
+    """(subcommand argv with a ``{path}`` slot, file text): a schedule
+    document, circuit document, constellation CSV or ``--compare`` fixture
+    CSV with one odd edit, for a subcommand that reads it."""
+    kind = draw(st.sampled_from(["schedule", "circuit", "constellation", "compare"]))
+    if kind == "schedule":
+        doc = design_document(draw(st.integers(1, 3)), draw(st.sampled_from([4, 8])))
+        argv = draw(st.sampled_from([["pattern", "--theta-step", "5"],
+                                     ["verify", "--samples", "1024", "--m-max", "7"]]))
+        return [*argv, "--schedule", "{path}"], json.dumps(json_edits(draw, doc))
+    if kind == "circuit":
+        name = draw(st.sampled_from(["circuit_params_200mhz.json", "circuit_params_2ghz.json"]))
+        text = json.dumps(json_edits(draw, json.loads(reference_text(name))))
+        return draw(st.sampled_from([circuit_argv("efficiency", "{path}"),
+                                     circuit_argv("qam", "{path}")])), text
+    if kind == "constellation":
+        text = csv_edits(draw, reference_text("qam16.csv"))
+        predistort = draw(st.sampled_from(["on", "off"]))
+        return ["qam", "--constellation", "{path}", "--predistort", predistort], text
+    text = csv_edits(draw, reference_text("harmonic_efficiency.csv"))
+    return ["efficiency", "--compare", "{path}", "--series", "ideal_4path"], text
+
+
+class TestAnyInput:
+    """Every input kind, driven in process with extreme and ill-typed values:
+    the CLI exits 0, 1 or 2 and never with a traceback; exit 2 writes the
+    JSON error alone, and exit 0 prints finite numbers."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(numeric_flag_runs(numeric_flags()))
+    def test_any_flag_value_exits_cleanly(self, argv):
+        exits_cleanly(argv)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(input_file_runs())
+    @example((["qam", "--constellation", "{path}"], "i,q\n1e308,1.5e308\n1,1\n"))
+    def test_any_input_file_exits_cleanly(self, run):
+        argv, text = run
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "input"
+            path.write_text(text, encoding="utf-8")
+            exits_cleanly([str(path) if arg == "{path}" else arg for arg in argv])
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -519,18 +630,25 @@ class TestExtremeCircuitFiles:
             st.floats(allow_nan=False, allow_infinity=False),
         ),
     )
-    def test_any_finite_field_value(self, name, field, value):
+    def test_any_finite_circuit_value(self, name, field, value):
+        # a finite circuit value never asks for exit 1
         with tempfile.TemporaryDirectory() as directory:
             path = circuit_file(Path(directory), name, field, value)
             for command in ("efficiency", "qam"):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(circuit_argv(command, path))
-                assert code in (0, 2)
-                if code == 2:
-                    assert out.getvalue() == "" and list(json.loads(err.getvalue())) == ["error"]
-                else:
-                    assert not re.search("nan|inf", out.getvalue(), re.IGNORECASE)
+                assert exits_cleanly(circuit_argv(command, path)) in (0, 2)
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("efficiency", "supply_voltage", 1e300),
+        ("qam", "peak_voltage", 1e-300),
+        ("qam", "load_resistance", 1e308),
+        ("qam", "switch_resistance", 5e-324),
+        ("qam", "switch_capacitance", 1e300),
+    ])
+    def test_extreme_circuit_values_exit_two(self, capsys, tmp_path, command, field, value):
+        path = circuit_file(tmp_path, "circuit_params_200mhz.json", field, value)
+        code, out, err = run(capsys, *circuit_argv(command, path))
+        assert code == 2 and out == ""
+        assert "efficiency at peak duty must be finite and positive" in json.loads(err)["error"]
 
 
 class TestQam:

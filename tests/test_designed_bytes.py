@@ -29,7 +29,7 @@ THETA = np.deg2rad(np.arange(-90.0, 90.125, 0.25))
 PATTERNS = (((1, -3, 5, -7), None), ((3, -5, 3), None), ((1,), None), ((-3, 1), 2.5),
             ((5,), 1.0), ((1, 1, -3), None))
 
-DIGEST = "e5b55e4b638466c661088b7086d7d8f976c6e3b9e31bf8d05d9100f63a3c9279"
+DIGEST = "09598ade22b951b2ece2a458f1f130b8e9660cae384ac5893b94702880ae7e77"
 
 
 def designs() -> list[tuple[int, int, float, float, float]]:

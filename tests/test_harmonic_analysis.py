@@ -1239,8 +1239,9 @@ class TestSharedSteering:
 
         def fields(subscripts, inner, high):
             out = einsum(subscripts, inner, high)
-            # the block's angles x 16 entries of the low table, then the rest
-            sizes.extend((len(inner) * 16, inner.size, high.size, out.size))
+            # the block's angles x 16 entries of the low table (G is
+            # harmonics x angles x Q), then the rest
+            sizes.extend((inner.shape[-2] * 16, inner.size, high.size, out.size))
             return out
 
         monkeypatch.setattr(np, "einsum", fields)
@@ -1610,6 +1611,19 @@ class TestSteeringMemo:
         assert sideband_level(schedule, 25) == cold
 
 
+def long_double_fields(rows, beta_d: float, theta: np.ndarray) -> np.ndarray:
+    """|field| of each row, in long double from the float sines of ``theta``:
+    one grid's angles for every row (a 1-d grid) or each row's own (rows x
+    angles)."""
+    x = np.longdouble(beta_d) * np.sin(theta).astype(np.longdouble)
+    steering = np.exp(1j * x[..., None] * np.arange(rows.shape[1]))
+    assert steering.dtype == np.clongdouble
+    rows = rows.astype(np.clongdouble)
+    if theta.ndim == 1:
+        return np.abs(rows @ steering.T)
+    return np.abs(np.einsum("man,mn->ma", steering, rows))
+
+
 @st.composite
 def pattern_designs(draw):
     """A designed schedule of 1 to 300 elements, 4 or 8 paths, 0.37 to 1
@@ -1639,6 +1653,78 @@ class TestDesignedPattern:
             assert np.array_equal(level == DB_FLOOR, clamped)
             field = 10 ** (level[~clamped] / 20) * table.reference
             assert np.all(np.abs(field - general[~clamped]) <= 1e-13 * peak)
+
+    @pytest.mark.parametrize("n", [8, 16, 17, 32, 48, 100])
+    @pytest.mark.parametrize("paths", [4, 8])
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(st.floats(-60.0, 60.0), st.floats(0.1, 1.0))
+    def test_a_harmonics_levels_do_not_depend_on_the_request(self, n, paths, steer_deg, alpha):
+        # each harmonic's field is its own product, which no other row can round
+        schedule = design_schedule(reference_config(n, paths), np.deg2rad(steer_deg), alpha)
+        table = radiation_pattern(schedule, [1, -3, 5, -7], PATTERN_THETA)
+        for m in (-3, 5, -7):
+            alone = radiation_pattern(schedule, [m], PATTERN_THETA, table.reference)
+            assert np.array_equal(alone.levels_db[m], table.levels_db[m])
+
+    def test_a_default_pattern_forms_each_harmonic_once(self, monkeypatch):
+        # m = 1 gives both its levels and the reference
+        rows = []
+
+        def fields(block, low, high, _original=harmonic_analysis._fields):
+            rows.append(len(block))
+            return _original(block, low, high)
+
+        monkeypatch.setattr(harmonic_analysis, "_fields", fields)
+        schedule = design_schedule(reference_config(64, 8), THETA_20, 0.5)
+        radiation_pattern(schedule, [1, -3, 5, -7], PATTERN_THETA)
+        assert sum(rows) == 4
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 1024), st.sampled_from([4, 8]), st.sampled_from([0.37, 0.5, 0.8]),
+           st.floats(-60.0, 60.0), st.floats(0.1, 1.0))
+    @example(1, 4, 0.5, 20.0, 0.5)
+    @example(17, 8, 0.8, -41.0, 0.3)
+    @example(1024, 8, 0.8, 16.2, 0.88)
+    def test_fields_match_a_long_double_evaluation(self, n, paths, spacing_wl, steer_deg, alpha):
+        # the same rows on the same float sines, so only the factored
+        # tables' rounding and the sums' are measured; phases of up to
+        # beta d N radians are rounded in float, as those of ``phase @ a``
+        # are, which at 0.8 wavelength and N near 1024 costs up to ~6e-13 of
+        # the m = 1 peak
+        cfg = reference_config(n, paths, spacing_wl=spacing_wl)
+        schedule = design_schedule(cfg, np.deg2rad(steer_deg), alpha)
+        beta_d = cfg.wavenumber * cfg.element_spacing
+        bound = 3e-15 if n <= 32 else 1e-14 if n <= 128 else 6e-14 if n <= 256 else 1e-12
+        calls, angles = [], []
+
+        def fields(rows, low, high, _original=harmonic_analysis._fields):
+            calls.append((rows, _original(rows, low, high)))
+            return calls[-1][1]
+
+        def exp_table(beta_d, theta, count, _original=harmonic_analysis._exp_table):
+            # the crossing route's candidates: rows x angles
+            if np.ndim(theta) == 2:
+                angles.append(theta)
+            return _original(beta_d, theta, count)
+
+        theta = PATTERN_THETA[::3]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harmonic_analysis, "_fields", fields)
+            patch.setattr(harmonic_analysis, "_exp_table", exp_table)
+            radiation_pattern(schedule, [1, -3, 5, -7], theta)
+            calls_of_pattern = list(calls)
+            calls.clear()
+            peaks = harmonic_analysis._crossing_peaks(schedule, 25)
+        exact = [long_double_fields(rows, beta_d, theta) for rows, _ in calls_of_pattern]
+        peak = exact[0][0].max()
+        for (_, got), want in zip(calls_of_pattern, exact):
+            assert np.abs(got - want).max() <= bound * peak
+        if peaks is None:
+            return
+        exact = np.concatenate([long_double_fields(rows, beta_d, at).max(axis=1)
+                                for (rows, _), at in zip(calls, angles)])
+        exact = dict(zip(range(-25, 26), exact))
+        assert all(abs(peaks[m] - exact[m]) <= bound * exact[1] for m in peaks)
 
     def test_a_design_requests_no_table_wider_than_16_columns(self, monkeypatch):
         widths = []
@@ -1906,9 +1992,8 @@ class TestCrossingPeaks:
         assert sorted(peaks) == sorted(ms)
         for m, peak in zip(ms, exact):
             assert abs(peaks[m] - peak) <= 1e-14 * exact[0]
-        scan = harmonic_analysis._sideband_peaks(schedule, m_max, SIDEBAND_THETA)
-        for m, peak in scan.items():
-            assert abs(peaks[m] - peak) <= 1e-14 * scan[1]
+        # and the scan's bits: a field's bits depend on its row and angle alone
+        assert peaks == harmonic_analysis._sideband_peaks(schedule, m_max, SIDEBAND_THETA)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 256, MAX_ELEMENTS])
     @pytest.mark.parametrize("theta_deg", [-60.0, 23.7])

@@ -190,6 +190,11 @@ class TestPlanConstellation:
         with pytest.raises(ValueError):
             plan_constellation([0j, 1 + 0j], predistort=True)
 
+    def test_rejects_a_magnitude_beyond_the_float_range(self):
+        # finite parts, but abs() overflows
+        with pytest.raises(ValueError, match="magnitudes must be finite"):
+            plan_constellation([1 + 1j, 1e308 + 1.5e308j], predistort=True)
+
 
 class TestSimulateConstellation:
     def test_predistorted_16qam_is_nearly_exact(self):
