@@ -14,7 +14,8 @@ Pulse widths and onsets are fractions of the modulation period (onsets in
 function is pure, so everything here is safe to share across threads and to
 evaluate in parallel sweeps.  (A designed schedule stores its pulse table and
 builds ``elements`` from it on first read, and ``harmonic_analysis`` caches the
-coefficients of its last pass on a schedule: pure functions of its fields.)
+coefficients of its last pass on it: pure functions of its fields.  No other
+schedule caches anything.)
 """
 
 from __future__ import annotations
@@ -184,8 +185,9 @@ class ArraySchedule:
     not take it, and ``dataclasses.replace``, documents and every other
     schedule carry ``None``; it takes no part in equality or ``repr``.
     ``design_schedule`` also stores its read-only pulse table, which analysis
-    reads, and ``elements`` is built from it on first read.  Pickles and copies
-    hold the fields alone, not the table or the coefficient rows cached on it.
+    reads, and ``elements`` is built from it on first read.  Only a designed
+    schedule caches coefficient rows, those of its last pass.  Pickles and
+    copies hold the fields alone, not the table or the rows.
     """
 
     config: ArrayConfig

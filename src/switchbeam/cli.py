@@ -196,7 +196,9 @@ def cmd_efficiency(args) -> int:
         raise ValueError("--alpha-db-max must be at most 0")
     n_steps = _grid_steps("alpha-db", args.alpha_db_min, args.alpha_db_max,
                           args.alpha_db_step, MAX_ALPHA_POINTS)
-    dbs = [args.alpha_db_min + k * args.alpha_db_step for k in range(n_steps + 1)]
+    # capped: min + k * step can round past the max, and past 0 dB
+    dbs = [min(args.alpha_db_min + k * args.alpha_db_step, args.alpha_db_max)
+           for k in range(n_steps + 1)]
 
     params = _read_input(args.circuit, "circuit params", _circuit_doc) if args.circuit else None
     config = _config_from_args(args)

@@ -8,14 +8,14 @@ stores its table, and element n runs element 0's pulses s_n periods later.
 Every other schedule, ``dataclasses.replace`` copies included, is general.
 Routes, and their accuracy:
 
-* Coefficients, through the schedule's memo of its last pass (``_rows``);
-  a ``range`` of harmonics stays a range down to the pass.  General:
-  ``_coefficients``, the closed form of every pulse, with the bits of the
-  scalar reference.  Designed: ``_template_rows``, element 0 from its pulse
-  sums (``_element_zero``, memoized by path count, which alone fixes a
-  design's element 0; ~1e-16 of max|A| off the scalar reference) turned by
-  each element's delay, ~1e-14 of max|A| off the general route for
-  |m| <= 101.
+* Coefficients (``_rows``); a ``range`` of harmonics stays a range down
+  to the pass.  General: ``_coefficients``, the closed form of every pulse,
+  with the bits of the scalar reference, a fresh pass at each call.
+  Designed: ``_template_rows``, through the schedule's memo of its last
+  pass, element 0 from its pulse sums (``_element_zero``, memoized by path
+  count, which alone fixes a design's element 0; ~1e-16 of max|A| off the
+  scalar reference) turned by each element's delay, ~1e-14 of max|A| off
+  the general route for |m| <= 101.
 * Sidebands (``sideband_level``).  Designed: ``_crossing_peaks``, the grid
   angles that bracket each harmonic's main lobes, when a Dirichlet bound
   shows that they hold every peak.  General, and a design that fails the
@@ -29,17 +29,17 @@ Routes, and their accuracy:
   ``total_power``, ``harmonic_efficiency`` and ``harmonic_power`` take the
   general power route on any schedule.
 * Patterns (``radiation_pattern``, ``array_factor``).  General: the rows
-  times one theta x N steering matrix, from a memo of exact exponentials
-  keyed by grid and width (``_phase_table``).  Designed, in
+  times one theta x N steering matrix of exact exponentials
+  (``_exp_table``), built for the call.  Designed, in
   ``radiation_pattern``: the sideband scan's factored fields (``_fields``,
   no theta x N matrix), each harmonic's once and with the same bits
   whatever else is asked; each |AF_m| is within ~3e-14 of the m = 1 peak of
   the general route.  ``array_factor`` takes the general route on any
   schedule.
 
-Four bounded ``_Memo`` instances, the steering memo among them, keep tables
-that a design does not change; each holds read-only arrays, is filled by
-calls alone and leaves every result's bits as they are.
+Two bounded ``_Memo`` instances, element 0's pulse sums and the steering
+memo, keep tables that calls reuse; each holds read-only arrays, is filled
+by calls alone and leaves every result's bits as they are.
 ``envelope_dft_coefficients`` is an independent DFT oracle for the coefficients.
 """
 
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import wraps
 from itertools import islice
 from math import isfinite, pi
 from threading import Lock
@@ -89,11 +88,11 @@ GRAM_BLOCK = 1 << 12
 #: complex entries are 64 MiB.
 MAX_STEERING_ENTRIES = 1 << 22
 
-#: Most entries (theta points x elements) of a table in the steering memo,
-#: which holds at most six: 2**18 complex entries are 4 MiB and hold the
-#: 721 x 256 table of a general schedule's 0.25-degree pattern (a designed
-#: one reads 721 x 16 tables alone).  ``sideband_level`` and a designed
-#: pattern form their fields in blocks of at most a quarter of this.
+#: Most entries (theta points x columns) of a table in the steering memo,
+#: which holds at most six, each at most 16 or ceil(N / 16) columns wide:
+#: 2**18 complex entries are 4 MiB and hold the ceil(N / 16)-wide table of
+#: the 0.05-degree sideband grid up to N = 1152.  ``sideband_level`` and a
+#: designed pattern form their fields in blocks of at most a quarter of this.
 _STEERING_MEMO_ENTRIES = 1 << 18
 
 #: The angles ``sideband_level`` scans, read-only: -90 to 90 degrees in
@@ -170,26 +169,26 @@ def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
     ``dataclasses.replace(schedule)`` gives the sum's bits.  Each harmonic
     index must be an integer of magnitude at most
     2**53, else ValueError.  Harmonics are evaluated in blocks of at most
-    ``COEFFICIENT_BLOCK`` onset exponentials.  The schedule keeps the rows
-    of its last coefficient pass (``_rows``), and a request they cover is
-    copied out of them, with the same bits.
+    ``COEFFICIENT_BLOCK`` onset exponentials.  A designed schedule keeps
+    the rows of its last coefficient pass (``_rows``), and a request they
+    cover is copied out of them, with the same bits.
     """
     rows = _rows(schedule, ms)
     return rows if rows.flags.writeable else rows.copy()
 
 
 def _rows(schedule: ArraySchedule, ms) -> np.ndarray:
-    """``coefficient_matrix`` of ``ms``, read-only or fresh, through the
-    schedule's memo: the read-only matrix of its last coefficient pass, keyed
-    by harmonic.  A request the memo covers is indexed out of it (or is the
-    memo, if it asks for its rows in order); any other runs one pass and its
-    matrix replaces the memo.  A ``range`` equal to the one that made the
-    pass is the memo at once, with no index check or lookup per harmonic;
-    any other range is checked at its ends and reaches the pass as a range.
-    Each entry of a pass depends on its harmonic and element alone, so the
-    bits are the same.  The pass is ``_template_rows`` for a designed
-    schedule (``onset_step`` set) and ``_coefficients`` of the whole table
-    for any other.
+    """``coefficient_matrix`` of ``ms``, read-only or fresh.  A general
+    schedule (``onset_step`` None) gets a fresh ``_coefficients`` pass of its
+    whole table and keeps nothing.  A designed one's pass is
+    ``_template_rows``, through the schedule's memo: the read-only matrix of
+    its last pass, keyed by harmonic.  A request the memo covers is indexed
+    out of it (or is the memo, if it asks for its rows in order); any other
+    runs one pass and its matrix replaces the memo.  A ``range`` equal to
+    the one that made the pass is the memo at once, with no index check or
+    lookup per harmonic; any other range is checked at its ends and reaches
+    the pass as a range.  Each entry of a pass depends on its harmonic and
+    element alone, so the bits are the same.
     The memo is a private attribute, not a field: equality, hash, repr and
     ``dataclasses.replace`` do not see it.  It is read and replaced as one
     (index, matrix, range) triple, so threads racing on one schedule at most
@@ -199,13 +198,14 @@ def _rows(schedule: ArraySchedule, ms) -> np.ndarray:
     if type(ms) is range and ms == request:
         return matrix
     m = _harmonic_indices(ms)
+    if schedule.onset_step is None:
+        return _coefficients(_schedule_table(schedule), m)
     keys = m if type(m) is range else m.tolist()
     if matrix is not None:
         at = [index.get(key) for key in keys]
         if None not in at:
             return matrix if at == list(range(len(matrix))) else matrix[at]
-    table = _schedule_table(schedule)
-    matrix = _coefficients(table, m) if schedule.onset_step is None else _template_rows(table, m)
+    matrix = _template_rows(_schedule_table(schedule), m)
     matrix.flags.writeable = False
     memo = (dict(zip(keys, range(len(keys)))), matrix, ms if type(ms) is range else None)
     object.__setattr__(schedule, "_coefficient_memo", memo)
@@ -323,9 +323,9 @@ def _scaled_sums(onsets: np.ndarray, rotation: np.ndarray, m: np.ndarray):
     return 2 * pi * m, s
 
 
-# the pulse-sum memo: (path count, harmonics) -> w and S(m) / w; a design's
-# element 0 depends on its path count alone, and m_max 101 fills 2 x 203
-# numbers
+# the pulse-sum memo of a design's element 0, fixed by its path count K:
+# (K, harmonics) -> w and S(m) / w (m_max 101 fills 2 x 203 numbers) and
+# (K, None) -> ``_offset_groups``, (2K)**2 <= 256 pairs at 8 paths
 _pulse_sums = _Memo(8, 1 << 12)
 
 
@@ -401,19 +401,6 @@ class HarmonicSpectrum:
     efficiency: float
 
 
-# the per-config memo: (builder, config) -> its read-only table: a config's
-# lag weights (N reals) and, up to 64 elements, its coupling kernel (N x N),
-# 32 KiB each at most
-_config_tables = _Memo(16, 1 << 12)
-
-
-def _per_config(build):
-    """``build(config)``, read-only, through the per-config memo: equal
-    configs have equal fields, and so tables of the same bits."""
-    return wraps(build)(lambda config: _config_tables.get((build, config), build, config))
-
-
-@_per_config
 def _coupling_kernel(config: ArrayConfig) -> np.ndarray:
     """sinc(beta d (a - b)) for every element pair (a, b)."""
     n = np.arange(config.n_elements)
@@ -421,14 +408,13 @@ def _coupling_kernel(config: ArrayConfig) -> np.ndarray:
     return _sinc(beta_d * (n[:, None] - n[None, :]))
 
 
-def _harmonic_powers(config: ArrayConfig, matrix: np.ndarray, ms) -> np.ndarray:
+def _harmonic_powers(kernel: np.ndarray, matrix: np.ndarray, ms) -> np.ndarray:
     """Radiated powers of the harmonics ``ms``, one per row of ``matrix``.
 
-    The kernel is real symmetric, so each quadratic form is real up to
-    rounding; a residual imaginary part above 1e-9 of the diagonal indicates
-    a symmetry bug and raises.
+    ``kernel`` is the config's ``_coupling_kernel``, real symmetric, so each
+    quadratic form is real up to rounding; a residual imaginary part above
+    1e-9 of the diagonal indicates a symmetry bug and raises.
     """
-    kernel = _coupling_kernel(config)
     values = np.einsum("mn,ns,ms->m", matrix, kernel, matrix.conj())
     scales = np.einsum("mn,nn->m", np.abs(matrix) ** 2, kernel).real
     bad = np.flatnonzero((scales > 0) & (np.abs(values.imag) > 1e-9 * scales))
@@ -446,7 +432,7 @@ def harmonic_power(schedule: ArraySchedule, m: int) -> float:
     Evaluates the spatial power integral over element pairs with the
     unnormalized sinc coupling kernel.
     """
-    return float(_harmonic_powers(schedule.config, _rows(schedule, [m]), [m])[0])
+    return float(_harmonic_powers(_coupling_kernel(schedule.config), _rows(schedule, [m]), [m])[0])
 
 
 def total_power(schedule: ArraySchedule) -> float:
@@ -460,14 +446,13 @@ def total_power(schedule: ArraySchedule) -> float:
     integrated in blocks of one vectorized pass (``_grams``), with the bits of
     a loop that integrates one pair at a time.
     """
-    return _total_powers(schedule.config, _schedule_table(schedule))[0]
+    return _total_powers(_coupling_kernel(schedule.config), _schedule_table(schedule))[0]
 
 
-def _total_powers(config: ArrayConfig, table) -> list[float]:
-    """``total_power`` of each schedule of ``config`` stacked in a pulse table:
-    one ``_grams`` pass, each Gram matrix contracted with the coupling kernel."""
-    kernel = _coupling_kernel(config)
-    grams = _grams(table, len(table[1]) // config.n_elements)
+def _total_powers(kernel: np.ndarray, table) -> list[float]:
+    """``total_power`` of each schedule stacked in a pulse table: one
+    ``_grams`` pass, each Gram matrix contracted with the coupling kernel."""
+    grams = _grams(table, len(table[1]) // len(kernel))
     return [float(np.sum(kernel * gram).real) for gram in grams]
 
 
@@ -577,23 +562,23 @@ def _harmonic_efficiencies(config: ArrayConfig, tables) -> list[float]:
     The tables are stacked in blocks of at most ``GRAM_BLOCK`` pulse
     edges (two per pulse; a larger schedule alone), and each block gets one
     ``_total_powers`` pass, one m = 1 ``_coefficients`` and one
-    ``_harmonic_powers`` call.
+    ``_harmonic_powers`` call, all with the one coupling kernel of the call.
     """
     tables = iter(tables)
+    kernel = _coupling_kernel(config)
     size = max(1, GRAM_BLOCK // (4 * config.n_elements * config.path_count))
     out = []
     while block := list(islice(tables, size)):
         stacked = tuple(np.concatenate(column) for column in zip(*block))
-        totals = _total_powers(config, stacked)
+        totals = _total_powers(kernel, stacked)
         if min(totals) <= 0:
             raise ValueError("zero radiated power")
         a1 = _coefficients(stacked, [1]).reshape(len(block), -1)
-        powers = _harmonic_powers(config, a1, [1] * len(block))
+        powers = _harmonic_powers(kernel, a1, [1] * len(block))
         out.extend(float(p) / total for p, total in zip(powers, totals))
     return out
 
 
-@_per_config
 def _lag_weights(config: ArrayConfig) -> np.ndarray:
     """c_d = (N - d) * sinc(beta_d * d), the sum of the coupling kernel's d-th
     diagonal, for the lags d = 0 .. N-1, doubled for d > 0 to stand for the
@@ -603,12 +588,6 @@ def _lag_weights(config: ArrayConfig) -> np.ndarray:
     c = (config.n_elements - lags) * _sinc(beta_d * lags)
     c[1:] *= 2.0
     return c
-
-
-# the lag-group memo: path count -> element 0's distinct pulse-pair onset
-# offsets and their summed weight products; a design's element 0 depends on
-# its path count alone, (2K)**2 <= 256 pairs at 8 paths
-_lag_groups = _Memo(8, 1 << 12)
 
 
 def _offset_groups(onsets: np.ndarray, rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -621,7 +600,7 @@ def _offset_groups(onsets: np.ndarray, rotation: np.ndarray) -> tuple[np.ndarray
     return offsets, np.bincount(pair.ravel(), weights=products)
 
 
-def _lag_total_power(schedule: ArraySchedule) -> float:
+def _lag_total_power(schedule: ArraySchedule, c: np.ndarray) -> float:
     """``total_power`` of a designed schedule, whose element n is element 0
     shifted by n * ``onset_step``, to ~1e-15 relative (not bit for bit).
 
@@ -632,7 +611,7 @@ def _lag_total_power(schedule: ArraySchedule) -> float:
     width, of the weight product times the overlap of two equal arcs.  Pairs
     whose onset offsets are bit-equal have bit-equal overlaps at every lag,
     so their products are added first (``_offset_groups``, kept in the
-    lag-group memo): a design's 64 pairs have 29 distinct offsets at 4 paths,
+    pulse-sum memo): a design's 64 pairs have 29 distinct offsets at 4 paths,
     its 256 pairs 85 at 8.  Lags go in the blocks of the sum over all pairs,
     ``GRAM_BLOCK`` // (2K)**2 at a time, so the additions over lags keep its
     order and the two sums differ only within each lag, by ~4e-16 relative.
@@ -641,12 +620,11 @@ def _lag_total_power(schedule: ArraySchedule) -> float:
     ~1e-16 / alpha.
     """
     onsets, widths, rotation = (column[:1] for column in _schedule_table(schedule))
-    offsets, products = _lag_groups.get(onsets.shape[1], _offset_groups, onsets, rotation)
+    offsets, products = _pulse_sums.get((rotation.size, None), _offset_groups, onsets, rotation)
     step = max(1, GRAM_BLOCK // onsets.size ** 2)
     # the overlaps of whole blocks of lags at once, GRAM_BLOCK at most
     chunk = step * max(1, GRAM_BLOCK // (step * offsets.size))
     width = widths[0, 0]
-    c = _lag_weights(schedule.config)
     lags = _frac(np.arange(c.size) * schedule.onset_step)
     total = 0.0
     for start in range(0, c.size, chunk):
@@ -657,7 +635,7 @@ def _lag_total_power(schedule: ArraySchedule) -> float:
     return float(total)
 
 
-def _template_powers(config: ArrayConfig, rows: np.ndarray) -> np.ndarray:
+def _template_powers(c: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Radiated powers of a designed schedule's template rows, in
     O(len(rows) * N).
 
@@ -666,7 +644,7 @@ def _template_powers(config: ArrayConfig, rows: np.ndarray) -> np.ndarray:
     P_m = Re(conj(A[m, 0]) (A[m, :] @ c)), c the lag weights.  It agrees
     with ``_harmonic_powers`` to ~1e-14 of the total power, not bit for bit.
     """
-    lagged = rows @ _lag_weights(config)
+    lagged = rows @ c
     return rows.real[:, 0] * lagged.real + rows.imag[:, 0] * lagged.imag
 
 
@@ -690,11 +668,13 @@ def compute_spectrum(schedule: ArraySchedule, m_max: int = DEFAULT_M_MAX) -> Har
     matrix = _rows(schedule, ms)
     matrix.flags.writeable = False
     if schedule.onset_step is None:
-        total = total_power(schedule)
-        tabulated = _harmonic_powers(schedule.config, matrix, ms)
+        kernel = _coupling_kernel(schedule.config)
+        total = _total_powers(kernel, _schedule_table(schedule))[0]
+        tabulated = _harmonic_powers(kernel, matrix, ms)
     else:
-        total = _lag_total_power(schedule)
-        tabulated = _template_powers(schedule.config, matrix)
+        c = _lag_weights(schedule.config)
+        total = _lag_total_power(schedule, c)
+        tabulated = _template_powers(c, matrix)
     coefficients = dict(zip(ms, map(HarmonicCoefficient, ms, matrix)))
     tabulated, clamp = tabulated.tolist(), POWER_CLAMP_REL * total
     powers = {m: 0.0 if p < clamp else p for m, p in zip(ms, tabulated)}
@@ -719,7 +699,7 @@ def _check_harmonic_count(config: ArrayConfig, m_max, least: int) -> int:
 
 def _steering(config: ArrayConfig, theta: np.ndarray) -> np.ndarray:
     """Geometric phase of every element toward every angle: theta x elements."""
-    return _phase_table(_check_angles(config, theta), theta, config.n_elements)
+    return _exp_table(_check_angles(config, theta), theta, config.n_elements)
 
 
 def _check_angles(config: ArrayConfig, theta: np.ndarray, columns: int | None = None) -> float:
@@ -804,7 +784,7 @@ def radiation_pattern(
     ``_STEERING_MEMO_ENTRIES`` and at most ``MAX_STEERING_ENTRIES`` entries,
     or one harmonic's theta x Q, Q = ceil(N / 16); a block's levels are
     taken before the next is formed.  A general schedule's fields are
-    ``phase @ a``, with the theta x N matrix of ``_steering``; a designed
+    ``phase @ a``, with a theta x N matrix built for the call; a designed
     one's (``onset_step`` set), the sideband scan's ``_fields`` from the
     memo's min(N, 16)-wide and Q-wide tables, whose widest times the theta
     points must be at most ``MAX_STEERING_ENTRIES``.  Either way a
@@ -828,7 +808,7 @@ def radiation_pattern(
     if designed:
         low, high = _phase_table(beta_d, theta, base), _phase_table(16 * beta_d, theta, rows_q)
     else:
-        phase = _phase_table(beta_d, theta, n)
+        phase = _exp_table(beta_d, theta, n)
     cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
     size = max(1, cap // (max(theta.size, base) * rows_q))
     levels = {}
@@ -887,8 +867,8 @@ def sideband_level(schedule: ArraySchedule, m_max: int) -> float:
 def _sideband_peaks(schedule: ArraySchedule, m_max: int, theta: np.ndarray) -> dict[int, float]:
     """Pattern peaks over ``theta`` of every harmonic m != 0, |m| <= m_max.
 
-    The rows are those of ``compute_spectrum`` at the same m_max, as the
-    memo holds them, all in each ``_fields`` call.  An angle block keeps
+    The rows are those of ``compute_spectrum`` at the same m_max (a design's
+    memo holds them), all in each ``_fields`` call.  An angle block keeps
     every working array within ``cap`` entries, but holds two angles at
     least: numpy rounds a one-row product differently, so the bits do not
     depend on the blocks.

@@ -393,6 +393,15 @@ class TestEfficiency:
         assert float(rows[-6.0]["pbo_db"]) == pytest.approx(-8.7, abs=0.3)
         assert rows[0.0]["zeta_circ"] == "" and rows[0.0]["eta"] == ""
 
+    # -4.1 + 41 * 0.1 and -4.6 + 23 * 0.2 round above 0 dB (alpha above 1),
+    # -0.3 + 3 * 0.1 to 5.55e-17
+    @pytest.mark.parametrize("low, step", [("-4.1", "0.1"), ("-4.6", "0.2"), ("-0.3", "0.1")])
+    def test_grid_ends_on_its_max(self, capsys, low, step):
+        code, out, err = run(capsys, "efficiency", "--alpha-db-min", low,
+                             "--alpha-db-max", "0", "--alpha-db-step", step)
+        assert code == 0, err
+        assert float(csv_rows(out)[-1]["ten_log_alpha"]) == 0.0
+
     def test_circuit_columns_with_params(self, capsys):
         code, out, _ = run(capsys, "efficiency", "--alpha-db-step", "5",
                            "--circuit", reference_path("circuit_params_200mhz.json"))

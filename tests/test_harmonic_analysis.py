@@ -193,15 +193,14 @@ class TestPowers:
         schedule = ArraySchedule(cfg, 3 * width, 0.0, (element,))
         assert total_power(schedule) == pytest.approx(2 * width, abs=1e-15)
 
-    def test_imaginary_residue_names_the_first_offending_harmonic(self, monkeypatch):
+    def test_imaginary_residue_names_the_first_offending_harmonic(self):
         # an asymmetric kernel: row [1, 1j] leaves -1j, row [1j, 1] +1j, and a
         # zero row has no scale to measure a residue against
-        monkeypatch.setattr(harmonic_analysis, "_coupling_kernel",
-                            lambda config: np.array([[1.0, 1.0], [0.0, 1.0]]))
+        kernel = np.array([[1.0, 1.0], [0.0, 1.0]])
         matrix = np.array([[0, 0], [1, 1], [1, 1j], [1j, 1]], dtype=complex)
         with pytest.raises(RuntimeError, match=r"^harmonic_power\(m=9\): imaginary residue "
                                                r"-1\.000e\+00 exceeds tolerance$"):
-            harmonic_analysis._harmonic_powers(reference_config(2), matrix, [7, 8, 9, 10])
+            harmonic_analysis._harmonic_powers(kernel, matrix, [7, 8, 9, 10])
 
     def test_asymmetric_kernel_is_caught_by_harmonic_power(self, peak_schedule, monkeypatch):
         # the elements' coefficients differ in phase, so a one-sided kernel
@@ -251,6 +250,18 @@ class TestHarmonicEfficiency:
         schedule = ArraySchedule(cfg, 1.0, 0.0, (element,))
         with pytest.raises(ValueError, match="zero radiated power"):
             harmonic_efficiency(schedule)
+
+    def test_one_coupling_kernel_serves_every_block(self, monkeypatch):
+        # 16 elements x 8 paths stack 8 schedules a block: 20 take three
+        cfg = reference_config(16, path_count=8)
+        schedules = [design_schedule(cfg, THETA_20, alpha) for alpha in np.linspace(0.05, 1, 20)]
+        expected = [harmonic_efficiency(s) for s in schedules]
+        built, real = [], harmonic_analysis._coupling_kernel
+        monkeypatch.setattr(harmonic_analysis, "_coupling_kernel",
+                            lambda config: built.append(config) or real(config))
+        tables = [_schedule_table(s) for s in schedules]
+        assert harmonic_analysis._harmonic_efficiencies(cfg, tables) == expected
+        assert built == [cfg]
 
 
 class TestSpectrum:
@@ -734,6 +745,17 @@ class TestCoefficientMemo:
         rows = compute_spectrum(schedule, 5).coefficients.values()
         assert b"".join(c.per_element.tobytes() for c in rows) == expected
 
+    def test_a_general_schedule_keeps_no_rows(self, monkeypatch):
+        copy = dataclasses.replace(design_schedule(reference_config(9, 8), THETA_20, 0.4))
+        passes = counted_passes(monkeypatch)
+        compute_spectrum(copy, 5)
+        sideband_level(copy, 5)
+        radiation_pattern(copy, [1, -3], COARSE_THETA)
+        coefficient_matrix(copy, [1, -3])
+        assert "_coefficient_memo" not in vars(copy)
+        # each call, the range of the spectrum's own included, runs its pass
+        assert passes == [11, 11, 2, 2]
+
     def test_memo_is_not_part_of_the_dataclass(self):
         schedule = design_schedule(reference_config(9), THETA_20, 0.4)
         before = (dataclasses.fields(schedule), hash(schedule), repr(schedule))
@@ -793,11 +815,10 @@ class TestCoefficientMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
 
-    @pytest.mark.parametrize("make", [
-        lambda: design_schedule(reference_config(16, path_count=8), THETA_20, 0.4),
-        lambda: dataclasses.replace(design_schedule(reference_config(7), THETA_20, 0.4)),
-    ])
-    def test_range_of_the_pass_is_the_memo_at_once(self, make, monkeypatch):
+    def test_range_of_the_pass_is_the_memo_at_once(self, monkeypatch):
+        def make():
+            return design_schedule(reference_config(16, path_count=8), THETA_20, 0.4)
+
         schedule = make()
         expected = coefficient_matrix(make(), range(-6, 7)).tobytes()
         reordered, narrower = (coefficient_matrix(make(), request).tobytes()
@@ -843,7 +864,8 @@ class TestCoefficientMemo:
             coefficient_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            harmonic_analysis._template_powers(schedule.config, matrix)
+            harmonic_analysis._template_powers(
+                harmonic_analysis._lag_weights(schedule.config), matrix)
             template_peak = tracemalloc.get_traced_memory()[1] - held + matrix_bytes
             del matrix
             tracemalloc.reset_peak()
@@ -1024,7 +1046,8 @@ class TestTotalPowerBatch:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(harmonic_analysis, "GRAM_BLOCK", block)
             grams = batch_grams(schedules)
-            totals = harmonic_analysis._total_powers(schedules[0].config, table)
+            kernel = harmonic_analysis._coupling_kernel(schedules[0].config)
+            totals = harmonic_analysis._total_powers(kernel, table)
         assert len(grams) == len(totals) == len(schedules)
         assert all(same_bits(g, e) for g, e in zip(grams, expected))
         assert [p.hex() for p in totals] == [loop_total_power(s).hex() for s in schedules]
@@ -1341,8 +1364,8 @@ class TestSharedSteering:
 
 
 def table_memos() -> list:
-    """Every bounded memo of the module: steering tables, per-config tables,
-    lag groups and element 0's pulse sums."""
+    """Every bounded memo of the module: steering tables and element 0's
+    pulse sums and lag groups."""
     return [memo for memo in vars(harmonic_analysis).values()
             if isinstance(memo, harmonic_analysis._Memo)]
 
@@ -1388,10 +1411,10 @@ def steering_bytes(schedule, grid: str) -> bytes:
 
 
 def memo_bytes(schedule) -> bytes:
-    """Every result of a design that reads the per-config, lag-group and
-    one-row exponential memos, as bytes: the spectrum of a fresh design of
-    the same inputs, which runs its coefficient pass, and harmonic powers of
-    the schedule's copy, which read the coupling kernel."""
+    """Every result of a design that reads element 0's memo, as bytes: the
+    spectrum of a fresh design of the same inputs, which runs its
+    coefficient pass and lag sums, and harmonic powers of the schedule's
+    copy, which build the coupling kernel."""
     fresh = design_schedule(schedule.config, schedule.steer_angle, schedule.duty_ratio)
     spectrum = compute_spectrum(fresh, 7)
     copy = dataclasses.replace(schedule)
@@ -1538,11 +1561,12 @@ class TestSteeringMemo:
 
     def test_no_caller_can_write_into_the_memo(self, peak_schedule):
         clear_steering_memo()
-        # a copy: the general route, which steers with the N-wide table
-        radiation_pattern(dataclasses.replace(peak_schedule), [1], PATTERN_THETA)
-        steering = harmonic_analysis._steering(peak_schedule.config, PATTERN_THETA)
-        assert np.shares_memory(steering,
-                                next(iter(harmonic_analysis._steering_tables._values.values())))
+        # a design's pattern keeps its 5- and 1-wide tables
+        radiation_pattern(peak_schedule, [1], PATTERN_THETA)
+        beta_d = peak_schedule.config.wavenumber * peak_schedule.config.element_spacing
+        steering = harmonic_analysis._phase_table(beta_d, PATTERN_THETA, 5)
+        assert any(np.shares_memory(steering, table)
+                   for table in harmonic_analysis._steering_tables._values.values())
         with pytest.raises(ValueError, match="read-only"):
             steering[0, 0] = 0.0
         with pytest.raises(ValueError):
@@ -1562,14 +1586,22 @@ class TestSteeringMemo:
         with pytest.raises(ValueError, match="cap"):
             array_factor(peak_schedule, 1, PATTERN_THETA)
 
-    def test_scalar_angles_stay_off_the_memo(self):
+    def test_only_factored_tables_enter_the_memo(self):
+        # array_factor, a constellation and a general pattern build their
+        # theta x N tables for the call; a design's pattern keeps its
+        # factored ones, 16 and 4 columns wide at 64 elements
         clear_steering_memo()
-        cfg = reference_config(16, 8)
+        cfg = reference_config(64, 8)
         schedule = design_schedule(cfg, THETA_20, 0.5)
         array_factor(schedule, 1, 0.3)
         plans = [SymbolPlan(1 + 1j, 0.5, pi / 4, 1.0)]
         simulate_constellation(plans, cfg, 0.3)
+        array_factor(schedule, 1, PATTERN_THETA)
+        radiation_pattern(dataclasses.replace(schedule), [1, -3], PATTERN_THETA)
         assert harmonic_analysis._steering_tables._values == {}
+        radiation_pattern(schedule, [1, -3], PATTERN_THETA)
+        kept = harmonic_analysis._steering_tables._values.values()
+        assert sorted(table.shape for table in kept) == [(721, 4), (721, 16)]
 
     @pytest.mark.parametrize("n, mib", [(256, 4), (2048, 16)])
     def test_sideband_scan_holds_no_steering_matrix(self, n, mib):
@@ -1808,27 +1840,25 @@ class TestTableMemos:
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60, check=True).stdout
-        assert out.split("\n")[0] == "[0, 0, 0, 0]"
+        assert out.split("\n")[0] == "[0, 0]"
 
     def test_memos_stay_bounded_and_read_only(self):
         # 60 configs: N 1 to 15 at two spacings and both path counts, each
-        # designed and tabulated, and its copy's pattern (the general route,
-        # with its N-wide steering table) and harmonic powers taken; then 70
-        # kernels past the kept size
+        # designed, tabulated and its pattern taken, and its copy's pattern
+        # (the general route, with an N-wide steering table built for the
+        # call) and harmonic powers taken
         clear_steering_memo()
         configs = [reference_config(n, paths, spacing_wl=spacing)
                    for n in range(1, 16) for paths in (4, 8) for spacing in (0.5, 0.37)]
         for cfg in configs:
             schedule = design_schedule(cfg, THETA_20, 0.4)
             spectrum = compute_spectrum(schedule, 7)
+            radiation_pattern(schedule, [1], COARSE_THETA)
             copy = dataclasses.replace(schedule)
             radiation_pattern(copy, [1], COARSE_THETA)
             assert harmonic_power(copy, 1) == pytest.approx(spectrum.powers[1], rel=1e-12)
-        for n in range(60, 130):
-            kernel = harmonic_analysis._coupling_kernel(reference_config(n))
-            assert not kernel.flags.writeable
         memos = table_memos()
-        assert len(memos) == 4
+        assert len(memos) == 2
         for memo in memos:
             assert 0 < len(memo) <= memo.size
             for value in memo._values.values():
@@ -1839,16 +1869,12 @@ class TestTableMemos:
                         array[...] = 0.0
                     with pytest.raises(ValueError):
                         array.flags.writeable = True
-        assert len(harmonic_analysis._config_tables) == harmonic_analysis._config_tables.size
         # the steering memo keeps one table per spacing and width, the six
-        # used last: 13 to 15 elements at both spacings
+        # used last: the 1-wide high tables that every design reads and the
+        # low tables of 14 and 15 elements, at both spacings
         steering = harmonic_analysis._steering_tables
         assert sorted(table.shape for table in steering._values.values()) == [
-            (COARSE_THETA.size, n) for n in (13, 13, 14, 14, 15, 15)]
-        # 64 elements is the largest kernel the memo keeps (4096 entries)
-        kept = [harmonic_analysis._coupling_kernel(reference_config(n)) for n in (64, 65)]
-        assert [harmonic_analysis._coupling_kernel(reference_config(n)) is k
-                for n, k in zip((64, 65), kept)] == [True, False]
+            (COARSE_THETA.size, n) for n in (1, 1, 14, 14, 15, 15)]
 
     def test_memo_drops_the_least_recently_used_and_keeps_no_large_value(self):
         memo = harmonic_analysis._Memo(3, 10)
@@ -1872,31 +1898,29 @@ class TestTableMemos:
         assert builds[5:] == [5, 6, 5, 6] and list(memo._values) == [3, 1, 4]
         assert all(not array.flags.writeable for array in memo.get(4, build, 4, 6, 4))
 
-    def test_cached_kernel_and_lag_weights_keep_their_bits(self):
+    def test_kernel_and_lag_weights_keep_their_bits(self):
         for cfg in (reference_config(5), reference_config(64, 8, spacing_wl=0.37)):
             n = np.arange(cfg.n_elements)
             beta_d = cfg.wavenumber * cfg.element_spacing
             kernel = harmonic_analysis._sinc(beta_d * (n[:, None] - n[None, :]))
             c = (cfg.n_elements - n) * harmonic_analysis._sinc(beta_d * n)
             c[1:] *= 2.0
-            for _ in range(2):
-                assert harmonic_analysis._coupling_kernel(cfg).tobytes() == kernel.tobytes()
-                assert harmonic_analysis._lag_weights(cfg).tobytes() == c.tobytes()
+            assert harmonic_analysis._coupling_kernel(cfg).tobytes() == kernel.tobytes()
+            assert harmonic_analysis._lag_weights(cfg).tobytes() == c.tobytes()
 
     @pytest.mark.parametrize("path_count", [4, 8])
     def test_lag_groups_of_element_zero_are_shared_across_designs(self, path_count):
-        # element 0 has the same table at any size and angle: one entry
-        # serves every design, with the bits of a cold memo
+        # element 0 has the same table at any size and angle: one entry of
+        # the pulse-sum memo serves every design, with the bits of a cold memo
         schedules = [design_schedule(reference_config(n, path_count), theta, alpha)
                      for n, theta, alpha in ((1, 0.0, 1.0), (7, THETA_20, 0.3), (300, -1.1, 1e-3))]
         cold = []
         for schedule in schedules:
             clear_steering_memo()
-            cold.append(harmonic_analysis._lag_total_power(schedule))
+            cold.append(lag_sum_total(schedule))
         clear_steering_memo()
-        assert [harmonic_analysis._lag_total_power(s) for s in schedules] == cold
-        assert len(harmonic_analysis._lag_groups) == 1
-        assert list(harmonic_analysis._lag_groups._values) == [path_count]
+        assert [lag_sum_total(s) for s in schedules] == cold
+        assert list(harmonic_analysis._pulse_sums._values) == [(path_count, None)]
 
     def test_pulse_sums_are_shared_across_designs(self):
         # element 0 has the same table at any size, angle and duty ratio:
@@ -1915,10 +1939,12 @@ class TestTableMemos:
             got = compute_spectrum(designed, 25).coefficients
             assert all(got[m].per_element.tobytes() == expected[m].per_element.tobytes()
                        for m in expected)
+        # beside the lag sums' offset groups, keyed (path count, None)
         memo = harmonic_analysis._pulse_sums
-        assert len(memo) == 2
-        assert sorted(memo._values) == [(4, range(-25, 26)), (8, range(-25, 26))]
-        for w, sums in memo._values.values():
+        kept = {key: value for key, value in memo._values.items() if key[1] is not None}
+        assert sorted(kept) == [(4, range(-25, 26)), (8, range(-25, 26))]
+        assert sorted(key for key in memo._values if key not in kept) == [(4, None), (8, None)]
+        for w, sums in kept.values():
             assert w.size == sums.size == 51 and w.size + sums.size <= memo.entries
             for array in (w, sums):
                 with pytest.raises(ValueError, match="read-only"):
@@ -2105,6 +2131,12 @@ def gram_tolerance(alpha: float) -> float:
     return max(1e-14, 1e-15 / alpha)
 
 
+def lag_sum_total(schedule) -> float:
+    """``_lag_total_power`` of a designed schedule, with its config's lag weights."""
+    return harmonic_analysis._lag_total_power(
+        schedule, harmonic_analysis._lag_weights(schedule.config))
+
+
 def rational_total_power(schedule) -> Fraction:
     """Exact total power of the schedule's stored floats: every pulse pair's
     circular overlap in rational arithmetic, weighted by the rounded
@@ -2158,7 +2190,7 @@ class TestLagTotalPower:
         cfg = reference_config(n_elements=n, path_count=path_count, spacing_wl=0.37)
         schedule = design_schedule(cfg, np.deg2rad(theta_deg), alpha)
         exact = float(rational_total_power(schedule))
-        assert relative_gap(harmonic_analysis._lag_total_power(schedule), exact) <= 1e-15
+        assert relative_gap(lag_sum_total(schedule), exact) <= 1e-15
         assert relative_gap(total_power(schedule), exact) <= gram_tolerance(alpha)
 
     @pytest.mark.parametrize("theta_deg, alpha", [(-59.3, 1.0), (23.4, 10 ** -0.6)])
@@ -2179,7 +2211,8 @@ class TestLagTotalPower:
         assert_template_rows(*rows)
         # the powers come from the lag sum (TestTemplatePowers), not bit for
         # bit, over the spectrum's own template rows, whose bits they keep
-        powers = harmonic_analysis._template_powers(designed.config, rows[0])
+        powers = harmonic_analysis._template_powers(
+            harmonic_analysis._lag_weights(designed.config), rows[0])
         for m, power in zip(ms, powers):
             assert fast.powers[m] in (0.0, float(power))
             assert abs(fast.powers[m] - exact.powers[m]) <= 1e-13 * exact.total_power
@@ -2206,15 +2239,16 @@ class TestLagTotalPower:
         cfg = reference_config(n_elements=n, path_count=path_count, spacing_wl=spacing_wl)
         schedule = design_schedule(cfg, np.deg2rad(theta_deg), alpha)
         exact = lag_total_power(schedule)
-        assert relative_gap(harmonic_analysis._lag_total_power(schedule), exact) <= 1e-15
+        assert relative_gap(lag_sum_total(schedule), exact) <= 1e-15
 
     def test_memory_stays_flat_at_the_element_cap(self):
         # the N x N Gram or coupling matrix alone would be 32 MiB of floats
         schedule = design_schedule(reference_config(MAX_ELEMENTS, path_count=8), THETA_20, 0.5)
-        harmonic_analysis._lag_total_power(schedule)
+        c = harmonic_analysis._lag_weights(schedule.config)
+        harmonic_analysis._lag_total_power(schedule, c)
         tracemalloc.start()
         try:
-            harmonic_analysis._lag_total_power(schedule)
+            harmonic_analysis._lag_total_power(schedule, c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
