@@ -167,7 +167,9 @@ def cmd_pattern(args) -> int:
     if len(harmonics) * max(n_steps + 1, schedule.config.n_elements) > MAX_STEERING_ENTRIES:
         raise ValueError(f"harmonics x theta points exceed {MAX_STEERING_ENTRIES} entries; "
                          "request fewer harmonics")
-    theta_deg = args.theta_min + args.theta_step * np.arange(n_steps + 1)
+    # capped: min + k * step can round past the max
+    theta_deg = np.minimum(args.theta_min + args.theta_step * np.arange(n_steps + 1),
+                           args.theta_max)
     theta = np.deg2rad(theta_deg)
 
     reference = None

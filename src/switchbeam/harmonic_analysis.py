@@ -12,10 +12,9 @@ Routes, and their accuracy:
   to the pass.  General: ``_coefficients``, the closed form of every pulse,
   with the bits of the scalar reference, a fresh pass at each call.
   Designed: ``_template_rows``, through the schedule's memo of its last
-  pass, element 0 from its pulse sums (``_element_zero``, memoized by path
-  count, which alone fixes a design's element 0; ~1e-16 of max|A| off the
-  scalar reference) turned by each element's delay, ~1e-14 of max|A| off
-  the general route for |m| <= 101.
+  pass, element 0 from its pulse sums (``_element_zero``, ~1e-16 of max|A|
+  off the scalar reference) turned by each element's delay, ~1e-14 of
+  max|A| off the general route for |m| <= 101.
 * Sidebands (``sideband_level``).  Designed: ``_crossing_peaks``, the grid
   angles that bracket each harmonic's main lobes, when a Dirichlet bound
   shows that they hold every peak.  General, and a design that fails the
@@ -37,19 +36,21 @@ Routes, and their accuracy:
   the general route.  ``array_factor`` takes the general route on any
   schedule.
 
-Two bounded ``_Memo`` instances, element 0's pulse sums and the steering
-memo, keep tables that calls reuse; each holds read-only arrays, is filled
-by calls alone and leaves every result's bits as they are.
+Three ``functools.lru_cache`` builders keep tables that calls reuse, each
+keyed by the bytes (or range) it is built from: the steering tables
+(``_steering_table``), element 0's pulse sums (``_scaled_sums``) and its
+lag groups (``_offset_groups``).  Each holds read-only arrays, is filled by
+calls alone and leaves every result's bits as they are.
 ``envelope_dft_coefficients`` is an independent DFT oracle for the coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from itertools import islice
 from math import isfinite, pi
-from threading import Lock
 
 import numpy as np
 
@@ -88,7 +89,7 @@ GRAM_BLOCK = 1 << 12
 #: complex entries are 64 MiB.
 MAX_STEERING_ENTRIES = 1 << 22
 
-#: Most entries (theta points x columns) of a table in the steering memo,
+#: Most entries (theta points x columns) of a table in the steering cache,
 #: which holds at most six, each at most 16 or ceil(N / 16) columns wide:
 #: 2**18 complex entries are 4 MiB and hold the ceil(N / 16)-wide table of
 #: the 0.05-degree sideband grid up to N = 1152.  ``sideband_level`` and a
@@ -101,7 +102,7 @@ _SIDEBAND_THETA = np.deg2rad(np.arange(-90.0, 90.0 + 0.05 / 2, 0.05))
 _SIDEBAND_SIN = np.sin(_SIDEBAND_THETA)
 _SIDEBAND_THETA.flags.writeable = _SIDEBAND_SIN.flags.writeable = False
 
-#: The sideband grid's steering-memo key: its bytes, whose hash Python keeps,
+#: The sideband grid's steering-cache key: its bytes, whose hash Python keeps,
 #: where ``tobytes`` would copy and hash 28.8 KB on every lookup.
 _SIDEBAND_BYTES = _SIDEBAND_THETA.tobytes()
 
@@ -118,44 +119,11 @@ def _sinc(x) -> np.ndarray:
     return out
 
 
-class _Memo:
-    """A bounded, thread-safe memo of read-only arrays, built on a miss by
-    ``build(*args)``, which may return one array or a tuple of them.  It
-    holds at most ``size`` values of at most ``entries`` entries each (a
-    larger one is built for the call alone) and drops the least recently
-    used.  It hands out views of read-only arrays, which no caller can make
-    writeable.  Builds run outside the lock: threads at most repeat one."""
-
-    def __init__(self, size: int, entries: int):
-        self.size, self.entries = size, entries
-        self._values: dict = {}
-        self._lock = Lock()
-
-    def get(self, key, build, *args):
-        with self._lock:
-            value = self._values.pop(key, None)
-            if value is not None:
-                self._values[key] = value
-                return value
-        arrays = build(*args)
-        arrays = arrays if isinstance(arrays, tuple) else (arrays,)
-        for array in arrays:
-            array.flags.writeable = False
-        value = tuple(array[...] for array in arrays)
-        value = value if len(value) > 1 else value[0]
-        if sum(array.size for array in arrays) <= self.entries:
-            with self._lock:
-                self._values[key] = value
-                while len(self._values) > self.size:
-                    del self._values[next(iter(self._values))]
-        return value
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._values.clear()
+def _frozen(*arrays) -> tuple:
+    """Views of ``arrays`` made read-only, which no holder can make writeable."""
+    for array in arrays:
+        array.flags.writeable = False
+    return tuple(array[...] for array in arrays)
 
 
 def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
@@ -167,9 +135,9 @@ def coefficient_matrix(schedule: ArraySchedule, ms) -> np.ndarray:
     other is element 0's turned by that element's delay
     (``_template_rows``), ~1e-14 of the largest |A| off the sum;
     ``dataclasses.replace(schedule)`` gives the sum's bits.  Each harmonic
-    index must be an integer of magnitude at most
-    2**53, else ValueError.  Harmonics are evaluated in blocks of at most
-    ``COEFFICIENT_BLOCK`` onset exponentials.  A designed schedule keeps
+    index must be an integer of magnitude at most 2**53, else ValueError.
+    Harmonics are evaluated in blocks of at most ``COEFFICIENT_BLOCK``
+    onset exponentials.  A designed schedule keeps
     the rows of its last coefficient pass (``_rows``), and a request they
     cover is copied out of them, with the same bits.
     """
@@ -285,22 +253,21 @@ def _element_zero(table, ms) -> np.ndarray:
     With w = 2 pi m and x = w u, u the row's one width,
     A[m, 0] = S(m) (1 - e^(-jx)) / (jw), where S(m) is the sum over its
     paths p, in path order, of r_p (e^(-jw o_p+) - e^(-jw o_p-)): S+(|m|)
-    for m >= 0, S-(|m|) for m < 0.  S(m) / w depends on the path count and
-    m alone and is kept in the pulse-sum memo, keyed by the path count and a
-    block of harmonics (a range, or the bytes of an array) whose size does
-    not depend on the element count.  1 - e^(-jx) is taken as
-    2 sin^2(x / 2) + j sin x, which keeps its relative precision at any
-    width, where 1 - cos x would not.  Each entry depends on its m alone and
-    agrees with the scalar reference to ~1e-16 of the largest |A| for
-    alpha >= 0.1.
+    for m >= 0, S-(|m|) for m < 0.  S(m) / w, which the duty ratio does not
+    change, comes from the ``_scaled_sums`` cache, keyed by the row's onsets
+    and rotations and a block of harmonics whose size does not depend on the
+    element count.  1 - e^(-jx) is taken as 2 sin^2(x / 2) + j sin x, which
+    keeps its relative precision at any width, where 1 - cos x would not.
+    Each entry depends on its m alone and agrees with the scalar reference
+    to ~1e-16 of the largest |A| for alpha >= 0.1.
     """
     onsets, width, rotation = (column[0] for column in table)
+    row = onsets.tobytes(), rotation.tobytes()
     out = np.empty(len(ms), dtype=complex)
     size = max(1, COEFFICIENT_BLOCK // onsets.size)
     for start in range(0, len(ms), size):
         block = ms[start:start + size]
-        key = (len(onsets), block if type(block) is range else block.tobytes())
-        w, s = _pulse_sums.get(key, _scaled_sums, onsets, rotation, block)
+        w, s = _scaled_sums(*row, block if type(block) is range else block.tobytes())
         # A = (S / w) (sin x - 2j sin^2(x / 2)), in real arithmetic
         x = w * width[0]
         f_r, f_i = np.sin(x), -2.0 * np.sin(0.5 * x) ** 2
@@ -309,10 +276,17 @@ def _element_zero(table, ms) -> np.ndarray:
     return out
 
 
-def _scaled_sums(onsets: np.ndarray, rotation: np.ndarray, m: np.ndarray):
-    """w = 2 pi m and S(m) / w (0 at m = 0) of ``_element_zero``, the paths
-    added in order, one exponential per onset and harmonic."""
-    m = np.asarray(m, dtype=float)
+# a block of at most COEFFICIENT_BLOCK // (2K) harmonics keeps 32 bytes per
+# harmonic (key, w and S(m) / w): eight hold at most 1 MiB (4 paths)
+@functools.lru_cache(maxsize=8)
+def _scaled_sums(onsets: bytes, rotation: bytes, block) -> tuple[np.ndarray, np.ndarray]:
+    """w = 2 pi m and S(m) / w (0 at m = 0) of ``_element_zero``, read-only,
+    at the harmonics ``block`` (a range, or float bytes) of the row whose
+    onsets (paths x 2) and rotations are ``onsets`` and ``rotation``, as
+    bytes: one exponential per onset and harmonic, the paths added in order."""
+    onsets = np.frombuffer(onsets).reshape(-1, 2)
+    rotation = np.frombuffer(rotation, dtype=complex)
+    m = np.asarray(block, dtype=float) if type(block) is range else np.frombuffer(block)
     inv_w, e = _onset_exponentials(onsets.T[:, :, None, None], m)[1:]
     d_r, d_i = (e.real[0] - e.real[1])[..., 0], (e.imag[0] - e.imag[1])[..., 0]
     r_r, r_i = rotation.real[:, None], rotation.imag[:, None]
@@ -320,13 +294,7 @@ def _scaled_sums(onsets: np.ndarray, rotation: np.ndarray, m: np.ndarray):
     # cumsum, unlike sum, adds the paths in order
     s.real = np.cumsum(r_r * d_r - r_i * d_i, axis=0)[-1] * inv_w[:, 0]
     s.imag = np.cumsum(r_r * d_i + r_i * d_r, axis=0)[-1] * inv_w[:, 0]
-    return 2 * pi * m, s
-
-
-# the pulse-sum memo of a design's element 0, fixed by its path count K:
-# (K, harmonics) -> w and S(m) / w (m_max 101 fills 2 x 203 numbers) and
-# (K, None) -> ``_offset_groups``, (2K)**2 <= 256 pairs at 8 paths
-_pulse_sums = _Memo(8, 1 << 12)
+    return _frozen(2 * pi * m, s)
 
 
 def _template_rows(table, ms) -> np.ndarray:
@@ -590,14 +558,16 @@ def _lag_weights(config: ArrayConfig) -> np.ndarray:
     return c
 
 
-def _offset_groups(onsets: np.ndarray, rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=4)
+def _offset_groups(onsets: bytes, rotation: bytes) -> tuple[np.ndarray, np.ndarray]:
     """The distinct onset offsets of every pulse pair (p, q) of one element's
-    table row, sorted, and the sum of the pairs' weight products at each."""
+    table row, whose onsets and rotations are given as bytes, sorted, and
+    the sum of the pairs' weight products at each, read-only."""
+    onsets, rotation = np.frombuffer(onsets), np.frombuffer(rotation, dtype=complex)
     weights = np.stack((rotation, -rotation), axis=-1).ravel()
     products = (weights[:, None] * weights.conj()[None, :]).real.ravel()
-    offsets, pair = np.unique(onsets.ravel()[:, None] - onsets.ravel()[None, :],
-                              return_inverse=True)
-    return offsets, np.bincount(pair.ravel(), weights=products)
+    offsets, pair = np.unique(onsets[:, None] - onsets[None, :], return_inverse=True)
+    return _frozen(offsets, np.bincount(pair.ravel(), weights=products))
 
 
 def _lag_total_power(schedule: ArraySchedule, c: np.ndarray) -> float:
@@ -610,8 +580,8 @@ def _lag_total_power(schedule: ArraySchedule, c: np.ndarray) -> float:
     R(tau) is a sum over the (2K)**2 pulse pairs of element 0, all of one
     width, of the weight product times the overlap of two equal arcs.  Pairs
     whose onset offsets are bit-equal have bit-equal overlaps at every lag,
-    so their products are added first (``_offset_groups``, kept in the
-    pulse-sum memo): a design's 64 pairs have 29 distinct offsets at 4 paths,
+    so their products are added first (``_offset_groups``, cached by the
+    row's bytes): a design's 64 pairs have 29 distinct offsets at 4 paths,
     its 256 pairs 85 at 8.  Lags go in the blocks of the sum over all pairs,
     ``GRAM_BLOCK`` // (2K)**2 at a time, so the additions over lags keep its
     order and the two sums differ only within each lag, by ~4e-16 relative.
@@ -620,7 +590,7 @@ def _lag_total_power(schedule: ArraySchedule, c: np.ndarray) -> float:
     ~1e-16 / alpha.
     """
     onsets, widths, rotation = (column[:1] for column in _schedule_table(schedule))
-    offsets, products = _pulse_sums.get((rotation.size, None), _offset_groups, onsets, rotation)
+    offsets, products = _offset_groups(onsets.tobytes(), rotation.tobytes())
     step = max(1, GRAM_BLOCK // onsets.size ** 2)
     # the overlaps of whole blocks of lags at once, GRAM_BLOCK at most
     chunk = step * max(1, GRAM_BLOCK // (step * offsets.size))
@@ -721,27 +691,25 @@ def _exp_table(beta_d: float, theta: np.ndarray, count: int) -> np.ndarray:
     return np.exp(phase, out=phase)
 
 
-# the steering memo: (beta d, columns, theta shape, theta bytes) -> its
-# read-only ``_exp_table``; six tables, as one array-study cycle reads six
-# (16 columns on the sideband and pattern grids, ceil(N / 16) on the pattern
-# grid at N = 32, 64, 128 and 256): over five cycles six slots built 6
-# tables, four built 42
-_steering_tables = _Memo(6, _STEERING_MEMO_ENTRIES)
+# six: an array-study cycle reads 16 columns on two grids and ceil(N / 16) at
+# N = 32 to 256; over five cycles six slots built 6 tables, four built 42
+@functools.lru_cache(maxsize=6)
+def _steering_table(beta_d: float, count: int, shape: tuple, theta: bytes) -> np.ndarray:
+    """The read-only ``_exp_table`` of the grid of ``shape`` whose bytes are ``theta``."""
+    return _frozen(_exp_table(beta_d, np.frombuffer(theta).reshape(shape), count))[0]
 
 
 def _phase_table(beta_d: float, theta: np.ndarray, count: int) -> np.ndarray:
-    """``_exp_table`` through the steering memo, with the same bits: the
-    memo's own C-contiguous, read-only table of ``count`` columns.
-
-    A single angle, or a table of more than ``_STEERING_MEMO_ENTRIES``
-    entries, is built fresh for the call alone.  A caller's grid is keyed by
-    its bytes, the module's sideband grid by bytes taken once.
+    """``_exp_table`` through the steering cache, with the same bits: the
+    cache's own C-contiguous, read-only table of ``count`` columns.  A single
+    angle, or a table of more than ``_STEERING_MEMO_ENTRIES`` entries, is
+    built fresh for the call alone.  A caller's grid is keyed by its bytes,
+    the module's sideband grid by bytes taken once.
     """
     if theta.ndim == 0 or theta.size * count > _STEERING_MEMO_ENTRIES:
         return _exp_table(beta_d, theta, count)
-    key = (beta_d, count, theta.shape,
-           _SIDEBAND_BYTES if theta is _SIDEBAND_THETA else theta.tobytes())
-    return _steering_tables.get(key, _exp_table, beta_d, theta, count)
+    return _steering_table(beta_d, count, theta.shape,
+                           _SIDEBAND_BYTES if theta is _SIDEBAND_THETA else theta.tobytes())
 
 
 def array_factor(schedule: ArraySchedule, m: int, theta) -> complex | np.ndarray:
@@ -786,7 +754,7 @@ def radiation_pattern(
     taken before the next is formed.  A general schedule's fields are
     ``phase @ a``, with a theta x N matrix built for the call; a designed
     one's (``onset_step`` set), the sideband scan's ``_fields`` from the
-    memo's min(N, 16)-wide and Q-wide tables, whose widest times the theta
+    cache's min(N, 16)-wide and Q-wide tables, whose widest times the theta
     points must be at most ``MAX_STEERING_ENTRIES``.  Either way a
     harmonic's levels have the same bits whatever else is requested.  The
     high table's phases are those of elements 16 q bit for bit, but element
@@ -847,11 +815,11 @@ def sideband_level(schedule: ArraySchedule, m_max: int) -> float:
       4 / N of the grid or the grid's widest step in x exceeds 8 / N; then
       the call scans the whole grid as for any other schedule.
     * Scan (``_sideband_peaks``): every harmonic's field at every grid
-      angle, from the ``_phase_table`` memo's min(N, 16)-wide and Q-wide
+      angle, from the ``_phase_table`` cache's min(N, 16)-wide and Q-wide
       tables, Q = ceil(N / 16) (the Q-wide one is kept up to N = 1152).
     * Accuracy: against a long-double scan of the 0.05-degree grid at 5 to
       1024 elements, each peak is within 4e-16 of the m = 1 peak; its bits
-      depend neither on the memo, the block size nor the route.
+      depend neither on the cache, the block size nor the route.
     """
     m_max = _check_harmonic_count(schedule.config, m_max, 2)
     peaks = None if schedule.onset_step is None else _crossing_peaks(schedule, m_max)
@@ -917,7 +885,7 @@ def _crossing_peaks(schedule: ArraySchedule, m_max: int) -> dict[int, float] | N
       most 8 / N (2.7e-3 at half a wavelength, under 8 / 2048).  The margin
       dwarfs the rounding of the rows and of the fields.
     * Fields: the scan's arithmetic, and so its bits, at the candidates
-      alone: e^(j r x) read from the memo's 16-wide grid table,
+      alone: e^(j r x) read from the cache's 16-wide grid table,
       e^(j 16 q x) built for them, with harmonics taken in blocks whose
       working arrays hold at most ``cap`` entries, as the scan's do.
     """

@@ -171,6 +171,13 @@ class TestPattern:
         code, _, err = run(capsys, "pattern", "--theta-min", "10", "--theta-max", "-10")
         assert code == 2 and "error" in json.loads(err)
 
+    def test_grid_ends_on_its_max(self, capsys):
+        # -4.1 + 41 * 0.1 rounds to 8.9e-16, past the max
+        code, out, err = run(capsys, "pattern", "--theta-min", "-4.1", "--theta-max", "0",
+                             "--theta-step", "0.1")
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith("0,")
+
     def test_bad_harmonic_list_exits_two(self, capsys):
         code, _, _ = run(capsys, "pattern", "--harmonics", "1,x,5")
         assert code == 2

@@ -1,6 +1,7 @@
 """Analytic coefficients, powers, Parseval consistency, and patterns."""
 
 import dataclasses
+import functools
 import json
 import os
 import pickle
@@ -35,7 +36,7 @@ from switchbeam.array_model import (
     pulse_table,
     validate,
 )
-from switchbeam import harmonic_analysis
+from switchbeam import harmonic_analysis, schedule_design
 from switchbeam.harmonic_analysis import (
     DB_FLOOR,
     POWER_CLAMP_REL,
@@ -1295,7 +1296,7 @@ class TestSharedSteering:
         steering = np.exp(1j * beta_d * np.outer(np.sin(SIDEBAND_THETA),
                                                   np.arange(cfg.n_elements)))
         exact = np.max(np.abs(steering @ coefficient_matrix(schedule, ms).T), axis=0)
-        clear_steering_memo()
+        clear_table_caches()
         cold = harmonic_analysis._sideband_peaks(schedule, m_max, SIDEBAND_THETA)
         worst = max(p for m, p in cold.items() if m != 1)
         scale = max(exact)
@@ -1304,8 +1305,8 @@ class TestSharedSteering:
         # warm, then with a wider array's tables in the memo, then with the
         # tables built for the call under a low memo cap
         assert harmonic_analysis._sideband_peaks(schedule, m_max, SIDEBAND_THETA) == cold
-        clear_steering_memo()
-        warm_steering_memo(dataclasses.replace(cfg, n_elements=cfg.n_elements + wider),
+        clear_table_caches()
+        warm_steering_cache(dataclasses.replace(cfg, n_elements=cfg.n_elements + wider),
                            "sideband")
         assert harmonic_analysis._sideband_peaks(schedule, m_max, SIDEBAND_THETA) == cold
         with pytest.MonkeyPatch.context() as patch:
@@ -1363,18 +1364,48 @@ class TestSharedSteering:
             radiation_pattern(peak_schedule, [1], np.linspace(-1.0, 1.0, 101))
 
 
-def table_memos() -> list:
-    """Every bounded memo of the module: steering tables and element 0's
+def table_caches() -> list:
+    """Every table cache of the module: steering tables and element 0's
     pulse sums and lag groups."""
-    return [memo for memo in vars(harmonic_analysis).values()
-            if isinstance(memo, harmonic_analysis._Memo)]
+    return [cache for cache in vars(harmonic_analysis).values() if hasattr(cache, "cache_info")]
 
 
-def clear_steering_memo():
-    """Empty every module-level memo (``table_memos()``, the steering memo
-    among them), so the next call builds cold."""
-    for memo in table_memos():
-        memo.clear()
+def clear_table_caches():
+    """Empty every module-level table cache (``table_caches()``), so the
+    next call builds cold."""
+    for cache in table_caches():
+        cache.cache_clear()
+
+
+def recording_steering_cache(monkeypatch) -> list:
+    """Put an empty steering cache of the same size in place of the
+    module's, and return the list of every table it builds."""
+    cache, built = harmonic_analysis._steering_table, []
+
+    def build(*key):
+        built.append(cache.__wrapped__(*key))
+        return built[-1]
+
+    maxsize = cache.cache_info().maxsize
+    monkeypatch.setattr(harmonic_analysis, "_steering_table", functools.lru_cache(maxsize)(build))
+    return built
+
+
+def served_from_cache(cache, *calls) -> bool:
+    """Whether every call (a function and its arguments) is a hit of
+    ``cache`` and builds nothing."""
+    before = cache.cache_info()
+    for call, *args in calls:
+        call(*args)
+    after = cache.cache_info()
+    return (after.hits - before.hits, after.misses) == (len(calls), before.misses)
+
+
+def element_zero_key(schedule) -> tuple[bytes, bytes]:
+    """The bytes of a designed schedule's element 0, onsets and rotations:
+    the key of its pulse sums and lag groups."""
+    onsets, _, rotation = (column[0] for column in _schedule_table(schedule))
+    return onsets.tobytes(), rotation.tobytes()
 
 
 #: The angle grids of ``radiation_pattern`` in the benchmark (0.25 degrees)
@@ -1410,8 +1441,8 @@ def steering_bytes(schedule, grid: str) -> bytes:
     return b"".join(np.asarray(part).tobytes() for part in parts)
 
 
-def memo_bytes(schedule) -> bytes:
-    """Every result of a design that reads element 0's memo, as bytes: the
+def element_zero_bytes(schedule) -> bytes:
+    """Every result of a design that reads element 0's caches, as bytes: the
     spectrum of a fresh design of the same inputs, which runs its
     coefficient pass and lag sums, and harmonic powers of the schedule's
     copy, which build the coupling kernel."""
@@ -1424,8 +1455,8 @@ def memo_bytes(schedule) -> bytes:
     return b"".join(np.asarray(part).tobytes() for part in parts)
 
 
-def warm_steering_memo(config, grid: str) -> None:
-    """Fill the memo with the tables of an array of ``config`` on one grid."""
+def warm_steering_cache(config, grid: str) -> None:
+    """Fill the steering cache with the tables of an array of ``config`` on one grid."""
     schedule = design_schedule(config, THETA_20, 0.5)
     radiation_pattern(schedule, [1], GRIDS[grid])
     harmonic_analysis._sideband_peaks(schedule, 3, GRIDS[grid])
@@ -1439,15 +1470,15 @@ class TestSteeringMemo:
     def test_results_keep_their_bytes_whatever_the_memo_holds(self, schedule, grid, wider,
                                                               narrower):
         cfg = schedule.config
-        clear_steering_memo()
+        clear_table_caches()
         cold = steering_bytes(schedule, grid)
         # a wider array on the same grid and spacing, then a narrower one
         for n in (cfg.n_elements + wider, min(narrower, cfg.n_elements)):
-            clear_steering_memo()
-            warm_steering_memo(dataclasses.replace(cfg, n_elements=n), grid)
+            clear_table_caches()
+            warm_steering_cache(dataclasses.replace(cfg, n_elements=n), grid)
             assert steering_bytes(schedule, grid) == cold
         assert steering_bytes(schedule, grid) == cold
-        clear_steering_memo()
+        clear_table_caches()
         results = [None, None]
 
         def worker(k):
@@ -1463,20 +1494,21 @@ class TestSteeringMemo:
     def test_threads_sharing_the_memo_get_its_bits(self, monkeypatch):
         # more threads than cores, each scanning arrays of other table
         # widths than the others', and each config evicting the others'
-        # entries of the memos that hold one value here
+        # entries of the caches, which hold one value here
         schedules = [design_schedule(reference_config(n, 8), THETA_20, 0.4) for n in (3, 64, 17)]
         expected = []
         for schedule in schedules:
-            clear_steering_memo()
-            expected.append(steering_bytes(schedule, "coarse") + memo_bytes(schedule))
-        for memo in table_memos():
-            monkeypatch.setattr(memo, "size", 1)
+            clear_table_caches()
+            expected.append(steering_bytes(schedule, "coarse") + element_zero_bytes(schedule))
+        for cache in table_caches():
+            monkeypatch.setattr(harmonic_analysis, cache.__name__,
+                                functools.lru_cache(1)(cache.__wrapped__))
         mismatches = []
 
         def worker(k):
             for i in range(40):
                 j = (k + i) % len(schedules)
-                got = steering_bytes(schedules[j], "coarse") + memo_bytes(schedules[j])
+                got = steering_bytes(schedules[j], "coarse") + element_zero_bytes(schedules[j])
                 if got != expected[j]:
                     mismatches.append(j)
 
@@ -1496,26 +1528,28 @@ class TestSteeringMemo:
     def test_slices_of_a_wide_table_equal_fresh_builds(self):
         beta_d, counts = pi, (1, 5, 16, 32, 64, 128)
         for theta in (PATTERN_THETA, SIDEBAND_THETA):
-            clear_steering_memo()
+            clear_table_caches()
             wide = harmonic_analysis._phase_table(beta_d, theta, 256)
             for count in counts:
                 fresh = harmonic_analysis._exp_table(beta_d, theta, count)
                 narrow = harmonic_analysis._phase_table(beta_d, theta, count)
                 assert narrow.tobytes() == fresh.tobytes() == wide[:, :count].tobytes()
-            # one table per width, the six used last; a table above the memo's
+            # one table per width, the six used last; a table above the cache's
             # cap (3601 x 128 or more) is built for the call alone
-            kept = [table.shape for table in harmonic_analysis._steering_tables._values.values()]
             cap = harmonic_analysis._STEERING_MEMO_ENTRIES
             widths = [count for count in (256, *counts) if theta.size * count <= cap]
-            assert kept == [(theta.size, count) for count in widths[-6:]]
+            cache = harmonic_analysis._steering_table
+            assert cache.cache_info().currsize == len(widths[-6:])
+            assert served_from_cache(cache, *[(harmonic_analysis._phase_table, beta_d, theta,
+                                               count) for count in widths[-6:]])
 
     @pytest.mark.parametrize("grid, wide", [("pattern", 256), ("sideband", 64), ("module", 64)])
     def test_narrow_requests_after_a_wide_one_are_contiguous(self, grid, wide):
         # a column slice of the wide table would stride its rows by 4 KiB at
         # 256 columns; each request is a contiguous table of its own width,
-        # which the memo keeps and hands out again
+        # which the cache keeps and hands out again
         theta = harmonic_analysis._SIDEBAND_THETA if grid == "module" else GRIDS[grid]
-        clear_steering_memo()
+        clear_table_caches()
         counts = (wide, 1, 2, 5, 16, wide // 2)
         tables = [harmonic_analysis._phase_table(pi, theta, count) for count in counts]
         for count, table in zip(counts, tables):
@@ -1524,26 +1558,25 @@ class TestSteeringMemo:
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0.0
             assert np.shares_memory(harmonic_analysis._phase_table(pi, theta, count), table)
-        kept = list(harmonic_analysis._steering_tables._values.values())
-        assert len(kept) == len(counts)
-        assert all(any(np.shares_memory(table, k) for k in kept) for table in tables)
+        assert harmonic_analysis._steering_table.cache_info().currsize == len(counts)
 
     def test_module_grid_shares_its_table_with_an_equal_caller_grid(self):
         # the module's sideband grid is keyed by bytes taken once; a caller's
         # grid by its bytes at each lookup, so a write into it misses
         grid = harmonic_analysis._SIDEBAND_THETA
-        clear_steering_memo()
+        clear_table_caches()
         own = harmonic_analysis._phase_table(pi, grid, 16)
         caller = grid.copy()
         assert np.shares_memory(harmonic_analysis._phase_table(pi, caller, 16), own)
-        assert len(harmonic_analysis._steering_tables) == 1
+        assert harmonic_analysis._steering_table.cache_info().currsize == 1
         caller[7] = 0.0
         table = harmonic_analysis._phase_table(pi, caller, 16)
         assert table.tobytes() == harmonic_analysis._exp_table(pi, caller, 16).tobytes()
         assert table.tobytes() != own.tobytes()
         assert np.shares_memory(harmonic_analysis._phase_table(pi, grid, 16), own)
 
-    def test_memo_stays_bounded(self):
+    def test_memo_stays_bounded(self, monkeypatch):
+        built = recording_steering_cache(monkeypatch)
         huge = np.linspace(-1.5, 1.5, 10**5)
         for n in (1, 2, 5, 17, 64, 256, 300, 2048):
             schedule = design_schedule(reference_config(n, 4), THETA_20, 0.5)
@@ -1553,20 +1586,20 @@ class TestSteeringMemo:
                     array_factor(schedule, 5, theta)
             for theta in (COARSE_THETA, PATTERN_THETA, SIDEBAND_THETA):
                 harmonic_analysis._sideband_peaks(schedule, 3, theta)
-        tables = list(harmonic_analysis._steering_tables._values.values())
-        assert 0 < len(tables) <= 6
-        for table in tables:
+        assert 0 < harmonic_analysis._steering_table.cache_info().currsize <= 6
+        # every table it built, those it keeps among them
+        for table in built:
             assert table.size <= harmonic_analysis._STEERING_MEMO_ENTRIES
             assert not table.flags.writeable
 
     def test_no_caller_can_write_into_the_memo(self, peak_schedule):
-        clear_steering_memo()
+        clear_table_caches()
         # a design's pattern keeps its 5- and 1-wide tables
         radiation_pattern(peak_schedule, [1], PATTERN_THETA)
         beta_d = peak_schedule.config.wavenumber * peak_schedule.config.element_spacing
+        lookup = (harmonic_analysis._phase_table, beta_d, PATTERN_THETA, 5)
+        assert served_from_cache(harmonic_analysis._steering_table, lookup)
         steering = harmonic_analysis._phase_table(beta_d, PATTERN_THETA, 5)
-        assert any(np.shares_memory(steering, table)
-                   for table in harmonic_analysis._steering_tables._values.values())
         with pytest.raises(ValueError, match="read-only"):
             steering[0, 0] = 0.0
         with pytest.raises(ValueError):
@@ -1586,11 +1619,11 @@ class TestSteeringMemo:
         with pytest.raises(ValueError, match="cap"):
             array_factor(peak_schedule, 1, PATTERN_THETA)
 
-    def test_only_factored_tables_enter_the_memo(self):
+    def test_only_factored_tables_enter_the_memo(self, monkeypatch):
         # array_factor, a constellation and a general pattern build their
         # theta x N tables for the call; a design's pattern keeps its
         # factored ones, 16 and 4 columns wide at 64 elements
-        clear_steering_memo()
+        built = recording_steering_cache(monkeypatch)
         cfg = reference_config(64, 8)
         schedule = design_schedule(cfg, THETA_20, 0.5)
         array_factor(schedule, 1, 0.3)
@@ -1598,10 +1631,10 @@ class TestSteeringMemo:
         simulate_constellation(plans, cfg, 0.3)
         array_factor(schedule, 1, PATTERN_THETA)
         radiation_pattern(dataclasses.replace(schedule), [1, -3], PATTERN_THETA)
-        assert harmonic_analysis._steering_tables._values == {}
+        assert built == [] and harmonic_analysis._steering_table.cache_info().currsize == 0
         radiation_pattern(schedule, [1, -3], PATTERN_THETA)
-        kept = harmonic_analysis._steering_tables._values.values()
-        assert sorted(table.shape for table in kept) == [(721, 4), (721, 16)]
+        assert sorted(table.shape for table in built) == [(721, 4), (721, 16)]
+        assert harmonic_analysis._steering_table.cache_info().currsize == 2
 
     @pytest.mark.parametrize("n, mib", [(256, 4), (2048, 16)])
     def test_sideband_scan_holds_no_steering_matrix(self, n, mib):
@@ -1632,12 +1665,12 @@ class TestSteeringMemo:
         # that table is built for each scan; the 16-wide one is memoized (a
         # copy of the design, so that the whole grid is scanned)
         schedule = dataclasses.replace(design_schedule(reference_config(n, 8), THETA_20, 0.5))
-        clear_steering_memo()
+        clear_table_caches()
         cold = sideband_level(schedule, 25)
         assert sideband_level(schedule, 25) == cold
         # with the tables of a 1152-element array, the widest the memo keeps
-        clear_steering_memo()
-        warm_steering_memo(reference_config(1152, 8), "sideband")
+        clear_table_caches()
+        warm_steering_cache(reference_config(1152, 8), "sideband")
         assert sideband_level(schedule, 25) == cold
         monkeypatch.setattr(harmonic_analysis, "_STEERING_MEMO_ENTRIES", 1 << 10)
         assert sideband_level(schedule, 25) == cold
@@ -1766,7 +1799,7 @@ class TestDesignedPattern:
                 return _original(beta_d, theta, count)
 
             monkeypatch.setattr(harmonic_analysis, name, recorded)
-        clear_steering_memo()
+        clear_table_caches()
         schedule = design_schedule(reference_config(256, 8), THETA_20, 0.5)
         radiation_pattern(schedule, [1, -3, 5, -7], PATTERN_THETA)
         assert widths and max(widths) <= 16
@@ -1781,7 +1814,7 @@ class TestDesignedPattern:
         # one block would take 721 x 1000 x 16 complex entries, 176 MiB, and
         # their coefficients (3.9 MiB) and levels (5.5 MiB) are kept
         schedule = design_schedule(reference_config(256, 8), THETA_20, 0.5)
-        clear_steering_memo()
+        clear_table_caches()
         tracemalloc.start()
         try:
             radiation_pattern(schedule, harmonics, PATTERN_THETA)
@@ -1835,19 +1868,20 @@ class TestDesignedPattern:
 class TestTableMemos:
     def test_no_memo_is_filled_at_import(self):
         code = ("import switchbeam.harmonic_analysis as h; "
-                "print(sorted(len(m) for m in vars(h).values() if isinstance(m, h._Memo)))")
+                "print(sorted(m.cache_info().currsize for m in vars(h).values() "
+                "if hasattr(m, 'cache_info')))")
         src = os.path.dirname(os.path.dirname(harmonic_analysis.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60, check=True).stdout
-        assert out.split("\n")[0] == "[0, 0]"
+        assert out.split("\n")[0] == "[0, 0, 0]"
 
     def test_memos_stay_bounded_and_read_only(self):
         # 60 configs: N 1 to 15 at two spacings and both path counts, each
         # designed, tabulated and its pattern taken, and its copy's pattern
         # (the general route, with an N-wide steering table built for the
         # call) and harmonic powers taken
-        clear_steering_memo()
+        clear_table_caches()
         configs = [reference_config(n, paths, spacing_wl=spacing)
                    for n in range(1, 16) for paths in (4, 8) for spacing in (0.5, 0.37)]
         for cfg in configs:
@@ -1857,46 +1891,61 @@ class TestTableMemos:
             copy = dataclasses.replace(schedule)
             radiation_pattern(copy, [1], COARSE_THETA)
             assert harmonic_power(copy, 1) == pytest.approx(spectrum.powers[1], rel=1e-12)
-        memos = table_memos()
-        assert len(memos) == 2
-        for memo in memos:
-            assert 0 < len(memo) <= memo.size
-            for value in memo._values.values():
-                arrays = value if isinstance(value, tuple) else (value,)
-                assert sum(array.size for array in arrays) <= memo.entries
-                for array in arrays:
-                    with pytest.raises(ValueError, match="read-only"):
-                        array[...] = 0.0
-                    with pytest.raises(ValueError):
-                        array.flags.writeable = True
-        # the steering memo keeps one table per spacing and width, the six
+        caches = table_caches()
+        assert len(caches) == 3
+        for cache in caches:
+            info = cache.cache_info()
+            assert 0 < info.currsize <= info.maxsize
+        # element 0's pulse sums and lag groups, one of each per path count,
+        # and the steering cache's one table per spacing and width, the six
         # used last: the 1-wide high tables that every design reads and the
-        # low tables of 14 and 15 elements, at both spacings
-        steering = harmonic_analysis._steering_tables
-        assert sorted(table.shape for table in steering._values.values()) == [
-            (COARSE_THETA.size, n) for n in (1, 1, 14, 14, 15, 15)]
+        # low tables of 14 and 15 elements, at both spacings; each a hit
+        values = []
+        for paths in (4, 8):
+            key = element_zero_key(design_schedule(reference_config(1, paths), 0.0, 1.0))
+            for cache, args in ((harmonic_analysis._scaled_sums, (*key, range(-7, 8))),
+                                (harmonic_analysis._offset_groups, key)):
+                assert served_from_cache(cache, (cache, *args))
+                values += cache(*args)
+        tables = []
+        for spacing in (0.5, 0.37):
+            cfg = reference_config(15, 8, spacing_wl=spacing)
+            beta_d = cfg.wavenumber * cfg.element_spacing
+            tables += [(harmonic_analysis._phase_table, b, COARSE_THETA, count)
+                       for b, count in ((16 * beta_d, 1), (beta_d, 14), (beta_d, 15))]
+        assert harmonic_analysis._steering_table.cache_info().currsize == 6
+        assert served_from_cache(harmonic_analysis._steering_table, *tables)
+        values += [call(*args) for call, *args in tables]
+        for array in values:
+            assert array.size <= harmonic_analysis._STEERING_MEMO_ENTRIES
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
 
     def test_memo_drops_the_least_recently_used_and_keeps_no_large_value(self):
-        memo = harmonic_analysis._Memo(3, 10)
-        builds = []
+        # the steering cache holds the six tables used last, counted by its
+        # builds; a table above its cap is built on each call, kept by none
+        clear_table_caches()
+        cache = harmonic_analysis._steering_table
 
-        def build(key, *sizes):
-            builds.append(key)
-            arrays = tuple(np.zeros(size) for size in sizes)
-            return arrays if len(arrays) > 1 else arrays[0]
+        def table(count, theta=COARSE_THETA):
+            return harmonic_analysis._phase_table(pi, theta, count)
 
-        for key in range(4):
-            memo.get(key, build, key, 4)
-        memo.get(1, build, 1, 4)
-        memo.get(4, build, 4, 6, 4)
-        # 0 dropped by 3, and 2 by 4 (1 was used since): least recent first
-        assert builds == [0, 1, 2, 3, 4] and list(memo._values) == [3, 1, 4]
-        # a value of 11 entries, alone or in a tuple, is built on each call
-        for _ in range(2):
-            memo.get(5, build, 5, 11)
-            memo.get(6, build, 6, 6, 5)
-        assert builds[5:] == [5, 6, 5, 6] and list(memo._values) == [3, 1, 4]
-        assert all(not array.flags.writeable for array in memo.get(4, build, 4, 6, 4))
+        for count in range(1, 8):
+            table(count)
+        table(3)
+        table(8)
+        # 1 dropped by 7, and 2 by 8 (3 was used since): least recent first
+        assert cache.cache_info()[:] == (1, 8, 6, 6)
+        assert served_from_cache(cache, *[(table, count) for count in (3, 4, 5, 6, 7, 8)])
+        assert not served_from_cache(cache, (table, 2))
+        huge = np.linspace(-1.5, 1.5, 10**5)
+        assert huge.size * 3 > harmonic_analysis._STEERING_MEMO_ENTRIES
+        info = cache.cache_info()
+        first, again = table(3, huge), table(3, huge)
+        assert cache.cache_info() == info and not np.shares_memory(first, again)
+        assert all(not table(count).flags.writeable for count in (2, 8))
 
     def test_kernel_and_lag_weights_keep_their_bits(self):
         for cfg in (reference_config(5), reference_config(64, 8, spacing_wl=0.37)):
@@ -1911,46 +1960,90 @@ class TestTableMemos:
     @pytest.mark.parametrize("path_count", [4, 8])
     def test_lag_groups_of_element_zero_are_shared_across_designs(self, path_count):
         # element 0 has the same table at any size and angle: one entry of
-        # the pulse-sum memo serves every design, with the bits of a cold memo
+        # the lag-group cache serves every design, with the bits of a cold one
         schedules = [design_schedule(reference_config(n, path_count), theta, alpha)
                      for n, theta, alpha in ((1, 0.0, 1.0), (7, THETA_20, 0.3), (300, -1.1, 1e-3))]
         cold = []
         for schedule in schedules:
-            clear_steering_memo()
+            clear_table_caches()
             cold.append(lag_sum_total(schedule))
-        clear_steering_memo()
+        clear_table_caches()
         assert [lag_sum_total(s) for s in schedules] == cold
-        assert list(harmonic_analysis._pulse_sums._values) == [(path_count, None)]
+        info = harmonic_analysis._offset_groups.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
     def test_pulse_sums_are_shared_across_designs(self):
         # element 0 has the same table at any size, angle and duty ratio:
-        # one read-only entry per path count, with the bits of a cold memo
+        # one read-only entry per path count, with the bits of a cold cache
         designs = [(n, paths, theta, alpha) for paths in (4, 8)
                    for n, theta, alpha in ((1, 0.0, 1.0), (7, THETA_20, 0.3),
                                            (MAX_ELEMENTS, -1.1, 1e-3))]
         cold = []
         for n, paths, theta, alpha in designs:
-            clear_steering_memo()
+            clear_table_caches()
             designed = design_schedule(reference_config(n, paths), theta, alpha)
             cold.append(compute_spectrum(designed, 25).coefficients)
-        clear_steering_memo()
+        clear_table_caches()
         for (n, paths, theta, alpha), expected in zip(designs, cold):
             designed = design_schedule(reference_config(n, paths), theta, alpha)
             got = compute_spectrum(designed, 25).coefficients
             assert all(got[m].per_element.tobytes() == expected[m].per_element.tobytes()
                        for m in expected)
-        # beside the lag sums' offset groups, keyed (path count, None)
-        memo = harmonic_analysis._pulse_sums
-        kept = {key: value for key, value in memo._values.items() if key[1] is not None}
-        assert sorted(kept) == [(4, range(-25, 26)), (8, range(-25, 26))]
-        assert sorted(key for key in memo._values if key not in kept) == [(4, None), (8, None)]
-        for w, sums in kept.values():
-            assert w.size == sums.size == 51 and w.size + sums.size <= memo.entries
-            for array in (w, sums):
+        # two builds, one per path count, each keyed by the range -25 .. 25,
+        # beside one lag-group entry per path count
+        sums = harmonic_analysis._scaled_sums
+        assert sums.cache_info()[1:] == (2, 8, 2)
+        assert harmonic_analysis._offset_groups.cache_info()[1:3] == (2, 4)
+        for paths in (4, 8):
+            key = element_zero_key(design_schedule(reference_config(1, paths), 0.0, 1.0))
+            assert served_from_cache(sums, (sums, *key, range(-25, 26)))
+            w, scaled = sums(*key, range(-25, 26))
+            assert w.size == scaled.size == 51
+            for array in (w, scaled):
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0.0
                 with pytest.raises(ValueError):
                     array.flags.writeable = True
+
+    def test_caches_are_keyed_by_their_content(self, monkeypatch):
+        # warm with a normal 4-path design, then design with another
+        # quadrature shift: element 0 differs at the same path count, and
+        # its rows and total must be its own, not the warm design's
+        ms = range(-25, 26)
+        compute_spectrum(design_schedule(reference_config(7, 4), THETA_20, 0.5), 25)
+        monkeypatch.setattr(schedule_design, "QUADRATURE_SHIFT", -0.2)
+        monkeypatch.setitem(schedule_design._DESIGN_PATHS, 4, schedule_design._design_paths(4))
+        designed = design_schedule(reference_config(7, 4), THETA_20, 0.5)
+        copy = dataclasses.replace(designed)
+        exact = coefficient_matrix(copy, ms)
+        rows = coefficient_matrix(designed, ms)
+        assert np.max(np.abs(rows - exact)) <= 1e-14 * np.max(np.abs(exact))
+        total = total_power(copy)
+        assert relative_gap(compute_spectrum(designed, 25).total_power, total) <= 1e-15
+
+    def test_pulse_sum_cache_retains_at_most_eight_blocks(self):
+        # 12 distinct blocks of COEFFICIENT_BLOCK // 8 harmonics (4 paths):
+        # each kept block holds its key's floats, w and S(m) / w, 32 bytes
+        # per harmonic, so the cache retains at most 8 x 128 KiB = 1 MiB, and
+        # 64 KiB more for its keys' other bytes, array headers and numpy's
+        # own small allocations
+        size = harmonic_analysis.COEFFICIENT_BLOCK // 8
+        maxsize = harmonic_analysis._scaled_sums.cache_info().maxsize
+        assert maxsize == 8
+        clear_table_caches()
+        config = reference_config(1, 4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for k in range(12):
+                schedule = design_schedule(config, 0.0, 0.5)
+                coefficient_matrix(schedule, np.arange(size, dtype=float) + k * size)
+                del schedule
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert harmonic_analysis._scaled_sums.cache_info()[1:] == (12, 8, 8)
+        assert retained <= maxsize * size * 32 + 2**16
 
 
 # ----------------------------------- designed schedules: the crossing route
@@ -2419,7 +2512,7 @@ class TestTemplateRows:
            st.floats(-89.9, 89.9), st.floats(1e-6, 1.0))
     def test_the_path_count_fixes_element_zero(self, n, path_count, spacing_wl, theta_deg,
                                                alpha):
-        # the pulse-sum and lag-group memos key element 0 by path count alone
+        # so one entry of each element-0 cache serves every design of a path count
         cfg = reference_config(n, path_count, spacing_wl)
         onsets, _, rotation = _schedule_table(design_schedule(cfg, np.deg2rad(theta_deg), alpha))
         expected = _schedule_table(design_schedule(reference_config(1, path_count), 0.0, 1.0))
