@@ -27,14 +27,13 @@ Routes, and their accuracy:
   relative) and each harmonic (``_template_powers``, ~1e-14 of the total).
   ``total_power``, ``harmonic_efficiency`` and ``harmonic_power`` take the
   general power route on any schedule.
-* Patterns (``radiation_pattern``, ``array_factor``).  General: the rows
-  times one theta x N steering matrix of exact exponentials
-  (``_exp_table``), built for the call.  Designed, in
-  ``radiation_pattern``: the sideband scan's factored fields (``_fields``,
-  no theta x N matrix), each harmonic's once and with the same bits
-  whatever else is asked; each |AF_m| is within ~3e-14 of the m = 1 peak of
-  the general route.  ``array_factor`` takes the general route on any
-  schedule.
+* Patterns (``radiation_pattern``, ``array_factor``): ``_fields``, each
+  harmonic's once, with the same bits whatever else is asked.  General:
+  the theta x N table of exact exponentials (``_exp_table``), built for the
+  call, and a unit column, with the bits of the rows times that table.
+  Designed: the sideband scan's factored tables, no theta x N one, each
+  |AF_m| within ~3e-14 of the m = 1 peak of the general route.
+  ``array_factor`` takes the rows times the theta x N table on any schedule.
 
 Three ``functools.lru_cache`` builders keep tables that calls reuse, each
 keyed by the bytes (or range) it is built from: the steering tables
@@ -309,8 +308,8 @@ def _template_rows(table, ms) -> np.ndarray:
     the largest |A| for |m| <= 101, each path's onsets having been rounded
     on their own.  ``ms``, a range or an array, goes in order in blocks of at
     most ``COEFFICIENT_BLOCK`` entries, each with one exponential per element
-    and |m| from its least to its largest |m| if that span is shorter than
-    the block (as in a range about 0), else per element and harmonic.
+    and distinct |m| of the block (``np.unique``): a row's bits depend on its
+    m alone, and no table spans the |m| between far-apart harmonics.
     """
     a0 = _element_zero(tuple(column[:1] for column in table), ms)
     onsets = table[0]
@@ -321,13 +320,8 @@ def _template_rows(table, ms) -> np.ndarray:
     rows = max(1, COEFFICIENT_BLOCK // len(onsets))
     for start in range(0, len(m), rows):
         block = slice(start, start + rows)
-        mags = np.abs(m[block])
-        low, high = mags.min(), mags.max()
-        dense = high - low < len(mags)
-        turn = np.exp(-2j * pi * _frac(np.multiply.outer(
-            low + np.arange(high - low + 1) if dense else mags, shift)))
-        if dense:
-            turn = turn[(mags - low).astype(np.intp)]
+        mags, at = np.unique(np.abs(m[block]), return_inverse=True)
+        turn = np.exp(-2j * pi * _frac(np.multiply.outer(mags, shift)))[at]
         # conjugated for m < 0, and multiplied in real arithmetic, so that an
         # entry's bits do not depend on its place in the block
         t_r, t_i = turn.real, turn.imag
@@ -751,15 +745,14 @@ def radiation_pattern(
     reference, in blocks whose working arrays hold at most a quarter of
     ``_STEERING_MEMO_ENTRIES`` and at most ``MAX_STEERING_ENTRIES`` entries,
     or one harmonic's theta x Q, Q = ceil(N / 16); a block's levels are
-    taken before the next is formed.  A general schedule's fields are
-    ``phase @ a``, with a theta x N matrix built for the call; a designed
-    one's (``onset_step`` set), the sideband scan's ``_fields`` from the
-    cache's min(N, 16)-wide and Q-wide tables, whose widest times the theta
-    points must be at most ``MAX_STEERING_ENTRIES``.  Either way a
-    harmonic's levels have the same bits whatever else is requested.  The
-    high table's phases are those of elements 16 q bit for bit, but element
-    16 q + r's phase is rounded in two parts, so each designed field is
-    within ~3e-14 of the m = 1 peak of ``phase @ a``.
+    taken before the next is formed.  Each block is one ``_fields`` call.  A
+    general schedule's tables are P, the theta x N ``_exp_table`` built for
+    the call, and a unit column: each row a gets the bits of ``|P @ a|``.  A
+    designed one's (``onset_step`` set) are the cache's min(N, 16)-wide and
+    Q-wide ones, the widest times the theta points at most
+    ``MAX_STEERING_ENTRIES``; element 16 q + r's phase is rounded in two
+    parts, so each field is within ~3e-14 of the m = 1 peak of ``|P @ a|``.
+    A harmonic's levels have the same bits whatever else is requested.
     """
     theta = np.asarray(theta_grid, dtype=float)
     if theta.size == 0:
@@ -776,13 +769,14 @@ def radiation_pattern(
     if designed:
         low, high = _phase_table(beta_d, theta, base), _phase_table(16 * beta_d, theta, rows_q)
     else:
-        phase = _exp_table(beta_d, theta, n)
+        low, high = _exp_table(beta_d, theta, n), np.ones((theta.size, 1), dtype=complex)
+    rows = _padded(rows, low.shape[-1] * high.shape[-1])
     cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
     size = max(1, cap // (max(theta.size, base) * rows_q))
     levels = {}
     for start in range(0, len(ms), size):
         block = rows[start:start + size]
-        fields = _fields(block, low, high) if designed else np.array([np.abs(phase @ a) for a in block])
+        fields = _fields(block, low, high)
         if reference is None:
             # m = 1's own field, the first row
             reference = float(fields[0].max())
@@ -843,9 +837,9 @@ def _sideband_peaks(schedule: ArraySchedule, m_max: int, theta: np.ndarray) -> d
     """
     config, n = schedule.config, schedule.config.n_elements
     ms = range(-m_max, m_max + 1)
-    rows = _rows(schedule, ms)
-    # element 16 q + r: r < 16 (or N, if fewer), q < Q
+    # element 16 q + r: r < 16 (or N, if fewer), q < Q; rows padded once
     base, rows_q = min(n, 16), -(-n // 16)
+    rows = _padded(_rows(schedule, ms), rows_q * base)
     beta_d = config.wavenumber * config.element_spacing
     low, high = _phase_table(beta_d, theta, base), _phase_table(16 * beta_d, theta, rows_q)
     cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
@@ -899,8 +893,9 @@ def _crossing_peaks(schedule: ArraySchedule, m_max: int) -> dict[int, float] | N
     # x[-1] + lobe (one beyond it clips to the last angle, a harmless extra)
     count = int((x[-1] - x[0] + 2 * lobe) // (2 * pi)) + 1
     ms = range(-m_max, m_max + 1)
-    # the rows of ``compute_spectrum`` at the same m_max, as the memo holds them
-    rows = _rows(schedule, ms)
+    base, rows_q = min(n, 16), -(-n // 16)
+    # the rows of ``compute_spectrum`` at the same m_max (the memo's), padded
+    rows = _padded(_rows(schedule, ms), rows_q * base)
     frac = _frac(np.arange(-m_max, m_max + 1) * schedule.onset_step)
     first = frac + np.ceil((x[0] - lobe) / (2 * pi) - frac)
     centres = 2 * pi * first[:, None] + 2 * pi * np.arange(count)
@@ -910,7 +905,6 @@ def _crossing_peaks(schedule: ArraySchedule, m_max: int) -> dict[int, float] | N
     if np.abs(x[at] - centres[:, None]).min(axis=(1, 2)).max() > 4.0 / n:
         return None
     at = at.reshape(len(ms), -1)
-    base, rows_q = min(n, 16), -(-n // 16)
     low = _phase_table(beta_d, _SIDEBAND_THETA, base)
     cap = min(MAX_STEERING_ENTRIES, _STEERING_MEMO_ENTRIES >> 2)
     size = max(1, cap // max(2 * count * max(base, rows_q), rows_q * base))
@@ -922,20 +916,26 @@ def _crossing_peaks(schedule: ArraySchedule, m_max: int) -> dict[int, float] | N
     return {m: peak for m, peak in zip(ms, peaks.tolist()) if m != 0}
 
 
+def _padded(rows: np.ndarray, width: int) -> np.ndarray:
+    """``rows`` zero-padded to ``width`` columns, or themselves if that wide."""
+    if rows.shape[1] < width:
+        rows = np.concatenate((rows, np.zeros((len(rows), width - rows.shape[1]))), axis=1)
+    return rows
+
+
 def _fields(rows: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """|field| of each row of ``rows`` (harmonics x N elements), factored
-    as in ``sideband_level``: ``low`` holds e^(j r x), r < min(N, 16), and
-    ``high`` e^(j 16 q x), q < Q = ceil(N / 16), at one grid's angles
-    (angles x columns) or at each row's own (rows x angles x columns).
-    Each row, zero-padded to Q x 16 (Q x N if N < 16), has its own product
-    with ``low`` (its G[q]), then one contraction with ``high`` gives
-    harmonics x angles.  A row's bits depend on it and its angles alone.
+    """|field| of each row of ``rows`` (harmonics x Q B columns), factored
+    as in ``sideband_level``: ``low`` holds e^(j r x), r < B, and ``high``
+    e^(j B q x), q < Q, at one grid's angles (angles x columns) or at each
+    row's own (rows x angles x columns).  A design's B is min(N, 16) and
+    Q = ceil(N / 16), its rows ``_padded`` to Q B; a general pattern's B is
+    N and Q is 1.  Each row, read in place, has its own product with
+    ``low`` (its G[q]), then one contraction with ``high`` gives harmonics x
+    angles.  A row's bits depend on it and its angles alone.
     """
     base, rows_q = low.shape[-1], high.shape[-1]
-    columns = np.zeros((len(rows), rows_q * base), dtype=complex)
-    columns[:, :rows.shape[1]] = rows
-    # entry [m, r, q]: element 16 q + r of row m; G's entry [m, angle, q]
-    inner = low @ columns.reshape(-1, rows_q, base).transpose(0, 2, 1)
+    # entry [m, r, q]: element B q + r of row m; G's entry [m, angle, q]
+    inner = low @ rows.reshape(-1, rows_q, base).transpose(0, 2, 1)
     return np.abs(np.einsum("...q,...q->...", inner, high))
 
 

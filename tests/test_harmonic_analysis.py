@@ -1172,6 +1172,40 @@ class TestSharedSteering:
             db[ratio * ratio < POWER_CLAMP_REL] = DB_FLOOR
             assert np.array_equal(table.levels_db[m], np.maximum(db, DB_FLOOR))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(sideband_schedules().map(dataclasses.replace), loaded_schedules()),
+           st.lists(st.integers(-60, 60), min_size=1, max_size=5),
+           st.sampled_from([(), (1,), (9,), (3, 4)]), st.floats(-pi / 2, pi / 2),
+           st.one_of(st.none(), st.floats(1e-3, 1e3)))
+    @example(dataclasses.replace(design_schedule(reference_config(300, 8), THETA_20, 0.4)),
+             [1, -3, 5, -7], (3, 4), -1.0, None)
+    def test_general_levels_have_the_bits_of_the_steering_product(self, schedule, harmonics,
+                                                                  shape, start, reference):
+        # the general route's contract: the levels of |phase @ a|, with
+        # phase the theta x N ``_exp_table``, bit for bit at any grid shape
+        theta = start + np.linspace(0.0, 1.5, int(np.prod(shape))).reshape(shape)
+        cfg = schedule.config
+        phase = harmonic_analysis._exp_table(cfg.wavenumber * cfg.element_spacing, theta,
+                                             cfg.n_elements)
+
+        def field(m):
+            return np.abs(phase @ coefficient_vector(schedule, m))
+
+        expected = float(field(1).max()) if reference is None else reference
+        if not expected > 0:
+            with pytest.raises(ValueError, match="the m = 1 peak is 0"):
+                radiation_pattern(schedule, harmonics, theta)
+            return
+        table = radiation_pattern(schedule, harmonics, theta, reference)
+        assert table.reference == expected
+        for m in harmonics:
+            ratio = field(m) / expected
+            with np.errstate(divide="ignore"):
+                db = 20.0 * np.log10(ratio)
+            db[ratio * ratio < POWER_CLAMP_REL] = DB_FLOOR
+            levels = np.maximum(db, DB_FLOOR).reshape(shape)
+            assert table.levels_db[m].tobytes() == levels.tobytes()
+
     @pytest.mark.parametrize("n_elements, path_count, alpha", [
         (5, 4, 1.0), (5, 8, 10 ** -0.6), (32, 8, 1.0), (32, 4, 10 ** -0.9),
     ])
@@ -2490,6 +2524,43 @@ class TestTemplateRows:
                 by_range = coefficient_matrix(make(), ms)
                 assert coefficient_matrix(make(), listed).tobytes() == by_range[
                     [ms.index(m) for m in listed]].tobytes()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 300), st.sampled_from([4, 8]), st.floats(-80.0, 80.0),
+           st.floats(1e-3, 1.0),
+           st.lists(st.one_of(st.integers(-101, 101), st.integers(-2**53, 2**53)),
+                    min_size=1, max_size=12),
+           st.sampled_from([1, 3, harmonic_analysis.COEFFICIENT_BLOCK]))
+    @example(37, 8, 23.4, 0.4, [3, -5, 3, 101, -2**40], harmonic_analysis.COEFFICIENT_BLOCK)
+    @example(5, 4, -20.0, 1.0, [-2**53, 7, 2**53, 0, -7, 7], 2)
+    def test_a_list_request_has_the_bits_of_each_harmonic_alone(self, n, path_count, theta_deg,
+                                                                 alpha, ms, block):
+        # one exponential per element and distinct |m|: repeats, gaps, signs
+        # and the other harmonics of a block leave each row's bits as they are
+        cfg = reference_config(n, path_count)
+
+        def rows(request):
+            return coefficient_matrix(design_schedule(cfg, np.deg2rad(theta_deg), alpha), request)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harmonic_analysis, "COEFFICIENT_BLOCK", block * n)
+            matrix = rows(ms)
+        for m, row in zip(ms, matrix):
+            assert rows([m])[0].tobytes() == row.tobytes()
+
+    def test_far_apart_harmonics_take_no_table_of_their_span(self):
+        # two distinct |m|, two turn rows: a table from |m| = 1 to 2**52
+        # would hold 2**52 rows of 2047 turns
+        schedule = design_schedule(reference_config(MAX_ELEMENTS, 8), THETA_20, 0.5)
+        row_bytes = MAX_ELEMENTS * 16
+        tracemalloc.start()
+        try:
+            matrix = coefficient_matrix(schedule, [1, 2**52])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (2, MAX_ELEMENTS)
+        assert peak <= 16 * row_bytes
 
     @pytest.mark.parametrize("ms", [range(2**53 - 1, 2**53 + 2), range(-2**53 - 1, 0),
                                     range(10**400, 10**400 + 3), range(-10**400, 5, 10**399)])
